@@ -57,8 +57,7 @@ def _add_config_options(p):
     g.add_argument("--p0", type=float, default=1e-4, help="flat distortion penalty and floor base")
     g.add_argument("--beam", type=int, default=10, help="beam width of the parser")
     g = p.add_argument_group("misc")
-    g.add_argument("--max-phrase-len", type=int, default=7, help="phrase length cap for extraction")
-    g.add_argument("--threads", default="auto", help="worker processes ('auto' = all cores)")
+    g.add_argument("--threads", default="auto", help="alignment worker processes ('auto' = all cores)")
     g.add_argument("--max-sentence-len", type=int, default=200, help="skip pairs with a longer side")
     g.add_argument("--lowercase", action="store_true", help="lowercase input text")
 
@@ -86,7 +85,6 @@ def config_from_args(args):
         r=args.r,
         p0=args.p0,
         beam=args.beam,
-        max_phrase_len=args.max_phrase_len,
         threads=resolve_threads(args.threads),
         max_sentence_len=args.max_sentence_len,
         lowercase=args.lowercase,

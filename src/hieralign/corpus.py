@@ -75,6 +75,14 @@ class Vocabulary:
     def token(self, idx):
         return self._id_to_token[idx]
 
+    def tokens(self):
+        """Every token in id order, the reserved NULL token first (a copy)."""
+        return list(self._id_to_token)
+
+    def ids(self):
+        """token -> id for every surface token, NULL excluded (a copy)."""
+        return dict(self._token_to_id)
+
     @property
     def real_size(self):
         """Number of surface tokens, excluding the reserved NULL."""

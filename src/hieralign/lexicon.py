@@ -8,16 +8,26 @@ Two directions are trained independently:
 Tables are sparse over co-occurring word pairs; lookups of unseen pairs
 return a fixed fallback probability. The NULL word (id 0) may take part as
 an extra conditioning word on the other side.
+
+A table is two flat arrays: sorted int64 keys packing (conditioning id,
+conditioned id), so that the entries of one conditioning word are
+contiguous, and the float64 values in the same order. EM, lookups and
+model files work on whole arrays.
 """
 
 from __future__ import annotations
 
-import math
+import re
+from collections.abc import Mapping
 from dataclasses import dataclass
+from functools import cached_property
+from itertools import chain, repeat
+
+import numpy as np
 
 from .corpus import NULL_ID, NULL_TOKEN
 from .symmetrize import grow_diag_final_and
-from . import workers
+from .workers import CHUNK_SIZE
 
 FORWARD = "fwd"
 REVERSE = "rev"
@@ -28,6 +38,16 @@ DEFAULT_FALLBACK = 1e-10
 # Keeps stored probabilities strictly positive even when exp(psi(...))
 # underflows for extreme alpha settings.
 TINY_PROB = 1e-300
+
+# Conditioning column of a NULL entry in a ttable file. Whitespace
+# tokenization never yields an empty token, so no word can be read as NULL.
+NULL_FIELD = ""
+
+# Zero or more ttable rows: three tab-separated fields, newline-terminated.
+_ROWS = re.compile(r"(?:[^\t\n]*\t[^\t\n]*\t[^\t\n]*\n)*")
+
+_SHIFT = 32
+_LOW = (1 << _SHIFT) - 1
 
 
 @dataclass(frozen=True)
@@ -45,10 +65,123 @@ class EmConfig:
             raise ValueError("alpha must be > 0")
 
 
+def pack(conditioned, conditioning):
+    """int64 keys of (conditioned id, conditioning id) pairs, broadcast.
+
+    Keys sort by conditioning id, then conditioned id. A negative id (an
+    unknown word) always gives a negative key, which no table holds.
+    """
+    cond = np.asarray(conditioned, dtype=np.int64)
+    cing = np.asarray(conditioning, dtype=np.int64)
+    return (cing << _SHIFT) | cond
+
+
+class PairMap(Mapping):
+    """Read-only map (conditioned id, conditioning id) -> float on two arrays.
+
+    packed holds strictly increasing pack()ed keys, data the values in the
+    same order.
+    """
+
+    __slots__ = ("packed", "data")
+
+    def __init__(self, packed, data):
+        self.packed = packed
+        self.data = data
+
+    @classmethod
+    def of(cls, mapping):
+        """mapping itself if it is a PairMap, else a PairMap of its items."""
+        if isinstance(mapping, cls):
+            return mapping
+        ids = np.array(list(mapping), dtype=np.int64).reshape(-1, 2)
+        packed = pack(ids[:, 0], ids[:, 1])
+        data = np.fromiter(mapping.values(), np.float64, len(mapping))
+        order = np.argsort(packed)
+        return cls(packed[order], data[order])
+
+    def find(self, query):
+        """Index of each packed query key in packed, -1 where absent."""
+        query = np.asarray(query, dtype=np.int64)
+        if not len(self.packed):
+            return np.full(query.shape, -1)
+        where = np.minimum(np.searchsorted(self.packed, query), len(self.packed) - 1)
+        return np.where(self.packed[where] == query, where, -1)
+
+    def get_packed(self, query, default):
+        """Values at packed query keys, default where absent."""
+        where = self.find(query)
+        if not len(self.packed):
+            return np.full(where.shape, float(default))
+        return np.where(where >= 0, self.data[where], default)
+
+    def conditioned(self):
+        return self.packed & _LOW
+
+    def conditioning(self):
+        return self.packed >> _SHIFT
+
+    def __len__(self):
+        return len(self.packed)
+
+    def __iter__(self):
+        return zip(self.conditioned().tolist(), self.conditioning().tolist())
+
+    def __getitem__(self, key):
+        where = int(self.find(pack(*key)))
+        if where < 0:
+            raise KeyError(key)
+        return float(self.data[where])
+
+    def __eq__(self, other):
+        if isinstance(other, PairMap):
+            return np.array_equal(self.packed, other.packed) and np.array_equal(self.data, other.data)
+        if isinstance(other, Mapping):
+            return dict(zip(self, self.data.tolist())) == dict(other.items())
+        return NotImplemented
+
+    __hash__ = None
+
+
+def _conditioning_groups(packed):
+    """Per entry, the rank of its conditioning word among the table's."""
+    cing = packed >> _SHIFT
+    return np.cumsum(np.diff(cing, prepend=cing[:1]) != 0)
+
+
+def _column_ids(path, tokens, ids):
+    out = np.fromiter(map(ids.get, tokens, repeat(-1)), np.int64, len(tokens))
+    missing = np.flatnonzero(out < 0)
+    if missing.size:
+        k = int(missing[0])
+        raise ValueError(f"{path}:{k + 2}: token {tokens[k]!r} is not in the vocabulary")
+    return out
+
+
+def _float_or_nan(text):
+    try:
+        return float(text)
+    except ValueError:
+        return float("nan")
+
+
+def _probabilities(path, texts):
+    try:
+        probs = np.fromiter(map(float, texts), np.float64, len(texts))
+    except ValueError:
+        probs = np.array([_float_or_nan(t) for t in texts], dtype=np.float64)
+    bad = np.flatnonzero(~((probs > 0.0) & (probs <= 1.0)))
+    if bad.size:
+        k = int(bad[0])
+        raise ValueError(f"{path}:{k + 2}: probability {texts[k]!r} is not a number in (0, 1]")
+    return probs
+
+
 class TTable:
     """Sparse conditional lexicon for one direction.
 
-    probs maps (conditioned id, conditioning id) to a probability in (0, 1].
+    probs is a PairMap from (conditioned id, conditioning id) to a
+    probability in (0, 1]; any mapping given is converted to one.
     cond_vocab_size is the number of surface types on the conditioned side,
     used as the dimension of the symmetric Dirichlet prior in VB mode.
     """
@@ -57,61 +190,88 @@ class TTable:
         if direction not in (FORWARD, REVERSE):
             raise ValueError(f"unknown direction {direction!r}")
         self.direction = direction
-        self.probs = probs
+        self.probs = PairMap.of(probs)
         self.cond_vocab_size = cond_vocab_size
         self.fallback = fallback
 
-    def prob(self, conditioned, conditioning):
-        return self.probs.get((conditioned, conditioning), self.fallback)
+    def lookup(self, conditioned, conditioning):
+        """Probabilities of the broadcast id arrays, the fallback where unseen."""
+        return self.probs.get_packed(pack(conditioned, conditioning), self.fallback)
 
     def save(self, path, conditioned_vocab, conditioning_vocab):
         """Write `#ttable <direction> <V>` then token TSV rows.
 
-        Column 1 is the conditioned word, column 2 the conditioning word;
-        probabilities carry 17 significant digits so reloading is exact.
-        NULL conditioning entries appear under the reserved NULL token.
+        Column 1 is the conditioned word, column 2 the conditioning word,
+        empty for NULL; probabilities carry 17 significant digits so
+        reloading is exact. Rows are grouped by conditioning word.
         """
+        cond_tokens = conditioned_vocab.tokens()
+        cing_tokens = conditioning_vocab.tokens()
+        cing_tokens[NULL_ID] = NULL_FIELD
+        rows = zip(self.probs.conditioned().tolist(), self.probs.conditioning().tolist(),
+                   self.probs.data.tolist())
         with open(path, "w", encoding="utf-8") as fh:
             fh.write(f"#ttable {self.direction} {self.cond_vocab_size}\n")
-            for (f, e) in sorted(self.probs):
-                p = self.probs[(f, e)]
-                fh.write(f"{conditioned_vocab.token(f)}\t{conditioning_vocab.token(e)}\t{p:.17g}\n")
+            fh.write("".join(f"{cond_tokens[f]}\t{cing_tokens[e]}\t{p:.17g}\n" for f, e, p in rows))
 
     @classmethod
     def load(cls, path, conditioned_vocab, conditioning_vocab, fallback=DEFAULT_FALLBACK):
+        """Read a table written by save; a malformed row raises ValueError("path:line: ...").
+
+        Files whose NULL entries carry the `<NULL>` token still load when
+        the conditioning vocabulary has no real `<NULL>` word.
+        """
         with open(path, "r", encoding="utf-8") as fh:
             header = fh.readline().split()
-            if len(header) != 3 or header[0] != "#ttable":
-                raise ValueError(f"{path}: not a ttable file")
-            direction, size = header[1], int(header[2])
-            probs = {}
-            for line in fh:
-                f_tok, e_tok, p = line.rstrip("\n").split("\t")
-                e_id = NULL_ID if e_tok == NULL_TOKEN else conditioning_vocab.lookup(e_tok)
-                probs[(conditioned_vocab.lookup(f_tok), e_id)] = float(p)
-        return cls(direction, probs, size, fallback)
+            body = fh.read()
+        if len(header) != 3 or header[0] != "#ttable" or not header[2].isdigit():
+            raise ValueError(f"{path}:1: not a ttable file")
+        if body and not body.endswith("\n"):
+            body += "\n"
+        if not _ROWS.fullmatch(body):
+            for k, line in enumerate(body.split("\n")):
+                count = line.count("\t") + 1
+                if count != 3:
+                    raise ValueError(f"{path}:{k + 2}: expected 3 tab-separated fields, got {count}")
+        fields = body.replace("\n", "\t").split("\t")[:-1]
+        f_toks, e_toks, p_texts = fields[0::3], fields[1::3], fields[2::3]
+        cing_ids = conditioning_vocab.ids()
+        cing_ids[NULL_FIELD] = NULL_ID
+        cing_ids.setdefault(NULL_TOKEN, NULL_ID)
+        packed = pack(_column_ids(path, f_toks, conditioned_vocab.ids()),
+                      _column_ids(path, e_toks, cing_ids))
+        probs = _probabilities(path, p_texts)
+        order = np.argsort(packed, kind="stable")
+        packed = packed[order]
+        dup = np.flatnonzero(packed[1:] == packed[:-1])
+        if dup.size:
+            raise ValueError(f"{path}:{int(order[dup[0] + 1]) + 2}: duplicate entry")
+        return cls(header[1], PairMap(packed, probs[order]), int(header[2]), fallback)
 
 
 def digamma(x):
-    """Digamma psi(x) for x > 0, accurate to better than 1e-10.
+    """Digamma psi(x) for x > 0, a number or an array, accurate to better than 1e-10.
 
     Uses psi(x) = psi(x+1) - 1/x to lift the argument to >= 6, then the
     asymptotic series in 1/x^2.
     """
-    if x <= 0:
-        raise ValueError(f"digamma requires x > 0, got {x}")
-    result = 0.0
-    while x < 6.0:
-        result -= 1.0 / x
-        x += 1.0
+    x = np.array(x, dtype=np.float64)
+    if np.any(x <= 0):
+        raise ValueError(f"digamma requires x > 0, got {x[x <= 0].flat[0]}")
+    result = np.zeros_like(x)
+    low = x < 6.0
+    while low.any():
+        result -= np.where(low, 1.0 / x, 0.0)
+        x += low
+        low = x < 6.0
     inv = 1.0 / x
     inv2 = inv * inv
-    result += math.log(x) - 0.5 * inv
+    result += np.log(x) - 0.5 * inv
     result -= inv2 * (
         1.0 / 12
         - inv2 * (1.0 / 120 - inv2 * (1.0 / 252 - inv2 * (1.0 / 240 - inv2 * (1.0 / 132 - inv2 * (691.0 / 32760)))))
     )
-    return result
+    return result if result.ndim else float(result)
 
 
 def oriented(pair, direction):
@@ -121,48 +281,88 @@ def oriented(pair, direction):
     return pair.target, pair.source
 
 
-def _estep_chunk(chunk):
-    """Expected counts for one corpus chunk against the shared table snapshot."""
-    probs, use_null = workers.payload()
-    counts = {}
-    for cond_seq, cing_seq in chunk:
-        for f in cond_seq:
-            denom = 0.0
-            for e in cing_seq:
-                denom += probs[(f, e)]
-            if use_null:
-                denom += probs[(f, NULL_ID)]
-            for e in cing_seq:
-                key = (f, e)
-                counts[key] = counts.get(key, 0.0) + probs[key] / denom
-            if use_null:
-                key = (f, NULL_ID)
-                counts[key] = counts.get(key, 0.0) + probs[key] / denom
-    return counts
+class _Links:
+    """Every link of a corpus in one direction, in corpus order.
+
+    A link joins one occurrence of a conditioned word to one word of the
+    other side of its pair, NULL last when enabled; the links of one
+    occurrence are consecutive. keys are the distinct co-occurring pairs,
+    packed and sorted: the key set of every EM table on this corpus.
+    """
+
+    def __init__(self, pairs, direction, use_null):
+        sides = [oriented(pair, direction) for pair in pairs]
+        null = (NULL_ID,) if use_null else ()
+        n = np.fromiter((len(c) for c, _ in sides), np.int64, len(sides))
+        m = np.fromiter((len(e) + len(null) for _, e in sides), np.int64, len(sides))
+        cond = np.fromiter(chain.from_iterable(c for c, _ in sides), np.int64, int(n.sum()))
+        cing = np.fromiter(chain.from_iterable(e + null for _, e in sides), np.int64, int(m.sum()))
+        pair_of_occ = np.repeat(np.arange(len(sides)), n)
+        self.slots = m[pair_of_occ]
+        self.occ = np.repeat(np.arange(len(cond)), self.slots)
+        first = np.cumsum(self.slots) - self.slots
+        offset = np.arange(len(self.occ)) - first[self.occ]
+        cing_start = (np.cumsum(m) - m)[pair_of_occ]
+        link_keys = pack(cond[self.occ], cing[cing_start[self.occ] + offset])
+        self.keys, self.key_of_link = np.unique(link_keys, return_inverse=True)
+        self.chunk_of_link = pair_of_occ[self.occ] // CHUNK_SIZE
+
+    @cached_property
+    def _chunk_groups(self):
+        """(group of each link, key of each group) for groups of one key in one
+        chunk, numbered chunk by chunk."""
+        if not self.chunk_of_link.any():  # one chunk: each key is one group, no sort needed
+            return self.key_of_link, np.arange(len(self.keys))
+        groups, group_of_link = np.unique(
+            self.chunk_of_link * len(self.keys) + self.key_of_link, return_inverse=True
+        )
+        return group_of_link, groups % max(len(self.keys), 1)
+
+    def uniform(self, direction, config, cond_vocab_size=None):
+        if cond_vocab_size is None:
+            cond_vocab_size = len(np.unique(self.keys & _LOW))
+        group = _conditioning_groups(self.keys)
+        uniform = 1.0 / np.bincount(group)[group]
+        return TTable(direction, PairMap(self.keys, uniform), cond_vocab_size, config.fallback)
+
+    def expected_counts(self, table):
+        """E-step counts, summed in the order of a chunked corpus loop.
+
+        Within a chunk of CHUNK_SIZE pairs, np.bincount adds link by link in
+        corpus order; the chunk sums are then added in chunk order.
+        """
+        where = table.probs.find(self.keys)
+        if (where < 0).any():
+            k = int(np.flatnonzero(where < 0)[0])
+            raise KeyError((int(self.keys[k] & _LOW), int(self.keys[k] >> _SHIFT)))
+        p = table.probs.data[where][self.key_of_link]
+        share = p / np.bincount(self.occ, weights=p)[self.occ]
+        group_of_link, key_of_group = self._chunk_groups
+        partial = np.bincount(group_of_link, weights=share)
+        return PairMap(self.keys, np.bincount(key_of_group, weights=partial, minlength=len(self.keys)))
+
+    def log_likelihood(self, table):
+        p = table.probs.get_packed(self.keys, table.fallback)[self.key_of_link]
+        rows = np.bincount(self.occ, weights=p, minlength=len(self.slots))
+        return float(np.log(rows / self.slots).sum())
 
 
 def expected_counts(pairs, table, config, threads=1):
-    """E-step over the corpus; deterministic for any worker count.
+    """E-step over the corpus as a PairMap of expected counts.
 
-    The corpus is cut into fixed-size chunks and per-chunk counts are
-    reduced in chunk order, so the floating-point summation order never
-    depends on how many workers ran.
+    The E-step is a few array passes, cheaper than starting worker
+    processes, so it runs in this process and threads is ignored.
+    Summation order is fixed by the corpus alone.
     """
-    items = [oriented(p, table.direction) for p in pairs]
-    chunks = workers.chunked(items)
-    counts = {}
-    for part in workers.map_chunks(_estep_chunk, (table.probs, config.use_null), chunks, threads):
-        for key, val in part.items():
-            counts[key] = counts.get(key, 0.0) + val
-    return counts
+    return _Links(pairs, table.direction, config.use_null).expected_counts(table)
 
 
 def normalize_plain(counts):
     """Plain M-step: per conditioning word, counts normalized to sum 1."""
-    totals = {}
-    for (f, e), c in counts.items():
-        totals[e] = totals.get(e, 0.0) + c
-    return {(f, e): max(c / totals[e], TINY_PROB) for (f, e), c in counts.items()}
+    counts = PairMap.of(counts)
+    group = _conditioning_groups(counts.packed)
+    totals = np.bincount(group, weights=counts.data)
+    return PairMap(counts.packed, np.maximum(counts.data / totals[group], TINY_PROB))
 
 
 def normalize_vb(counts, alpha, vocab_size):
@@ -172,19 +372,16 @@ def normalize_vb(counts, alpha, vocab_size):
     with V the conditioned-side vocabulary size. Per conditioning word the
     resulting probabilities sum to at most 1.
     """
-    totals = {}
-    for (f, e), c in counts.items():
-        totals[e] = totals.get(e, 0.0) + c
-    denom = {e: math.exp(digamma(t + alpha * vocab_size)) for e, t in totals.items()}
-    return {
-        (f, e): max(math.exp(digamma(c + alpha)) / denom[e], TINY_PROB)
-        for (f, e), c in counts.items()
-    }
+    counts = PairMap.of(counts)
+    group = _conditioning_groups(counts.packed)
+    totals = np.bincount(group, weights=counts.data)
+    denom = np.exp(digamma(totals + alpha * vocab_size))
+    probs = np.exp(digamma(counts.data + alpha)) / denom[group]
+    return PairMap(counts.packed, np.maximum(probs, TINY_PROB))
 
 
-def em_step(pairs, table, config, threads=1):
-    """One E+M round; returns a new table, the input is left untouched."""
-    counts = expected_counts(pairs, table, config, threads)
+def _em_round(links, table, config):
+    counts = links.expected_counts(table)
     if config.vb:
         probs = normalize_vb(counts, config.alpha, table.cond_vocab_size)
     else:
@@ -192,36 +389,30 @@ def em_step(pairs, table, config, threads=1):
     return TTable(table.direction, probs, table.cond_vocab_size, table.fallback)
 
 
+def em_step(pairs, table, config, threads=1):
+    """One E+M round; returns a new table, the input is left untouched.
+
+    threads is ignored, as in expected_counts.
+    """
+    return _em_round(_Links(pairs, table.direction, config.use_null), table, config)
+
+
 def uniform_init(pairs, direction, config, cond_vocab_size=None):
     """Uniform table over co-occurring pairs (plus NULL when enabled)."""
-    cooc = {}
-    cond_types = set()
-    for pair in pairs:
-        cond_seq, cing_seq = oriented(pair, direction)
-        cond_types.update(cond_seq)
-        for f in set(cond_seq):
-            for e in set(cing_seq):
-                cooc.setdefault(e, set()).add(f)
-            if config.use_null:
-                cooc.setdefault(NULL_ID, set()).add(f)
-    if cond_vocab_size is None:
-        cond_vocab_size = len(cond_types)
-    probs = {}
-    for e, fs in cooc.items():
-        # Uniform over words co-occurring with e; ids sorted for determinism.
-        u = 1.0 / len(fs)
-        for f in sorted(fs):
-            probs[(f, e)] = u
-    return TTable(direction, probs, cond_vocab_size, config.fallback)
+    return _Links(pairs, direction, config.use_null).uniform(direction, config, cond_vocab_size)
 
 
 def train_ibm1(pairs, direction, config, threads=1, progress=None):
-    """Exactly config.iterations E+M rounds from the uniform initialization."""
+    """Exactly config.iterations E+M rounds from the uniform initialization.
+
+    threads is ignored, as in expected_counts.
+    """
     if not pairs:
         raise ValueError("cannot train on an empty corpus")
-    table = uniform_init(pairs, direction, config)
+    links = _Links(pairs, direction, config.use_null)
+    table = links.uniform(direction, config)
     for it in range(config.iterations):
-        table = em_step(pairs, table, config, threads)
+        table = _em_round(links, table, config)
         if progress is not None:
             progress(it + 1, config.iterations)
     return table
@@ -229,21 +420,15 @@ def train_ibm1(pairs, direction, config, threads=1, progress=None):
 
 def corpus_log_likelihood(pairs, table, config):
     """Model 1 log-likelihood of the conditioned side given the other side."""
-    total = 0.0
-    for pair in pairs:
-        cond_seq, cing_seq = oriented(pair, table.direction)
-        slots = len(cing_seq) + (1 if config.use_null else 0)
-        for f in cond_seq:
-            row = sum(table.prob(f, e) for e in cing_seq)
-            if config.use_null:
-                row += table.prob(f, NULL_ID)
-            total += math.log(row / slots)
-    return total
+    return _Links(pairs, table.direction, config.use_null).log_likelihood(table)
 
 
 def symmetric_lexical_score(t_fwd, t_rev, f, e):
-    """log sqrt(p(f|e) * p(e|f)); finite and <= 0 through the fallback."""
-    return 0.5 * (math.log(t_fwd.prob(f, e)) + math.log(t_rev.prob(e, f)))
+    """log sqrt(p(f|e) * p(e|f)) for broadcast source ids f and target ids e.
+
+    Finite and <= 0 through the fallback.
+    """
+    return 0.5 * (np.log(t_fwd.lookup(f, e)) + np.log(t_rev.lookup(e, f)))
 
 
 def viterbi_alignment(pair, table, use_null=True):
@@ -253,26 +438,22 @@ def viterbi_alignment(pair, table, use_null=True):
     the lowest index. NULL wins only when strictly better, and produces no
     link. Links are always (source index, target index).
     """
-    links = set()
+    cond_seq, cing_seq = oriented(pair, table.direction)
+    cond = np.asarray(cond_seq)
+    probs = table.lookup(cond[:, None], np.asarray(cing_seq)[None, :])
+    best = probs.argmax(axis=1)
+    linked = np.arange(len(cond))
+    if use_null:
+        linked = linked[table.lookup(cond, NULL_ID) <= probs[linked, best]]
+    pairs = zip(linked.tolist(), best[linked].tolist())
     if table.direction == FORWARD:
-        cond_seq, cing_seq = pair.source, pair.target
-    else:
-        cond_seq, cing_seq = pair.target, pair.source
-    for a, f in enumerate(cond_seq):
-        best_b = 0
-        best_p = -1.0
-        for b, e in enumerate(cing_seq):
-            p = table.prob(f, e)
-            if p > best_p:
-                best_p = p
-                best_b = b
-        if use_null and table.prob(f, NULL_ID) > best_p:
-            continue
-        if table.direction == FORWARD:
-            links.add((a, best_b))
-        else:
-            links.add((best_b, a))
-    return links
+        return set(pairs)
+    return {(b, a) for a, b in pairs}
+
+
+def _link_counts(conditioned, conditioning):
+    packed, counts = np.unique(pack(conditioned, conditioning), return_counts=True)
+    return PairMap(packed, counts.astype(np.float64))
 
 
 def vbh_reestimate(pairs, t_fwd, t_rev, use_null=True):
@@ -282,16 +463,15 @@ def vbh_reestimate(pairs, t_fwd, t_rev, use_null=True):
     are normalized per conditioning word. Fallbacks and vocabulary sizes
     are carried over unchanged.
     """
-    counts_fwd = {}
-    counts_rev = {}
+    src_ids, tgt_ids = [], []
     for pair in pairs:
         a_fwd = viterbi_alignment(pair, t_fwd, use_null)
         a_rev = viterbi_alignment(pair, t_rev, use_null)
         for (j, i) in grow_diag_final_and(a_fwd, a_rev, pair.n, pair.m):
-            f = pair.source[j]
-            e = pair.target[i]
-            counts_fwd[(f, e)] = counts_fwd.get((f, e), 0.0) + 1.0
-            counts_rev[(e, f)] = counts_rev.get((e, f), 0.0) + 1.0
-    new_fwd = TTable(FORWARD, normalize_plain(counts_fwd), t_fwd.cond_vocab_size, t_fwd.fallback)
-    new_rev = TTable(REVERSE, normalize_plain(counts_rev), t_rev.cond_vocab_size, t_rev.fallback)
+            src_ids.append(pair.source[j])
+            tgt_ids.append(pair.target[i])
+    new_fwd = TTable(FORWARD, normalize_plain(_link_counts(src_ids, tgt_ids)),
+                     t_fwd.cond_vocab_size, t_fwd.fallback)
+    new_rev = TTable(REVERSE, normalize_plain(_link_counts(tgt_ids, src_ids)),
+                     t_rev.cond_vocab_size, t_rev.fallback)
     return new_fwd, new_rev

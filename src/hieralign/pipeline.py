@@ -36,7 +36,6 @@ class AlignerConfig:
     r: float = 0.5
     p0: float = 1e-4
     beam: int = 10
-    max_phrase_len: int = 7
     threads: int = 1
     max_sentence_len: int = 200
     lowercase: bool = False
@@ -45,7 +44,7 @@ class AlignerConfig:
         if self.beam < 1:
             raise ValueError("beam must be >= 1")
         for name in ("em_iters", "alpha", "fallback", "sigma_theta", "sigma_delta",
-                     "r", "p0", "max_phrase_len", "threads", "max_sentence_len"):
+                     "r", "p0", "threads", "max_sentence_len"):
             if getattr(self, name) <= 0:
                 raise ValueError(f"{name} must be positive")
 
@@ -108,8 +107,8 @@ def train_model(pairs, vocab_src, vocab_tgt, config, log=None):
             return None
         return lambda it, total: log(f"em {tag} iteration {it}/{total}")
 
-    t_fwd = lexicon.train_ibm1(pairs, lexicon.FORWARD, em, config.threads, progress("fwd"))
-    t_rev = lexicon.train_ibm1(pairs, lexicon.REVERSE, em, config.threads, progress("rev"))
+    t_fwd = lexicon.train_ibm1(pairs, lexicon.FORWARD, em, progress=progress("fwd"))
+    t_rev = lexicon.train_ibm1(pairs, lexicon.REVERSE, em, progress=progress("rev"))
     if config.vbh:
         if log is not None:
             log("vbh re-estimation from symmetrized Viterbi links")

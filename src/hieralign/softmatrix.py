@@ -12,6 +12,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .lexicon import symmetric_lexical_score
+
 # Keeps the upper clamp strictly below 1.
 UPPER_MARGIN = 1e-12
 
@@ -73,18 +75,9 @@ def build_soft_matrix(pair, t_fwd, t_rev, params=MatrixParams()):
     Weights are clamped into [p0^2, 1).
     """
     n, m = pair.n, pair.m
-    probs_fwd = t_fwd.probs
-    probs_rev = t_rev.probs
-    fb_fwd = t_fwd.fallback
-    fb_rev = t_rev.fallback
-    log = math.log
-    theta = np.empty((n, m))
-    for j, f in enumerate(pair.source):
-        row = theta[j]
-        for i, e in enumerate(pair.target):
-            row[i] = 0.5 * (
-                log(probs_fwd.get((f, e), fb_fwd)) + log(probs_rev.get((e, f), fb_rev))
-            )
+    theta = symmetric_lexical_score(
+        t_fwd, t_rev, np.asarray(pair.source)[:, None], np.asarray(pair.target)[None, :]
+    )
     raw = np.exp(theta / params.sigma_theta)
     if params.distortion_enabled:
         h = np.abs(np.arange(n)[:, None] / n - np.arange(m)[None, :] / m)

@@ -35,12 +35,16 @@ def map_chunks(func, shared, chunks, threads=1):
     """Yield func(chunk) for every chunk, in order.
 
     `shared` is installed once per worker and read through payload().
-    threads <= 1 runs inline in this process.
+    threads <= 1 runs inline in this process, and the payload is released
+    when the run ends.
     """
     if threads is None or threads <= 1 or len(chunks) <= 1:
         _init_worker(shared)
-        for chunk in chunks:
-            yield func(chunk)
+        try:
+            for chunk in chunks:
+                yield func(chunk)
+        finally:
+            _init_worker(None)
         return
     with mp.Pool(threads, initializer=_init_worker, initargs=(shared,)) as pool:
         yield from pool.imap(func, chunks, chunksize=1)

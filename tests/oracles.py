@@ -54,6 +54,64 @@ def brute_force_ibm1(oriented_pairs, iterations, use_null, vb=False, alpha=0.01)
     return table
 
 
+def dict_digamma(x):
+    """Digamma by recurrence to x >= 6 and the asymptotic series, one scalar at a time."""
+    result = 0.0
+    while x < 6.0:
+        result -= 1.0 / x
+        x += 1.0
+    inv = 1.0 / x
+    inv2 = inv * inv
+    result += math.log(x) - 0.5 * inv
+    result -= inv2 * (
+        1.0 / 12
+        - inv2 * (1.0 / 120 - inv2 * (1.0 / 252 - inv2 * (1.0 / 240 - inv2 * (1.0 / 132 - inv2 * (691.0 / 32760)))))
+    )
+    return result
+
+
+def dict_expected_counts(oriented_pairs, probs, use_null, chunk_size=128):
+    """Model 1 E-step over id pairs with a {(f, e): p} table, NULL as id 0.
+
+    Counts are summed pair by pair within chunks of chunk_size pairs, and
+    the chunk sums are added in chunk order.
+    """
+    total = {}
+    for start in range(0, len(oriented_pairs), chunk_size):
+        counts = {}
+        for cond_seq, cing_seq in oriented_pairs[start:start + chunk_size]:
+            candidates = list(cing_seq) + ([0] if use_null else [])
+            for f in cond_seq:
+                denom = 0.0
+                for e in candidates:
+                    denom += probs[(f, e)]
+                for e in candidates:
+                    counts[(f, e)] = counts.get((f, e), 0.0) + probs[(f, e)] / denom
+        for key, val in counts.items():
+            total[key] = total.get(key, 0.0) + val
+    return total
+
+
+def dict_normalize_plain(counts, floor=1e-300):
+    """Counts normalized to sum 1 per conditioning word."""
+    totals = {}
+    for (f, e), c in counts.items():
+        totals[e] = totals.get(e, 0.0) + c
+    return {(f, e): max(c / totals[e], floor) for (f, e), c in counts.items()}
+
+
+def dict_normalize_vb(counts, alpha, vocab_size, floor=1e-300):
+    """exp(psi(c + alpha)) / exp(psi(sum_f c + alpha * V)) per entry."""
+    totals = {}
+    for (f, e), c in counts.items():
+        totals[e] = totals.get(e, 0.0) + c
+    denom = {e: math.exp(dict_digamma(t + alpha * vocab_size)) for e, t in totals.items()}
+    return {
+        (f, e): max(math.exp(dict_digamma(c + alpha)) / denom[e], floor)
+        for (f, e), c in counts.items()
+    }
+
+
 def direct_asso(weights, j0, j1, i0, i1):
     """Block sum by explicit double loop."""
     total = 0.0

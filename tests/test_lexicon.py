@@ -1,10 +1,24 @@
 import math
+import os
+import tempfile
 
+import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy.special import digamma as scipy_digamma
 
 import oracles
-from hieralign.corpus import NULL_ID, SentencePair, build_vocabulary, drop_empty, encode_pairs
+from hieralign.corpus import (
+    NULL_ID,
+    NULL_TOKEN,
+    SentencePair,
+    Vocabulary,
+    build_vocabulary,
+    drop_empty,
+    encode_pairs,
+    load_parallel_corpus,
+)
 from hieralign.lexicon import (
     FORWARD,
     REVERSE,
@@ -13,8 +27,10 @@ from hieralign.lexicon import (
     corpus_log_likelihood,
     digamma,
     em_step,
+    expected_counts,
     normalize_plain,
     normalize_vb,
+    oriented,
     symmetric_lexical_score,
     train_ibm1,
     uniform_init,
@@ -131,6 +147,42 @@ def test_worker_count_does_not_change_tables():
     assert serial.probs == parallel.probs
 
 
+def test_expected_counts_ignore_worker_count():
+    token_pairs = [
+        ([f"s{k % 7}", f"s{(k + 3) % 7}"], [f"t{k % 5}", f"t{(k + 1) % 5}"])
+        for k in range(300)
+    ]
+    pairs, _, _ = corpus_from_tokens(token_pairs)
+    config = EmConfig()
+    table = uniform_init(pairs, FORWARD, config)
+    serial = expected_counts(pairs, table, config, 1)
+    parallel = expected_counts(pairs, table, config, 2)
+    assert (serial == parallel) is True
+    assert (serial != parallel) is False
+
+
+@pytest.mark.parametrize("direction", [FORWARD, REVERSE])
+@pytest.mark.parametrize("vb", [True, False])
+def test_array_em_matches_dict_reference(smoke_corpus, direction, vb):
+    pairs, _, _, _ = load_parallel_corpus(smoke_corpus["src"], smoke_corpus["tgt"])
+    config = EmConfig(vb=vb)
+    table = uniform_init(pairs, direction, config)
+    sides = [oriented(pair, direction) for pair in pairs]
+    ref = dict(table.probs.items())
+    # Same table in, same summation order: the first E-step is bit-identical.
+    assert expected_counts(pairs, table, config) == oracles.dict_expected_counts(sides, ref, True)
+    for _ in range(config.iterations):
+        counts = oracles.dict_expected_counts(sides, ref, config.use_null)
+        if vb:
+            ref = oracles.dict_normalize_vb(counts, config.alpha, table.cond_vocab_size)
+        else:
+            ref = oracles.dict_normalize_plain(counts)
+    got = train_ibm1(pairs, direction, config).probs
+    assert set(got) == set(ref)
+    want = np.array([ref[key] for key in got])
+    np.testing.assert_allclose(got.data, want, rtol=1e-12, atol=0.0)
+
+
 def test_empty_corpus_rejected():
     with pytest.raises(ValueError):
         train_ibm1([], FORWARD, EmConfig())
@@ -139,9 +191,9 @@ def test_empty_corpus_rejected():
 # --- M-step formulas ---
 
 def test_plain_mstep_normalizes_counts():
-    probs = normalize_plain({("x", "e"): 3.0, ("y", "e"): 1.0})
-    assert probs[("x", "e")] == pytest.approx(0.75)
-    assert probs[("y", "e")] == pytest.approx(0.25)
+    probs = normalize_plain({(1, 5): 3.0, (2, 5): 1.0})
+    assert probs[(1, 5)] == pytest.approx(0.75)
+    assert probs[(2, 5)] == pytest.approx(0.25)
 
 
 def test_vb_mstep_formula():
@@ -155,9 +207,9 @@ def test_vb_mstep_formula():
 
 
 def test_vb_mstep_direct():
-    probs = normalize_vb({("x", "e"): 1.0}, alpha=0.01, vocab_size=2)
+    probs = normalize_vb({(1, 5): 1.0}, alpha=0.01, vocab_size=2)
     want = math.exp(scipy_digamma(1.01)) / math.exp(scipy_digamma(1.02))
-    assert probs[("x", "e")] == pytest.approx(want, abs=1e-9)
+    assert probs[(1, 5)] == pytest.approx(want, abs=1e-9)
 
 
 def test_vb_subnormalization():
@@ -313,4 +365,82 @@ def test_ttable_roundtrip(tmp_path):
     reloaded = TTable.load(path, vsrc, vtgt)
     assert reloaded.direction == table.direction
     assert reloaded.cond_vocab_size == table.cond_vocab_size
+    assert reloaded.probs == table.probs
+
+
+def test_null_token_in_corpus_survives_model_roundtrip(tmp_path):
+    from hieralign.pipeline import AlignerConfig, load_model, save_model, train_model
+
+    pairs, vsrc, vtgt = corpus_from_tokens(
+        [(["a", NULL_TOKEN, "b"], ["x", "y"]), (["a", "b"], ["x"]), ([NULL_TOKEN, "c"], ["z", "y"])]
+    )
+    model = train_model(pairs, vsrc, vtgt, AlignerConfig())
+    save_model(model, tmp_path / "model")
+    reloaded = load_model(tmp_path / "model")
+    assert len(reloaded.t_rev.probs) == len(model.t_rev.probs) == 12
+    assert reloaded.t_fwd.probs == model.t_fwd.probs
+    assert reloaded.t_rev.probs == model.t_rev.probs
+
+
+def test_legacy_null_token_column_loads(tmp_path):
+    vsrc, vtgt = Vocabulary(), Vocabulary()
+    vsrc.add("a")
+    vtgt.add("x")
+    path = tmp_path / "ttable.fwd"
+    path.write_text(f"#ttable fwd 1\na\tx\t0.75\na\t{NULL_TOKEN}\t0.25\n", encoding="utf-8")
+    assert TTable.load(path, vsrc, vtgt).probs == {(1, 1): 0.75, (1, NULL_ID): 0.25}
+
+
+@pytest.mark.parametrize(
+    "row, message",
+    [
+        ("a\tx", "expected 3 tab-separated fields, got 2"),
+        ("a\tx\t0.5\textra", "expected 3 tab-separated fields, got 4"),
+        ("a\tx\tmuch", "probability 'much' is not a number in (0, 1]"),
+        ("a\tx\t0", "probability '0' is not a number in (0, 1]"),
+        ("a\tx\t1.5", "probability '1.5' is not a number in (0, 1]"),
+        ("a\tx\tnan", "probability 'nan' is not a number in (0, 1]"),
+        ("b\tx\t0.5", "token 'b' is not in the vocabulary"),
+        ("a\tw\t0.5", "token 'w' is not in the vocabulary"),
+        ("a\t\t0.5", "duplicate entry"),
+    ],
+)
+def test_ttable_load_rejects_malformed_row(tmp_path, row, message):
+    vsrc, vtgt = Vocabulary(), Vocabulary()
+    vsrc.add("a")
+    vtgt.add("x")
+    path = tmp_path / "ttable.fwd"
+    path.write_text(f"#ttable fwd 1\na\t\t0.25\n{row}\na\tx\t0.5\n", encoding="utf-8")
+    with pytest.raises(ValueError) as err:
+        TTable.load(path, vsrc, vtgt)
+    assert str(err.value) == f"{path}:3: {message}"
+
+
+TOKENS = st.one_of(
+    st.just(NULL_TOKEN),
+    st.text(st.characters(exclude_categories=("Cs",)), min_size=1).filter(lambda t: t.split() == [t]),
+)
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.data())
+def test_ttable_save_load_roundtrip_any_tokens(data):
+    vocabs = []
+    for _ in range(2):
+        vocab = Vocabulary()
+        for token in data.draw(st.lists(TOKENS, min_size=1, max_size=5, unique=True)):
+            vocab.add(token)
+        vocabs.append(vocab)
+    vsrc, vtgt = vocabs
+    keys = st.tuples(st.integers(1, len(vsrc) - 1), st.integers(0, len(vtgt) - 1))
+    probs = data.draw(st.dictionaries(keys, st.floats(0.0, 1.0, exclude_min=True), max_size=12))
+    table = TTable(FORWARD, probs, vsrc.real_size)
+    with tempfile.TemporaryDirectory() as root:
+        paths = [os.path.join(root, name) for name in ("vocab.src", "vocab.tgt", "ttable.fwd")]
+        vsrc.save(paths[0])
+        vtgt.save(paths[1])
+        table.save(paths[2], vsrc, vtgt)
+        reloaded = TTable.load(paths[2], Vocabulary.load(paths[0]), Vocabulary.load(paths[1]))
+    assert reloaded.direction == FORWARD
+    assert reloaded.cond_vocab_size == vsrc.real_size
     assert reloaded.probs == table.probs

@@ -23,7 +23,6 @@ def test_defaults_match_reported_settings():
     assert config.sigma_delta == 5.0
     assert config.p0 == 1e-4
     assert config.r == 0.5
-    assert config.max_phrase_len == 7
     assert config.max_sentence_len == 200
     assert config.vbh is False
 
