@@ -311,8 +311,6 @@ class _Links:
     def _chunk_groups(self):
         """(group of each link, key of each group) for groups of one key in one
         chunk, numbered chunk by chunk."""
-        if not self.chunk_of_link.any():  # one chunk: each key is one group, no sort needed
-            return self.key_of_link, np.arange(len(self.keys))
         groups, group_of_link = np.unique(
             self.chunk_of_link * len(self.keys) + self.key_of_link, return_inverse=True
         )
@@ -389,11 +387,8 @@ def _em_round(links, table, config):
     return TTable(table.direction, probs, table.cond_vocab_size, table.fallback)
 
 
-def em_step(pairs, table, config, threads=1):
-    """One E+M round; returns a new table, the input is left untouched.
-
-    threads is ignored, as in expected_counts.
-    """
+def em_step(pairs, table, config):
+    """One E+M round; returns a new table, the input is left untouched."""
     return _em_round(_Links(pairs, table.direction, config.use_null), table, config)
 
 
