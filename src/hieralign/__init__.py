@@ -40,7 +40,6 @@ from .parser import (
     cut,
     f_avg,
     ncut,
-    next_states,
     project,
     top_down_parse,
 )
@@ -89,7 +88,6 @@ __all__ = [
     "load_model",
     "load_parallel_corpus",
     "ncut",
-    "next_states",
     "phrase_table_size",
     "project",
     "save_model",

@@ -59,7 +59,8 @@ def _add_config_options(p):
     g = p.add_argument_group("misc")
     g.add_argument("--threads", default="auto", help="alignment worker processes ('auto' = all cores)")
     g.add_argument("--max-sentence-len", type=int, default=200, help="skip pairs with a longer side")
-    g.add_argument("--lowercase", action="store_true", help="lowercase input text")
+    g.add_argument("--lowercase", action="store_true",
+                   help="lowercase input text (align follows the model's setting)")
 
 
 def resolve_threads(value):
@@ -91,15 +92,15 @@ def config_from_args(args):
     )
 
 
-def read_input(args):
+def read_input(args, lowercase):
     """Raw bitext from -s/-t or --bitext, per the flags given."""
     if getattr(args, "bitext", None):
         if args.source or args.target:
             raise CorpusError("give either --bitext or -s/-t, not both")
-        return read_bitext_joined(args.bitext, args.separator, args.lowercase)
+        return read_bitext_joined(args.bitext, args.separator, lowercase)
     if not args.source or not args.target:
         raise CorpusError("need both -s/--source and -t/--target (or --bitext)")
-    return read_bitext(args.source, args.target, args.lowercase)
+    return read_bitext(args.source, args.target, lowercase)
 
 
 def _report_skips(stats):
@@ -111,7 +112,7 @@ def _report_skips(stats):
 
 def _train(args, config):
     stats = LoadStats()
-    raw = drop_empty(read_input(args), stats)
+    raw = drop_empty(read_input(args, config.lowercase), stats)
     vsrc, vtgt = build_vocabulary(raw)
     pairs = encode_pairs(raw, vsrc, vtgt, max_len=config.max_sentence_len, stats=stats)
     _report_skips(stats)
@@ -131,11 +132,15 @@ def cmd_train(args):
 def cmd_align(args):
     config = config_from_args(args)
     model = load_model(args.model)
+    # Input must be read as the model's vocabulary was: lowercasing comes
+    # from the snapshot, and --lowercase may not contradict it.
+    if config.lowercase and not model.config.lowercase:
+        raise ValueError(f"--lowercase contradicts the model in {args.model}, trained without it")
     # Alignment-time knobs come from the command line, not from the snapshot.
     model.config.beam = config.beam
     model.config.threads = config.threads
     model.config.max_sentence_len = config.max_sentence_len
-    bitext = read_input(args)
+    bitext = read_input(args, model.config.lowercase)
     started = time.perf_counter()
     dump_fh = open(args.dump_matrix, "w", encoding="utf-8") if args.dump_matrix else None
     try:
@@ -155,7 +160,7 @@ def cmd_align(args):
 def cmd_pipeline(args):
     config = config_from_args(args)
     model = _train(args, config)
-    bitext = read_input(args)
+    bitext = read_input(args, config.lowercase)
     started = time.perf_counter()
     lines = align_lines(bitext, model)
     with open(args.out, "w", encoding="utf-8") as fh:
@@ -221,7 +226,7 @@ def cmd_extract(args):
 def cmd_sweep(args):
     config = config_from_args(args)
     model = _train(args, config)
-    bitext = read_input(args)
+    bitext = read_input(args, config.lowercase)
     golds = evaluate.load_gold(args.gold)
     theta_grid = [float(x) for x in args.theta_grid.split(",")]
     delta_grid = [float(x) for x in args.delta_grid.split(",")]

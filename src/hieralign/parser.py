@@ -18,8 +18,9 @@ smallest step sequence by (j, i, straight < inverted)).
 
 from __future__ import annotations
 
-import math
+from bisect import bisect_right
 from dataclasses import dataclass
+from itertools import accumulate
 
 import numpy as np
 
@@ -68,28 +69,19 @@ class Derivation:
     score: float
 
 
-class ParserState:
-    """Search state: unparsed-block stack, split history, score, tie key."""
-
-    __slots__ = ("stack", "splits", "leaves", "v", "seq")
-
-    def __init__(self, stack, splits, leaves, v, seq):
-        self.stack = stack
-        self.splits = splits
-        self.leaves = leaves
-        self.v = v
-        self.seq = seq
-
-    @property
-    def is_terminal(self):
-        return not self.stack
+def _halves(block, j, i, gamma):
+    """(left, right) sub-blocks of a split of a (j0, j1, i0, i1) tuple;
+    left holds source span [j0, j)."""
+    j0, j1, i0, i1 = block
+    if gamma == STRAIGHT:
+        return (j0, j, i0, i), (j, j1, i, i1)
+    return (j0, j, i, i1), (j, j1, i0, i)
 
 
 def sub_blocks(block, j, i, gamma):
     """(left, right) sub-blocks of a split; left holds source span [j0, j)."""
-    if gamma == STRAIGHT:
-        return Block(block.j0, j, block.i0, i), Block(j, block.j1, i, block.i1)
-    return Block(block.j0, j, i, block.i1), Block(j, block.j1, block.i0, i)
+    left, right = _halves((block.j0, block.j1, block.i0, block.i1), j, i, gamma)
+    return Block(*left), Block(*right)
 
 
 def asso(matrix, rows, cols):
@@ -139,100 +131,64 @@ def f_avg(matrix, block, step):
     return 1.0 - ncut(matrix, block, step) / 2.0
 
 
-def next_states(state, matrix):
-    """All successors of a non-terminal state.
+def _score_blocks(prefix, blocks):
+    """Log F_avg and terminal flags of every interior split of each block.
 
-    The top stack block is popped and split at every interior (j, i) in
-    both orientations; non-terminal sub-blocks go back on the stack (right
-    first, then left), terminal sub-blocks become leaves.
+    blocks are (j0, j1, i0, i1) tuples, scored together in one flattened
+    gather over the prefix sums. Returns (logf, term, sizes): logf and term
+    are indexed [gamma, split], the splits laid out block by block, each
+    block's in (j, i) order, and sizes holds each block's split count.
+    term marks the splits whose two aligned sub-blocks are both terminal.
     """
-    if state.is_terminal:
-        raise ValueError("cannot expand a terminal state")
-    block = state.stack[-1]
-    rest = state.stack[:-1]
-    out = []
-    for j in range(block.j0 + 1, block.j1):
-        for i in range(block.i0 + 1, block.i1):
-            for gamma in (STRAIGHT, INVERTED):
-                step = SplitStep(j, i, gamma)
-                v = state.v + math.log(max(f_avg(matrix, block, step), F_AVG_FLOOR))
-                left, right = sub_blocks(block, j, i, gamma)
-                stack = rest
-                if not right.is_terminal:
-                    stack = stack + (right,)
-                if not left.is_terminal:
-                    stack = stack + (left,)
-                leaves = state.leaves + tuple(b for b in (left, right) if b.is_terminal)
-                out.append(
-                    ParserState(
-                        stack,
-                        state.splits + ((block, step),),
-                        leaves,
-                        v,
-                        state.seq + ((j, i, gamma),),
-                    )
-                )
-    return out
+    sizes = [(j1 - j0 - 1) * (i1 - i0 - 1) for j0, j1, i0, i1 in blocks]
+    starts = np.repeat([0, *accumulate(sizes[:-1])], sizes)
+    j0, j1, i0, i1 = np.repeat(np.array(blocks).T, sizes, axis=1)
+    jj, ii = np.divmod(np.arange(j0.size) - starts, i1 - i0 - 1)
+    rows = np.array([j0, j0 + 1 + jj, j1])
+    cols = np.array([i0, i0 + 1 + ii, i1])
+
+    # The split cuts its block into four sub-blocks a[r, c]: source half r
+    # (x = [j0, j), xb = [j, j1)) by target half c (y = [i0, i), yb = [i, i1)),
+    # each summed from the prefix at the corners rows x cols.
+    corner = prefix.ravel()[(rows * prefix.shape[1])[:, None] + cols]
+    a = corner[1:, 1:] - corner[:-1, 1:] - corner[1:, :-1] + corner[:-1, :-1]
+    # Rows from here on are [straight, inverted]. Straight aligns xy with
+    # xbyb, inverted xyb with xby: a[0] holds the first aligned sub-block,
+    # a[1, ::-1] the second, and the cut c is the sum of the other two.
+    c = a[0, ::-1] + a[1]
+    ncut = c / (c + 2.0 * a[0]) + c / (c + 2.0 * a[1, ::-1])
+    logf = np.log(np.maximum(1.0 - ncut / 2.0, F_AVG_FLOOR))
+
+    # narrow[r, c]: sub-block (r, c) has one source or one target word. A
+    # split is terminal when both of its aligned sub-blocks are.
+    narrow = (rows[1:] - rows[:-1] == 1)[:, None] | (cols[1:] - cols[:-1] == 1)
+    term = narrow[0] & narrow[1, ::-1]
+    return logf, term, sizes
 
 
-def _expand_block(matrix, block):
-    """Vectorized scores for every interior split of one block.
+def _is_terminal(block):
+    return block[1] - block[0] == 1 or block[3] - block[2] == 1
 
-    Returns (js, is_, logf, term): the split coordinates and, indexed as
-    [jj, ii, gamma], the log F_avg of each split and whether both of its
-    sub-blocks are terminal.
+
+def _split_top(stack, j, i, gamma):
+    """Split the top block of a stack of (j0, j1, i0, i1) tuples.
+
+    Returns (stack, leaves): non-terminal sub-blocks go back on the stack
+    (right first, then left), terminal ones become leaves (left first).
     """
-    p = matrix.prefix
-    j0, j1, i0, i1 = block.j0, block.j1, block.i0, block.i1
-    js = np.arange(j0 + 1, j1)
-    is_ = np.arange(i0 + 1, i1)
-    pji = p[np.ix_(js, is_)]
-    pj_i0 = p[js, i0][:, None]
-    pj_i1 = p[js, i1][:, None]
-    pj0_i = p[j0, is_][None, :]
-    pj1_i = p[j1, is_][None, :]
-    a_xy = pji - pj0_i - pj_i0 + p[j0, i0]
-    a_xbyb = p[j1, i1] - pj_i1 - pj1_i + pji
-    a_xyb = pj_i1 - p[j0, i1] - pji + pj0_i
-    a_xby = pj1_i - pji - p[j1, i0] + pj_i0
-    c_s = a_xyb + a_xby
-    c_i = a_xy + a_xbyb
-    ncut_s = c_s / (c_s + 2.0 * a_xy) + c_s / (c_s + 2.0 * a_xbyb)
-    ncut_i = c_i / (c_i + 2.0 * a_xyb) + c_i / (c_i + 2.0 * a_xby)
-    favg = np.stack([1.0 - ncut_s / 2.0, 1.0 - ncut_i / 2.0], axis=-1)
-    logf = np.log(np.maximum(favg, F_AVG_FLOOR))
-
-    left_narrow = (js - j0 == 1)[:, None]
-    right_narrow = (j1 - js == 1)[:, None]
-    low_narrow = (is_ - i0 == 1)[None, :]
-    high_narrow = (i1 - is_ == 1)[None, :]
-    term_s = (left_narrow | low_narrow) & (right_narrow | high_narrow)
-    term_i = (left_narrow | high_narrow) & (right_narrow | low_narrow)
-    term = np.stack([term_s, term_i], axis=-1)
-    return js, is_, logf, term
-
-
-def _materialize(parent, j, i, gamma, v):
-    block = parent.stack[-1]
-    step = SplitStep(int(j), int(i), int(gamma))
-    left, right = sub_blocks(block, step.j, step.i, step.gamma)
-    stack = parent.stack[:-1]
-    if not right.is_terminal:
-        stack = stack + (right,)
-    if not left.is_terminal:
-        stack = stack + (left,)
-    leaves = parent.leaves + tuple(b for b in (left, right) if b.is_terminal)
-    return ParserState(
-        stack,
-        parent.splits + ((block, step),),
-        leaves,
-        float(v),
-        parent.seq + ((step.j, step.i, step.gamma),),
-    )
+    halves = _halves(stack[-1], j, i, gamma)
+    leaves = [b for b in halves if _is_terminal(b)]
+    return stack[:-1] + tuple([b for b in halves[::-1] if b not in leaves]), leaves
 
 
 def top_down_parse(matrix, beam_k=10):
     """Best derivation found by beam search; see the module docstring.
+
+    A beam state is (v, seq, stack): its score, its steps as (j, i, gamma)
+    tuples and its stack of unparsed (j0, j1, i0, i1) blocks. The splits of
+    each distinct block are scored once per parse, all new blocks of a
+    level in one gather. The winner's steps and leaves are rebuilt at the
+    end by replaying its seq.
 
     A 1 x m or n x 1 matrix is already terminal and yields the empty
     derivation whose single leaf is the root block.
@@ -240,57 +196,56 @@ def top_down_parse(matrix, beam_k=10):
     if beam_k < 1:
         raise ValueError("beam_k must be >= 1")
     n, m = matrix.n, matrix.m
-    root = Block(0, n, 0, m)
-    if root.is_terminal:
-        return Derivation((), (root,), n, m, 0.0)
+    root = (0, n, 0, m)
+    if _is_terminal(root):
+        return Derivation((), (Block(*root),), n, m, 0.0)
 
-    beam = [ParserState((root,), (), (), 0.0, ())]
-    best_v = -math.inf
-    best_seq = None
-    best_state = None
+    scored = {}  # block -> (logf, term) of its splits, indexed [gamma, split]
+    beam = [(0.0, (), (root,))]
+    best = None  # (v, seq) of the best terminal state
 
     for _ in range(min(n, m)):
-        parents = [s for s in beam if s.stack]
+        parents = [s for s in beam if s[2]]
         if not parents:
             break
-        vs_parts = []
-        term_parts = []
-        meta = []  # (parent, JS, IS, length) per part, aligned with offsets
-        for s in parents:
-            js, is_, logf, term = _expand_block(matrix, s.stack[-1])
-            vs_parts.append((s.v + logf).ravel())
-            term_parts.append((term & (len(s.stack) == 1)).ravel())
-            meta.append((s, js, is_, logf.size))
-        pool_v = np.concatenate(vs_parts)
-        pool_term = np.concatenate(term_parts)
-        offsets = np.cumsum([0] + [mt[3] for mt in meta])
+        new = list(dict.fromkeys(s[2][-1] for s in parents if s[2][-1] not in scored))
+        if new:
+            logf, term, sizes = _score_blocks(matrix.prefix, new)
+            ends = list(accumulate(sizes))
+            for block, lo, hi in zip(new, [0] + ends, ends):
+                scored[block] = (logf[:, lo:hi], term[:, lo:hi])
+        parts = [scored[s[2][-1]] for s in parents]
+        sizes = [p[0].shape[1] for p in parts]
+        offsets = [0, *accumulate(sizes)]
+        width = offsets[-1]
+        # Pool entries are indexed [gamma, split] over the parents' splits.
+        pool_v = (np.repeat([s[0] for s in parents], sizes) + np.concatenate([p[0] for p in parts], axis=1)).ravel()
 
-        def candidate(g):
-            """(parent, j, i, gamma) of global pool index g."""
-            part = int(np.searchsorted(offsets, g, side="right")) - 1
-            s, js, is_, _ = meta[part]
-            local = g - offsets[part]
-            jj, ii, gg = np.unravel_index(local, (len(js), len(is_), 2))
-            return s, int(js[jj]), int(is_[ii]), int(gg)
+        def step_of(g):
+            """(parent index, (j, i, gamma)) of flat pool index g."""
+            gamma, split = divmod(g, width)
+            k = bisect_right(offsets, split) - 1
+            j0, _, i0, i1 = parents[k][2][-1]
+            jj, ii = divmod(split - offsets[k], i1 - i0 - 1)
+            return k, (j0 + 1 + jj, i0 + 1 + ii, gamma)
 
         def seq_key(g):
-            s, j, i, gamma = candidate(g)
-            return s.seq + ((j, i, gamma),)
+            k, step = step_of(g)
+            return parents[k][1] + (step,)
 
-        # Every terminal successor competes for the final argmax, pruned or not.
+        # Every terminal successor competes for the final argmax, pruned or
+        # not. A child is terminal when both halves of its split are and its
+        # parent held one block.
+        single = [len(s[2]) == 1 for s in parents]
+        pool_term = np.concatenate([p[1] for p in parts], axis=1) & np.repeat(single, sizes)
         term_idx = np.flatnonzero(pool_term)
         if term_idx.size:
             tv = pool_v[term_idx]
-            group_max = tv.max()
-            if group_max >= best_v:
-                contenders = term_idx[tv == group_max]
-                g = min(contenders, key=seq_key) if contenders.size > 1 else int(contenders[0])
-                key = seq_key(g)
-                if group_max > best_v or key < best_seq:
-                    s, j, i, gamma = candidate(g)
-                    best_v = float(group_max)
-                    best_seq = key
-                    best_state = _materialize(s, j, i, gamma, group_max)
+            top = float(tv.max())
+            if best is None or top >= best[0]:
+                seq = min(seq_key(g) for g in term_idx[tv == top].tolist())
+                if best is None or top > best[0] or seq < best[1]:
+                    best = (top, seq)
 
         # Keep the top beam_k candidates by score, ties by step sequence.
         size = pool_v.size
@@ -298,23 +253,28 @@ def top_down_parse(matrix, beam_k=10):
             kept = list(range(size))
         else:
             thr = np.partition(pool_v, size - beam_k)[size - beam_k]
-            strict = np.flatnonzero(pool_v > thr)
-            tied = np.flatnonzero(pool_v == thr)
-            need = beam_k - strict.size
-            if tied.size > need:
-                tied = sorted(tied.tolist(), key=seq_key)[:need]
-            kept = strict.tolist() + list(tied)
+            kept = np.flatnonzero(pool_v > thr).tolist()
+            tied = np.flatnonzero(pool_v == thr).tolist()
+            need = beam_k - len(kept)
+            kept += sorted(tied, key=seq_key)[:need] if len(tied) > need else tied
 
-        new_beam = []
-        for g in kept:
-            s, j, i, gamma = candidate(g)
-            new_beam.append(_materialize(s, j, i, gamma, pool_v[g]))
-        new_beam.sort(key=lambda s: (-s.v, s.seq))
-        beam = new_beam
+        beam = []
+        for g, v in zip(kept, pool_v[kept].tolist()):
+            k, step = step_of(g)
+            _, seq, stack = parents[k]
+            beam.append((v, seq + (step,), _split_top(stack, *step)[0]))
 
-    if best_state is None:
+    if best is None:
         raise RuntimeError("beam search ended without a terminal state")
-    return Derivation(best_state.splits, best_state.leaves, n, m, best_state.v)
+    v, seq = best
+    stack = (root,)
+    steps = []
+    leaves = []
+    for j, i, gamma in seq:
+        steps.append((Block(*stack[-1]), SplitStep(j, i, gamma)))
+        stack, new_leaves = _split_top(stack, j, i, gamma)
+        leaves += new_leaves
+    return Derivation(tuple(steps), tuple(Block(*b) for b in leaves), n, m, v)
 
 
 def project(derivation):

@@ -159,17 +159,22 @@ def align_tasks(bitext, model):
     return tasks
 
 
+def _align_pair(pair, t_fwd, t_rev, params, beam, dump_fh=None):
+    """Pharaoh line of one task; a None placeholder gives the empty line.
+
+    dump_fh, when given, receives the pair's weight matrix as a TSV block.
+    """
+    if pair is None:
+        return ""
+    matrix = build_soft_matrix(pair, t_fwd, t_rev, params)
+    if dump_fh is not None:
+        softmatrix.dump_matrix(matrix, dump_fh)
+    return format_alignment(project(top_down_parse(matrix, beam)))
+
+
 def _align_chunk(chunk):
     t_fwd, t_rev, params, beam = workers.payload()
-    lines = []
-    for pair in chunk:
-        if pair is None:
-            lines.append("")
-            continue
-        matrix = build_soft_matrix(pair, t_fwd, t_rev, params)
-        derivation = top_down_parse(matrix, beam)
-        lines.append(format_alignment(project(derivation)))
-    return lines
+    return [_align_pair(pair, t_fwd, t_rev, params, beam) for pair in chunk]
 
 
 def align_lines(bitext, model, params=None, dump_fh=None):
@@ -181,17 +186,9 @@ def align_lines(bitext, model, params=None, dump_fh=None):
     if params is None:
         params = model.config.matrix_params()
     tasks = align_tasks(bitext, model)
-    if dump_fh is not None:
-        lines = []
-        for pair in tasks:
-            if pair is None:
-                lines.append("")
-                continue
-            matrix = build_soft_matrix(pair, model.t_fwd, model.t_rev, params)
-            softmatrix.dump_matrix(matrix, dump_fh)
-            lines.append(format_alignment(project(top_down_parse(matrix, model.config.beam))))
-        return lines
     payload = (model.t_fwd, model.t_rev, params, model.config.beam)
+    if dump_fh is not None:
+        return [_align_pair(pair, *payload, dump_fh) for pair in tasks]
     out = []
     for lines in workers.map_chunks(_align_chunk, payload, workers.chunked(tasks), model.config.threads):
         out.extend(lines)

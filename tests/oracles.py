@@ -2,12 +2,28 @@
 
 Everything here is written directly from the definitions with its own data
 structures (token-keyed dicts, direct double-loop sums, full recursive
-enumeration) so that agreement with the package is meaningful.
+enumeration) so that agreement with the package is meaningful. The one
+exception is the reference beam parser at the end: a plain loop that
+expands one state at a time with the package's own blocks and split
+arithmetic, so that the parser's output can be required to equal it
+exactly, ties included.
 """
 
 import math
 
+import numpy as np
 from scipy.special import digamma as scipy_digamma
+
+from hieralign.parser import (
+    F_AVG_FLOOR,
+    INVERTED,
+    STRAIGHT,
+    Block,
+    Derivation,
+    SplitStep,
+    f_avg,
+    sub_blocks,
+)
 
 NULL = None  # stands in for the NULL conditioning word
 
@@ -193,3 +209,247 @@ def derivation_count(n, m):
 def random_soft_weights(rng, n, m, floor=1e-8):
     """Weights uniform in [floor, 1), matching the built matrix range."""
     return floor + (1.0 - 1e-12 - floor) * rng.random((n, m))
+
+
+def exact_best_score(weights):
+    """Best derivation score by dynamic programming over blocks.
+
+    A derivation's score is a sum over independent sub-blocks, so
+    best(B) = max over splits of [log F_avg + best(left) + best(right)],
+    with best = 0 on terminal blocks. Block sums come from this function's
+    own prefix table, built with plain loops.
+    """
+    n = len(weights)
+    m = len(weights[0])
+    prefix = [[0.0] * (m + 1) for _ in range(n + 1)]
+    for j in range(n):
+        for i in range(m):
+            prefix[j + 1][i + 1] = prefix[j][i + 1] + prefix[j + 1][i] - prefix[j][i] + weights[j][i]
+
+    def block_sum(j0, j1, i0, i1):
+        return prefix[j1][i1] - prefix[j0][i1] - prefix[j1][i0] + prefix[j0][i0]
+
+    best = {}
+
+    def solve(j0, j1, i0, i1):
+        if j1 - j0 == 1 or i1 - i0 == 1:
+            return 0.0
+        key = (j0, j1, i0, i1)
+        if key in best:
+            return best[key]
+        top = -math.inf
+        for j in range(j0 + 1, j1):
+            for i in range(i0 + 1, i1):
+                xy = block_sum(j0, j, i0, i)
+                xbyb = block_sum(j, j1, i, i1)
+                xyb = block_sum(j0, j, i, i1)
+                xby = block_sum(j, j1, i0, i)
+                # Straight keeps xy and xbyb aligned; inverted keeps xyb and xby.
+                for a, b, c, left, right in (
+                    (xy, xbyb, xyb + xby, (j0, j, i0, i), (j, j1, i, i1)),
+                    (xyb, xby, xy + xbyb, (j0, j, i, i1), (j, j1, i0, i)),
+                ):
+                    favg = (2.0 * a / (2.0 * a + c) + 2.0 * b / (2.0 * b + c)) / 2.0
+                    score = math.log(max(favg, 1e-300)) + solve(*left) + solve(*right)
+                    top = max(top, score)
+        best[key] = top
+        return top
+
+    return solve(0, n, 0, m)
+
+
+# --- reference beam search: one vectorized expansion per state ---
+
+class ParserState:
+    """Search state: unparsed-block stack, split history, score, tie key."""
+
+    __slots__ = ("stack", "splits", "leaves", "v", "seq")
+
+    def __init__(self, stack, splits, leaves, v, seq):
+        self.stack = stack
+        self.splits = splits
+        self.leaves = leaves
+        self.v = v
+        self.seq = seq
+
+    @property
+    def is_terminal(self):
+        return not self.stack
+
+
+def next_states(state, matrix):
+    """All successors of a non-terminal state.
+
+    The top stack block is popped and split at every interior (j, i) in
+    both orientations; non-terminal sub-blocks go back on the stack (right
+    first, then left), terminal sub-blocks become leaves.
+    """
+    if state.is_terminal:
+        raise ValueError("cannot expand a terminal state")
+    block = state.stack[-1]
+    rest = state.stack[:-1]
+    out = []
+    for j in range(block.j0 + 1, block.j1):
+        for i in range(block.i0 + 1, block.i1):
+            for gamma in (STRAIGHT, INVERTED):
+                step = SplitStep(j, i, gamma)
+                v = state.v + math.log(max(f_avg(matrix, block, step), F_AVG_FLOOR))
+                left, right = sub_blocks(block, j, i, gamma)
+                stack = rest
+                if not right.is_terminal:
+                    stack = stack + (right,)
+                if not left.is_terminal:
+                    stack = stack + (left,)
+                leaves = state.leaves + tuple(b for b in (left, right) if b.is_terminal)
+                out.append(
+                    ParserState(
+                        stack,
+                        state.splits + ((block, step),),
+                        leaves,
+                        v,
+                        state.seq + ((j, i, gamma),),
+                    )
+                )
+    return out
+
+
+def _expand_block(matrix, block):
+    """Vectorized scores for every interior split of one block.
+
+    Returns (js, is_, logf, term): the split coordinates and, indexed as
+    [jj, ii, gamma], the log F_avg of each split and whether both of its
+    sub-blocks are terminal.
+    """
+    p = matrix.prefix
+    j0, j1, i0, i1 = block.j0, block.j1, block.i0, block.i1
+    js = np.arange(j0 + 1, j1)
+    is_ = np.arange(i0 + 1, i1)
+    pji = p[np.ix_(js, is_)]
+    pj_i0 = p[js, i0][:, None]
+    pj_i1 = p[js, i1][:, None]
+    pj0_i = p[j0, is_][None, :]
+    pj1_i = p[j1, is_][None, :]
+    a_xy = pji - pj0_i - pj_i0 + p[j0, i0]
+    a_xbyb = p[j1, i1] - pj_i1 - pj1_i + pji
+    a_xyb = pj_i1 - p[j0, i1] - pji + pj0_i
+    a_xby = pj1_i - pji - p[j1, i0] + pj_i0
+    c_s = a_xyb + a_xby
+    c_i = a_xy + a_xbyb
+    ncut_s = c_s / (c_s + 2.0 * a_xy) + c_s / (c_s + 2.0 * a_xbyb)
+    ncut_i = c_i / (c_i + 2.0 * a_xyb) + c_i / (c_i + 2.0 * a_xby)
+    favg = np.stack([1.0 - ncut_s / 2.0, 1.0 - ncut_i / 2.0], axis=-1)
+    logf = np.log(np.maximum(favg, F_AVG_FLOOR))
+
+    left_narrow = (js - j0 == 1)[:, None]
+    right_narrow = (j1 - js == 1)[:, None]
+    low_narrow = (is_ - i0 == 1)[None, :]
+    high_narrow = (i1 - is_ == 1)[None, :]
+    term_s = (left_narrow | low_narrow) & (right_narrow | high_narrow)
+    term_i = (left_narrow | high_narrow) & (right_narrow | low_narrow)
+    term = np.stack([term_s, term_i], axis=-1)
+    return js, is_, logf, term
+
+
+def _materialize(parent, j, i, gamma, v):
+    block = parent.stack[-1]
+    step = SplitStep(int(j), int(i), int(gamma))
+    left, right = sub_blocks(block, step.j, step.i, step.gamma)
+    stack = parent.stack[:-1]
+    if not right.is_terminal:
+        stack = stack + (right,)
+    if not left.is_terminal:
+        stack = stack + (left,)
+    leaves = parent.leaves + tuple(b for b in (left, right) if b.is_terminal)
+    return ParserState(
+        stack,
+        parent.splits + ((block, step),),
+        leaves,
+        float(v),
+        parent.seq + ((step.j, step.i, step.gamma),),
+    )
+
+
+def reference_top_down_parse(matrix, beam_k=10):
+    """Best derivation found by beam search, one _expand_block call per beam state.
+
+    A 1 x m or n x 1 matrix is already terminal and yields the empty
+    derivation whose single leaf is the root block.
+    """
+    if beam_k < 1:
+        raise ValueError("beam_k must be >= 1")
+    n, m = matrix.n, matrix.m
+    root = Block(0, n, 0, m)
+    if root.is_terminal:
+        return Derivation((), (root,), n, m, 0.0)
+
+    beam = [ParserState((root,), (), (), 0.0, ())]
+    best_v = -math.inf
+    best_seq = None
+    best_state = None
+
+    for _ in range(min(n, m)):
+        parents = [s for s in beam if s.stack]
+        if not parents:
+            break
+        vs_parts = []
+        term_parts = []
+        meta = []  # (parent, JS, IS, length) per part, aligned with offsets
+        for s in parents:
+            js, is_, logf, term = _expand_block(matrix, s.stack[-1])
+            vs_parts.append((s.v + logf).ravel())
+            term_parts.append((term & (len(s.stack) == 1)).ravel())
+            meta.append((s, js, is_, logf.size))
+        pool_v = np.concatenate(vs_parts)
+        pool_term = np.concatenate(term_parts)
+        offsets = np.cumsum([0] + [mt[3] for mt in meta])
+
+        def candidate(g):
+            """(parent, j, i, gamma) of global pool index g."""
+            part = int(np.searchsorted(offsets, g, side="right")) - 1
+            s, js, is_, _ = meta[part]
+            local = g - offsets[part]
+            jj, ii, gg = np.unravel_index(local, (len(js), len(is_), 2))
+            return s, int(js[jj]), int(is_[ii]), int(gg)
+
+        def seq_key(g):
+            s, j, i, gamma = candidate(g)
+            return s.seq + ((j, i, gamma),)
+
+        # Every terminal successor competes for the final argmax, pruned or not.
+        term_idx = np.flatnonzero(pool_term)
+        if term_idx.size:
+            tv = pool_v[term_idx]
+            group_max = tv.max()
+            if group_max >= best_v:
+                contenders = term_idx[tv == group_max]
+                g = min(contenders, key=seq_key) if contenders.size > 1 else int(contenders[0])
+                key = seq_key(g)
+                if group_max > best_v or key < best_seq:
+                    s, j, i, gamma = candidate(g)
+                    best_v = float(group_max)
+                    best_seq = key
+                    best_state = _materialize(s, j, i, gamma, group_max)
+
+        # Keep the top beam_k candidates by score, ties by step sequence.
+        size = pool_v.size
+        if size <= beam_k:
+            kept = list(range(size))
+        else:
+            thr = np.partition(pool_v, size - beam_k)[size - beam_k]
+            strict = np.flatnonzero(pool_v > thr)
+            tied = np.flatnonzero(pool_v == thr)
+            need = beam_k - strict.size
+            if tied.size > need:
+                tied = sorted(tied.tolist(), key=seq_key)[:need]
+            kept = strict.tolist() + list(tied)
+
+        new_beam = []
+        for g in kept:
+            s, j, i, gamma = candidate(g)
+            new_beam.append(_materialize(s, j, i, gamma, pool_v[g]))
+        new_beam.sort(key=lambda s: (-s.v, s.seq))
+        beam = new_beam
+
+    if best_state is None:
+        raise RuntimeError("beam search ended without a terminal state")
+    return Derivation(best_state.splits, best_state.leaves, n, m, best_state.v)

@@ -86,15 +86,50 @@ def test_align_dump_matrix(toy, tmp_path, capsys):
     model = toy["dir"] / "model"
     dump = tmp_path / "m.tsv"
     assert main(["train", "-s", toy["src"], "-t", toy["tgt"], "-o", str(model)]) == 0
+    capsys.readouterr()
     assert main(["align", "-s", toy["src"], "-t", toy["tgt"], "-m", str(model),
                  "--dump-matrix", str(dump)]) == 0
-    capsys.readouterr()
+    dumped = capsys.readouterr().out
     blocks = dump.read_text().rstrip("\n").split("\n\n")
     assert len(blocks) == 3
     first = blocks[0].splitlines()
     assert len(first) == 4  # 2x2 pair
     j, i, w = first[0].split("\t")
     assert (j, i) == ("0", "0") and float(w) > 0
+    # Dumping changes nothing in the alignment itself.
+    assert len(dumped.splitlines()) == 3
+    assert main(["align", "-s", toy["src"], "-t", toy["tgt"], "-m", str(model)]) == 0
+    assert capsys.readouterr().out == dumped
+
+
+def test_align_reads_input_as_the_model_was_trained(tmp_path, capsys):
+    # Only the lexicon tells that the last pair is inverted; read without
+    # lowercasing, its words would all be unknown to the model.
+    src_lines = "Das Haus\nHaus Ist\nIst Gut\nGut Das\nDas Ist\nHaus Gut\nHaus Das\n"
+    tgt_lines = "The House\nHouse Is\nIs Good\nGood The\nThe Is\nHouse Good\nThe House\n"
+    src = write(tmp_path / "s", src_lines)
+    tgt = write(tmp_path / "t", tgt_lines)
+    lower_src = write(tmp_path / "ls", src_lines.lower())
+    lower_tgt = write(tmp_path / "lt", tgt_lines.lower())
+    model = tmp_path / "model"
+    assert main(["train", "-s", src, "-t", tgt, "-o", str(model), "--lowercase"]) == 0
+    capsys.readouterr()
+    assert main(["align", "-s", lower_src, "-t", lower_tgt, "-m", str(model)]) == 0
+    want = capsys.readouterr().out
+    assert want.splitlines()[-1] == "0-1 1-0"
+    assert main(["align", "-s", src, "-t", tgt, "-m", str(model)]) == 0
+    assert capsys.readouterr().out == want
+
+
+def test_align_lowercase_contradicting_model_fails(toy, capsys):
+    model = toy["dir"] / "model"
+    assert main(["train", "-s", toy["src"], "-t", toy["tgt"], "-o", str(model)]) == 0
+    capsys.readouterr()
+    rc = main(["align", "-s", toy["src"], "-t", toy["tgt"], "-m", str(model), "--lowercase"])
+    assert rc != 0
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert str(model) in captured.err and "--lowercase" in captured.err
 
 
 def test_pipeline_end_to_end(toy):

@@ -1,23 +1,24 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import oracles
 from hieralign.parser import (
     INVERTED,
     STRAIGHT,
     Block,
-    ParserState,
     SplitStep,
     asso,
     cut,
     f_avg,
     ncut,
-    next_states,
     project,
     sub_blocks,
     top_down_parse,
 )
 from hieralign.softmatrix import SoftMatrix
+from oracles import ParserState, next_states
 
 HAND = SoftMatrix(np.array([[0.9, 0.1], [0.1, 0.9]]))
 
@@ -272,7 +273,7 @@ def test_parse_agrees_with_reference_beam_search():
 
 
 def reference_beam_parse(matrix, beam_k):
-    """Plain-Python beam search over the public next_states API."""
+    """Plain-Python beam search over the reference next_states."""
     root = Block(0, matrix.n, 0, matrix.m)
     if root.is_terminal:
         return 0.0
@@ -319,3 +320,88 @@ def test_scores_never_positive():
     for _ in range(10):
         matrix = random_matrix(rng, 4, 5)
         assert top_down_parse(matrix, 6).score <= 0.0
+
+
+def planted_weights(rng, n, m):
+    """Near-diagonal matrix: one strong cell per source row, weak noise elsewhere."""
+    weights = 1e-4 + 0.01 * rng.random((n, m))
+    for j in range(n):
+        weights[j, min(m - 1, j * m // n + int(rng.integers(0, 2)))] = 0.9
+    return weights
+
+
+MATRIX_KINDS = {
+    "random": lambda rng, n, m: oracles.random_soft_weights(rng, n, m),
+    "planted": planted_weights,
+    "uniform": lambda rng, n, m: np.full((n, m), 0.3),
+    "quarters": lambda rng, n, m: rng.choice([0.25, 0.5], size=(n, m)),
+    "sparse": lambda rng, n, m: rng.choice([0.1, 0.9], size=(n, m), p=[0.7, 0.3]),
+}
+
+
+@settings(max_examples=120, deadline=None)
+@given(
+    n=st.integers(1, 12),
+    m=st.integers(1, 12),
+    kind=st.sampled_from(sorted(MATRIX_KINDS)),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_parse_equals_reference_loop_exactly(n, m, kind, seed):
+    # Exact equality, ties included: the reference expands one state at a
+    # time, so this pins both the arithmetic and the tie-break order.
+    matrix = SoftMatrix(MATRIX_KINDS[kind](np.random.default_rng(seed), n, m))
+    for beam_k in (1, 3, 10):
+        got = top_down_parse(matrix, beam_k)
+        want = oracles.reference_top_down_parse(matrix, beam_k)
+        assert got.steps == want.steps
+        assert got.leaves == want.leaves
+        assert got.score == want.score
+
+
+@pytest.mark.parametrize("rows, beam_k", [
+    (["....", ".x..", "...."], 1),
+    (["..x.", "....", ".x.."], 1),
+    ([".x..", "x.x.", "...x"], 2),
+    (["...", "xx.", ".xx", "..."], 3),
+])
+def test_parse_keeps_smallest_sequences_among_tied_scores(rows, beam_k):
+    # Equal-scoring states straddle the beam cut here, and which of them
+    # are kept decides the result.
+    weights = np.array([[0.9 if c == "x" else 0.1 for c in row] for row in rows])
+    matrix = SoftMatrix(weights)
+    got = top_down_parse(matrix, beam_k)
+    want = oracles.reference_top_down_parse(matrix, beam_k)
+    assert (got.steps, got.leaves, got.score) == (want.steps, want.leaves, want.score)
+
+
+# --- exact search ---
+
+def test_exact_dp_matches_enumeration():
+    rng = np.random.default_rng(79)
+    for n in range(1, 5):
+        for m in range(1, 5):
+            for _ in range(3):
+                weights = oracles.random_soft_weights(rng, n, m)
+                want = max(oracles.enumerate_derivation_scores(weights))
+                assert oracles.exact_best_score(weights) == pytest.approx(want, abs=1e-12)
+
+
+def test_beam_never_beats_exact_dp():
+    rng = np.random.default_rng(83)
+    for kind in ("random", "planted"):
+        for _ in range(8):
+            n, m = (int(x) for x in rng.integers(6, 11, size=2))
+            weights = MATRIX_KINDS[kind](rng, n, m)
+            best = oracles.exact_best_score(weights)
+            assert top_down_parse(SoftMatrix(weights), 10).score <= best + 1e-9
+
+
+def test_wide_beam_equals_exact_dp():
+    # 10000 exceeds the 7652 derivations of a 6 x 6 block, so nothing is pruned.
+    assert oracles.derivation_count(6, 6) < 10000
+    rng = np.random.default_rng(89)
+    for _ in range(20):
+        n, m = (int(x) for x in rng.integers(2, 7, size=2))
+        weights = MATRIX_KINDS["random" if rng.random() < 0.5 else "planted"](rng, n, m)
+        best = oracles.exact_best_score(weights)
+        assert top_down_parse(SoftMatrix(weights), 10000).score == pytest.approx(best, abs=1e-9)
