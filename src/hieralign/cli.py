@@ -8,6 +8,7 @@ standard error. The HIERALIGN_THREADS environment variable overrides the
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import os
 import sys
 import time
@@ -40,27 +41,45 @@ def _add_input_options(p, joined=True):
         p.add_argument("--separator", default="|||", help="separator token for --bitext")
 
 
-def _add_config_options(p):
-    g = p.add_argument_group("training")
-    g.add_argument("--em-iters", type=int, default=5, help="EM iterations per direction")
-    g.add_argument("--no-vb", dest="vb", action="store_false", help="plain EM instead of variational Bayes")
-    g.add_argument("--alpha", type=float, default=0.01, help="Dirichlet concentration for VB")
-    g.add_argument("--no-null", dest="use_null", action="store_false", help="drop the NULL conditioning word")
-    g.add_argument("--vbh", action="store_true", help="re-estimate tables from symmetrized Viterbi links")
-    g.add_argument("--fallback-prob", type=float, default=1e-10, help="probability for unseen word pairs")
+def _add_config_options(p, from_model=False):
+    """Setting options, defaulting to AlignerConfig's defaults.
+
+    from_model (align) leaves out the training options and leaves the
+    matrix, beam and length options unset unless given, so that they
+    default to the model's config.txt.
+    """
+    base = AlignerConfig()
+
+    def default(name):
+        return argparse.SUPPRESS if from_model else getattr(base, name)
+
+    if not from_model:
+        g = p.add_argument_group("training")
+        g.add_argument("--em-iters", type=int, default=base.em_iters, help="EM iterations per direction")
+        g.add_argument("--no-vb", dest="vb", action="store_false", help="plain EM instead of variational Bayes")
+        g.add_argument("--alpha", type=float, default=base.alpha, help="Dirichlet concentration for VB")
+        g.add_argument("--no-null", dest="use_null", action="store_false", help="drop the NULL conditioning word")
+        g.add_argument("--vbh", action="store_true", help="re-estimate tables from symmetrized Viterbi links")
+        g.add_argument("--fallback-prob", type=float, default=base.fallback, help="probability for unseen word pairs")
     g = p.add_argument_group("matrix and parsing")
-    g.add_argument("--sigma-theta", type=float, default=3.0, help="lexical score temperature")
-    g.add_argument("--sigma-delta", type=float, default=5.0, help="distortion temperature")
-    g.add_argument("--no-distortion", dest="distortion", action="store_false", help="disable the distortion factor")
-    g.add_argument("--distortion-threshold", type=float, default=0.5, dest="r",
+    g.add_argument("--sigma-theta", type=float, default=default("sigma_theta"), help="lexical score temperature")
+    g.add_argument("--sigma-delta", type=float, default=default("sigma_delta"), help="distortion temperature")
+    g.add_argument("--no-distortion", dest="distortion", action="store_false", default=default("distortion"),
+                   help="disable the distortion factor")
+    g.add_argument("--distortion-threshold", type=float, default=default("r"), dest="r",
                    help="relative-position threshold for the distortion bonus")
-    g.add_argument("--p0", type=float, default=1e-4, help="flat distortion penalty and floor base")
-    g.add_argument("--beam", type=int, default=10, help="beam width of the parser")
+    g.add_argument("--p0", type=float, default=default("p0"), help="flat distortion penalty and floor base")
+    g.add_argument("--beam", type=int, default=default("beam"), help="beam width of the parser")
     g = p.add_argument_group("misc")
     g.add_argument("--threads", default="auto", help="alignment worker processes ('auto' = all cores)")
-    g.add_argument("--max-sentence-len", type=int, default=200, help="skip pairs with a longer side")
+    g.add_argument("--max-sentence-len", type=int, default=default("max_sentence_len"),
+                   help="skip pairs with a longer side")
     g.add_argument("--lowercase", action="store_true",
                    help="lowercase input text (align follows the model's setting)")
+
+
+# Settings that align takes from the model unless a flag overrides them.
+ALIGN_SETTINGS = ("sigma_theta", "sigma_delta", "distortion", "r", "p0", "beam", "max_sentence_len")
 
 
 def resolve_threads(value):
@@ -130,21 +149,18 @@ def cmd_train(args):
 
 
 def cmd_align(args):
-    config = config_from_args(args)
     model = load_model(args.model)
     # Input must be read as the model's vocabulary was: lowercasing comes
     # from the snapshot, and --lowercase may not contradict it.
-    if config.lowercase and not model.config.lowercase:
+    if args.lowercase and not model.config.lowercase:
         raise ValueError(f"--lowercase contradicts the model in {args.model}, trained without it")
-    # Alignment-time knobs come from the command line, not from the snapshot.
-    model.config.beam = config.beam
-    model.config.threads = config.threads
-    model.config.max_sentence_len = config.max_sentence_len
+    overrides = {name: getattr(args, name) for name in ALIGN_SETTINGS if hasattr(args, name)}
+    model.config = dataclasses.replace(model.config, threads=resolve_threads(args.threads), **overrides)
     bitext = read_input(args, model.config.lowercase)
     started = time.perf_counter()
     dump_fh = open(args.dump_matrix, "w", encoding="utf-8") if args.dump_matrix else None
     try:
-        lines = align_lines(bitext, model, config.matrix_params(), dump_fh)
+        lines = align_lines(bitext, model, dump_fh=dump_fh)
     finally:
         if dump_fh:
             dump_fh.close()
@@ -256,7 +272,7 @@ def build_arg_parser():
     p.add_argument("-m", "--model", required=True, help="model directory from train")
     p.add_argument("--stats", action="store_true", help="report timing to stderr")
     p.add_argument("--dump-matrix", help="write per-pair weight matrices to this TSV file")
-    _add_config_options(p)
+    _add_config_options(p, from_model=True)
     p.set_defaults(func=cmd_align)
 
     p = sub.add_parser("pipeline", help="train and align in one run")

@@ -96,10 +96,20 @@ class Vocabulary:
 
     @classmethod
     def load(cls, path):
-        vocab = cls()
+        """Read a file written by save; a repeated token raises ValueError("path:line: ...")."""
         with open(path, "r", encoding="utf-8") as fh:
-            for line in fh:
-                vocab.add(line.rstrip("\n"))
+            tokens = fh.read().split("\n")
+        if tokens[-1] == "":
+            tokens.pop()
+        vocab = cls()
+        vocab._token_to_id = {token: idx for idx, token in enumerate(tokens, start=1)}
+        if len(vocab._token_to_id) < len(tokens):
+            seen = set()
+            for lineno, token in enumerate(tokens, start=1):
+                if token in seen:
+                    raise ValueError(f"{path}:{lineno}: duplicate token {token!r}")
+                seen.add(token)
+        vocab._id_to_token += tokens
         return vocab
 
 

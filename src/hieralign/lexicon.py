@@ -226,6 +226,10 @@ class TTable:
             body = fh.read()
         if len(header) != 3 or header[0] != "#ttable" or not header[2].isdigit():
             raise ValueError(f"{path}:1: not a ttable file")
+        if header[1] not in (FORWARD, REVERSE):
+            raise ValueError(f"{path}:1: unknown direction {header[1]!r}")
+        if not 1 <= int(header[2]) <= conditioned_vocab.real_size:
+            raise ValueError(f"{path}:1: vocabulary size {header[2]} outside 1..{conditioned_vocab.real_size}")
         if body and not body.endswith("\n"):
             body += "\n"
         if not _ROWS.fullmatch(body):

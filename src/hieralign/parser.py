@@ -14,12 +14,17 @@ splits, one block is expanded per level (the top of the stack), and the
 best beam_k successors survive. All terminal states ever generated compete
 for the final argmax. Ties break on (score, then lexicographically
 smallest step sequence by (j, i, straight < inverted)).
+
+Several matrices are searched in lockstep, level by level as arrays, with
+each matrix's candidates cut to its own beam; the result for a matrix is
+the same as when it is searched alone.
 """
 
 from __future__ import annotations
 
 from bisect import bisect_right
 from dataclasses import dataclass
+from functools import cache
 from itertools import accumulate
 
 import numpy as np
@@ -29,6 +34,13 @@ INVERTED = 1
 
 # Scores are accumulated as sums of logs; F_avg is floored before the log.
 F_AVG_FLOOR = 1e-300
+
+# Matrices parsed together in lockstep expand at most this many splits per
+# level, beam_k * sum((n - 1) * (m - 1)), each in two orientations, and a
+# matrix over the bound is parsed alone. It bounds the memory of a group's pools and block
+# scoring; each matrix's result does not depend on its group, so it is a
+# constant rather than a tuning knob.
+GROUP_SPLITS = 32768
 
 
 @dataclass(frozen=True)
@@ -131,39 +143,46 @@ def f_avg(matrix, block, step):
     return 1.0 - ncut(matrix, block, step) / 2.0
 
 
-def _score_blocks(prefix, blocks):
+def _score_blocks(prefix, blocks, sizes):
     """Log F_avg and terminal flags of every interior split of each block.
 
-    blocks are (j0, j1, i0, i1) tuples, scored together in one flattened
-    gather over the prefix sums. Returns (logf, term, sizes): logf and term
-    are indexed [gamma, split], the splits laid out block by block, each
-    block's in (j, i) order, and sizes holds each block's split count.
-    term marks the splits whose two aligned sub-blocks are both terminal.
+    blocks is an int array with one column per block and the rows
+    (row0, row1, stride, i0, i1, width, start, last): the block
+    ([j0, j1), [i0, i1)) of a matrix whose prefix table rows j0 and j1
+    begin at row0 and row1 of the flat array prefix, rows stride apart.
+    width = i1 - i0 - 1, last = j1 - j0 - 2, and start is the position of
+    the block's first split among all the splits scored. sizes holds each
+    block's split count. The blocks are scored together in one flattened
+    gather. Returns (logf, term), indexed [gamma, split], the splits laid
+    out block by block, each block's in (j, i) order. term marks the
+    splits whose two aligned sub-blocks are both terminal.
     """
-    sizes = [(j1 - j0 - 1) * (i1 - i0 - 1) for j0, j1, i0, i1 in blocks]
-    starts = np.repeat([0, *accumulate(sizes[:-1])], sizes)
-    j0, j1, i0, i1 = np.repeat(np.array(blocks).T, sizes, axis=1)
-    jj, ii = np.divmod(np.arange(j0.size) - starts, i1 - i0 - 1)
-    rows = np.array([j0, j0 + 1 + jj, j1])
-    cols = np.array([i0, i0 + 1 + ii, i1])
+    row0, row1, stride, i0, i1, width, start, last = np.repeat(blocks, sizes, axis=1)
+    jj, ii = np.divmod(np.arange(row0.size, dtype=blocks.dtype) - start, width)
+    # A split is terminal when both of its aligned sub-blocks have one
+    # source or one target word: x, xb, y or yb of length 1.
+    y = np.array([ii == 0, ii == width - 1])
+    term = ((jj == 0) | y) & ((jj == last) | y[::-1])
+    rows = np.array([row0, row0 + (jj + 1) * stride, row1])
+    cols = np.array([i0, i0 + ii + 1, i1])
+    del row0, row1, stride, i0, i1, width, start, last, jj, ii
 
     # The split cuts its block into four sub-blocks a[r, c]: source half r
     # (x = [j0, j), xb = [j, j1)) by target half c (y = [i0, i), yb = [i, i1)),
     # each summed from the prefix at the corners rows x cols.
-    corner = prefix.ravel()[(rows * prefix.shape[1])[:, None] + cols]
-    a = corner[1:, 1:] - corner[:-1, 1:] - corner[1:, :-1] + corner[:-1, :-1]
+    corner = prefix[rows[:, None] + cols]
+    del rows, cols
+    a = corner[1:, 1:] - corner[:-1, 1:]
+    a -= corner[1:, :-1]
+    a += corner[:-1, :-1]
+    del corner
     # Rows from here on are [straight, inverted]. Straight aligns xy with
     # xbyb, inverted xyb with xby: a[0] holds the first aligned sub-block,
     # a[1, ::-1] the second, and the cut c is the sum of the other two.
     c = a[0, ::-1] + a[1]
     ncut = c / (c + 2.0 * a[0]) + c / (c + 2.0 * a[1, ::-1])
     logf = np.log(np.maximum(1.0 - ncut / 2.0, F_AVG_FLOOR))
-
-    # narrow[r, c]: sub-block (r, c) has one source or one target word. A
-    # split is terminal when both of its aligned sub-blocks are.
-    narrow = (rows[1:] - rows[:-1] == 1)[:, None] | (cols[1:] - cols[:-1] == 1)
-    term = narrow[0] & narrow[1, ::-1]
-    return logf, term, sizes
+    return logf, term
 
 
 def _is_terminal(block):
@@ -181,93 +200,266 @@ def _split_top(stack, j, i, gamma):
     return stack[:-1] + tuple([b for b in halves[::-1] if b not in leaves]), leaves
 
 
-def top_down_parse(matrix, beam_k=10):
-    """Best derivation found by beam search; see the module docstring.
+# Columns of (j0, j1, i0, i1, j, i) that make a split's (right, left)
+# sub-blocks, per gamma: _halves applied to the column numbers.
+_HALF_COLUMNS = np.array([[c for half in _halves((0, 1, 2, 3), 4, 5, gamma)[::-1] for c in half]
+                          for gamma in (STRAIGHT, INVERTED)])
 
-    A beam state is (v, seq, stack): its score, its steps as (j, i, gamma)
-    tuples and its stack of unparsed (j0, j1, i0, i1) blocks. The splits of
-    each distinct block are scored once per parse, all new blocks of a
-    level in one gather. The winner's steps and leaves are rebuilt at the
-    end by replaying its seq.
 
-    A 1 x m or n x 1 matrix is already terminal and yields the empty
-    derivation whose single leaf is the root block.
+class _Lockstep:
+    """Beam search of a group of matrices, all advanced one level at a time.
+
+    The beam states of all the matrices (pairs) are rows of arrays, sorted
+    by pair: pair, score v, and a fixed-depth stack of unparsed
+    (j0, j1, i0, i1) blocks with its depth. trail keeps, per level, each
+    state's back-pointer (parent, j, i, gamma), from which its step
+    sequence is read. The splits of each distinct top block are scored
+    once per pair, all new blocks of a level in one gather; memo maps a
+    block to its first row in store, which holds one row per split and one
+    column per gamma. A level's pool holds each pair's candidates
+    contiguously, parent by parent with gamma innermost, and is cut pair by
+    pair. Exact score ties, the only places where step sequences decide,
+    are broken in Python for the tied pair alone.
+    """
+
+    def __init__(self, matrices, beam_k):
+        self.beam_k = beam_k
+        self.pairs = len(matrices)
+        self.prefix = np.concatenate([mat.prefix.ravel() for mat in matrices])
+        self.base = [0, *accumulate((mat.n + 1) * (mat.m + 1) for mat in matrices)]
+        self.stride = [mat.m + 1 for mat in matrices]
+        self.edges = np.arange(self.pairs + 1)
+        self.pair = self.edges[:-1]
+        self.v = np.zeros(self.pairs)
+        # The blocks on a stack are disjoint and at least 2 x 2; one spare
+        # slot takes the writes of halves that are not pushed.
+        height = max(min(mat.n, mat.m) for mat in matrices) // 2 + 1
+        self.stack = np.zeros((self.pairs, height, 4), dtype=np.int32)
+        self.stack[:, 0] = [(0, mat.n, 0, mat.m) for mat in matrices]
+        self.depth = np.ones(self.pairs, dtype=np.int64)
+        self.trail = []
+        self.best_v = [-np.inf] * self.pairs
+        self.best = [None] * self.pairs  # (level, parent state, step) of each pair's best terminal
+        self.memo = {}
+        self.store = np.empty((2 * sum((mat.n - 1) * (mat.m - 1) for mat in matrices), 2))
+        self.store_term = np.empty(self.store.shape, dtype=bool)
+        self.fill = 0
+
+    def run(self):
+        """Search every level; then yield each pair's best (score, step sequence)."""
+        level = 0
+        live = self.pair
+        while live.size:
+            self._level(level, live)
+            level += 1
+            live = self.depth.nonzero()[0]
+        if None in self.best:
+            raise RuntimeError("beam search ended without a terminal state")
+        for g, v in enumerate(self.best_v):
+            yield v, self._best_seq(g)
+
+    def _best_seq(self, g):
+        """Step sequence of pair g's best terminal state."""
+        level, state, step = self.best[g]
+        return self._seq(level, state) + (step,)
+
+    def _seq(self, level, state):
+        """Step sequence of a state of the given level, read back through the trail."""
+        steps = []
+        for parent, j, i, gamma in reversed(self.trail[:level]):
+            steps.append((int(j[state]), int(i[state]), int(gamma[state])))
+            state = parent[state]
+        return tuple(steps[::-1])
+
+    def _spans(self, pair, top):
+        """First store row and split count of each block, scoring the blocks not seen yet."""
+        memo = self.memo
+        fill = self.fill
+        firsts = []
+        sizes = []
+        new = []
+        for p, j0, j1, i0, i1 in zip(pair.tolist(), *top.T.tolist()):
+            # A block is keyed by the flat positions of its two prefix corners.
+            row0 = self.base[p] + j0 * self.stride[p]
+            row1 = row0 + (j1 - j0) * self.stride[p]
+            key = (row0 + i0) * self.prefix.size + row1 + i1
+            size = (j1 - j0 - 1) * (i1 - i0 - 1)
+            first = memo.get(key)
+            if first is None:
+                memo[key] = first = fill
+                new += (row0, row1, self.stride[p], i0, i1, i1 - i0 - 1, fill - self.fill, j1 - j0 - 2, size)
+                fill += size
+            firsts.append(first)
+            sizes.append(size)
+        if new:
+            if fill > len(self.store):
+                rows = max(fill, 2 * len(self.store))
+                self.store = np.resize(self.store, (rows, 2))
+                self.store_term = np.resize(self.store_term, (rows, 2))
+            # int32 indices: a group's prefix tables would need 16 GB to overflow them.
+            new = np.array(new, dtype=np.int32).reshape(-1, 9).T
+            logf, term = _score_blocks(self.prefix, new[:8], new[8])
+            self.store[self.fill:fill] = logf.T
+            self.store_term[self.fill:fill] = term.T
+            self.fill = fill
+        return np.array(firsts), np.array(sizes)
+
+    def _level(self, level, live):
+        """Expand the top block of every live state, then cut each pair's pool."""
+        k = self.beam_k
+        pair = self.pair[live]
+        depth = self.depth[live]
+        top = self.stack[live, depth - 1]
+        first_row, size = self._spans(pair, top)
+
+        # Entry e of parent s's candidates is split (e - first[s]) // 2 of
+        # its top block with gamma e % 2, at flat store position
+        # 2 * first_row[s] + e - first[s].
+        count = 2 * size
+        end = count.cumsum()
+        first = end - count
+        slots = (2 * first_row - first).repeat(count)
+        slots += np.arange(slots.size, dtype=slots.dtype)
+        pool = self.v[live].repeat(count)
+        pool += self.store.ravel()[slots]
+        bounds = np.concatenate(([0], end))[pair.searchsorted(self.edges)].tolist()
+
+        @cache
+        def parents():
+            return end.tolist(), first.tolist(), top.tolist(), live.tolist()
+
+        def entry(e):
+            """(parent state, (j, i, gamma)) of pool entry e."""
+            ends, firsts, blocks, states = parents()
+            s = bisect_right(ends, e)
+            j0, _, i0, i1 = blocks[s]
+            split, gamma = divmod(e - firsts[s], 2)
+            jj, ii = divmod(split, i1 - i0 - 1)
+            return states[s], (j0 + 1 + jj, i0 + 1 + ii, gamma)
+
+        def seq_key(e):
+            state, step = entry(e)
+            return self._seq(level, state) + (step,)
+
+        # Every terminal successor competes for its pair's final argmax,
+        # pruned or not. A child is terminal when both halves of its split
+        # are and its parent held one block.
+        hits = (self.store_term.ravel()[slots] & (depth == 1).repeat(count)).nonzero()[0]
+        if hits.size:
+            value = pool[hits]
+            heads = hits.searchsorted(bounds).tolist()
+            some = [g for g in range(self.pairs) if heads[g] < heads[g + 1]]
+            starts = [heads[g] for g in some] + [hits.size]
+            tops = np.maximum.reduceat(value, starts[:-1])
+            top_v = tops.tolist()
+            better = [q for q, g in enumerate(some) if top_v[q] >= self.best_v[g]]
+            if better:
+                at = (value == tops.repeat([b - a for a, b in zip(starts, starts[1:])])).nonzero()[0]
+                ties = at.searchsorted(starts).tolist()
+                leaders = hits[at[ties[:-1]]].tolist()
+            for q in better:
+                g = some[q]
+                e = leaders[q]
+                if ties[q + 1] - ties[q] > 1:
+                    e = min(hits[at[ties[q]:ties[q + 1]]].tolist(), key=seq_key)
+                if top_v[q] == self.best_v[g] and seq_key(e) >= self._best_seq(g):
+                    continue
+                self.best_v[g] = top_v[q]
+                self.best[g] = (level, *entry(e))
+
+        # Keep each pair's top beam_k candidates by score, ties by step sequence.
+        over = [g for g in range(self.pairs) if bounds[g + 1] - bounds[g] > k]
+        if over:
+            cuts = [-np.inf] * self.pairs
+            expected = pool.size
+            for g in over:
+                a, b = bounds[g], bounds[g + 1]
+                cuts[g] = np.partition(pool[a:b], b - a - k)[b - a - k]
+                expected -= b - a - k
+            keep = pool >= np.array(cuts)[pair].repeat(count)
+            kept = keep.nonzero()[0]
+            if kept.size > expected:
+                held = np.concatenate(([0], keep.cumsum()))[bounds]
+                for g in (np.diff(held) > k).nonzero()[0].tolist():
+                    a, b = bounds[g], bounds[g + 1]
+                    tied = a + (pool[a:b] == cuts[g]).nonzero()[0]
+                    keep[tied] = False
+                    keep[sorted(tied.tolist(), key=seq_key)[:k - (held[g + 1] - held[g]) + tied.size]] = True
+                kept = keep.nonzero()[0]
+        else:
+            kept = np.arange(pool.size)
+
+        # Each kept entry becomes a state: its parent's stack without the
+        # top block, then the split's non-terminal halves, right first.
+        s = end.searchsorted(kept, side="right")
+        block = top[s]
+        split, gamma = np.divmod(kept - first[s], 2)
+        jj, ii = np.divmod(split, block[:, 3] - block[:, 2] - 1)
+        block = np.concatenate((block, (block[:, 0] + jj + 1)[:, None], (block[:, 2] + ii + 1)[:, None]), axis=1)
+        index = np.arange(kept.size)
+        halves = block[index[:, None], _HALF_COLUMNS[gamma]].reshape(-1, 2, 4)
+        pushed = (halves[:, :, 1::2] - halves[:, :, ::2]).min(axis=2) > 1
+        parent = live[s]
+        stack = self.stack[parent]
+        height = depth[s] - 1
+        for h in (0, 1):
+            stack[index, height] = halves[:, h]
+            height += pushed[:, h]
+        self.trail.append((parent, block[:, 4], block[:, 5], gamma))
+        self.pair = pair[s]
+        self.v = pool[kept]
+        self.stack = stack
+        self.depth = height
+
+
+def lockstep_groups(shapes, beam_k):
+    """Runs of consecutive (n, m) shapes to parse together, as lists of indices.
+
+    A run expands at most beam_k * sum((n - 1) * (m - 1)) <= GROUP_SPLITS
+    splits per level; a shape over the bound runs alone.
+    """
+    groups = []
+    load = 0
+    for k, (n, m) in enumerate(shapes):
+        cost = beam_k * (n - 1) * (m - 1)
+        if groups and load + cost <= GROUP_SPLITS:
+            groups[-1].append(k)
+            load += cost
+        else:
+            groups.append([k])
+            load = cost
+    return groups
+
+
+def parse_matrices(matrices, beam_k=10):
+    """Best derivation of each matrix found by beam search; see the module docstring.
+
+    Yields the derivations in order, each replayed only when it is taken,
+    so a caller that consumes them one by one holds one at a time. The
+    matrices of each lockstep group are parsed together. A 1 x m or n x 1
+    matrix is already terminal and yields the empty derivation whose
+    single leaf is the root block.
     """
     if beam_k < 1:
         raise ValueError("beam_k must be >= 1")
-    n, m = matrix.n, matrix.m
-    root = (0, n, 0, m)
-    if _is_terminal(root):
-        return Derivation((), (Block(*root),), n, m, 0.0)
+    return _derivations(matrices, beam_k)
 
-    scored = {}  # block -> (logf, term) of its splits, indexed [gamma, split]
-    beam = [(0.0, (), (root,))]
-    best = None  # (v, seq) of the best terminal state
 
-    for _ in range(min(n, m)):
-        parents = [s for s in beam if s[2]]
-        if not parents:
-            break
-        new = list(dict.fromkeys(s[2][-1] for s in parents if s[2][-1] not in scored))
-        if new:
-            logf, term, sizes = _score_blocks(matrix.prefix, new)
-            ends = list(accumulate(sizes))
-            for block, lo, hi in zip(new, [0] + ends, ends):
-                scored[block] = (logf[:, lo:hi], term[:, lo:hi])
-        parts = [scored[s[2][-1]] for s in parents]
-        sizes = [p[0].shape[1] for p in parts]
-        offsets = [0, *accumulate(sizes)]
-        width = offsets[-1]
-        # Pool entries are indexed [gamma, split] over the parents' splits.
-        pool_v = (np.repeat([s[0] for s in parents], sizes) + np.concatenate([p[0] for p in parts], axis=1)).ravel()
+def _derivations(matrices, beam_k):
+    for group in lockstep_groups([(mat.n, mat.m) for mat in matrices], beam_k):
+        group = [matrices[k] for k in group]
+        split = [mat for mat in group if mat.n > 1 and mat.m > 1]
+        found = _Lockstep(split, beam_k).run() if split else None
+        for mat in group:
+            if mat.n > 1 and mat.m > 1:
+                yield _replay(mat.n, mat.m, *next(found))
+            else:
+                yield Derivation((), (Block(0, mat.n, 0, mat.m),), mat.n, mat.m, 0.0)
 
-        def step_of(g):
-            """(parent index, (j, i, gamma)) of flat pool index g."""
-            gamma, split = divmod(g, width)
-            k = bisect_right(offsets, split) - 1
-            j0, _, i0, i1 = parents[k][2][-1]
-            jj, ii = divmod(split - offsets[k], i1 - i0 - 1)
-            return k, (j0 + 1 + jj, i0 + 1 + ii, gamma)
 
-        def seq_key(g):
-            k, step = step_of(g)
-            return parents[k][1] + (step,)
-
-        # Every terminal successor competes for the final argmax, pruned or
-        # not. A child is terminal when both halves of its split are and its
-        # parent held one block.
-        single = [len(s[2]) == 1 for s in parents]
-        pool_term = np.concatenate([p[1] for p in parts], axis=1) & np.repeat(single, sizes)
-        term_idx = np.flatnonzero(pool_term)
-        if term_idx.size:
-            tv = pool_v[term_idx]
-            top = float(tv.max())
-            if best is None or top >= best[0]:
-                seq = min(seq_key(g) for g in term_idx[tv == top].tolist())
-                if best is None or top > best[0] or seq < best[1]:
-                    best = (top, seq)
-
-        # Keep the top beam_k candidates by score, ties by step sequence.
-        size = pool_v.size
-        if size <= beam_k:
-            kept = list(range(size))
-        else:
-            thr = np.partition(pool_v, size - beam_k)[size - beam_k]
-            kept = np.flatnonzero(pool_v > thr).tolist()
-            tied = np.flatnonzero(pool_v == thr).tolist()
-            need = beam_k - len(kept)
-            kept += sorted(tied, key=seq_key)[:need] if len(tied) > need else tied
-
-        beam = []
-        for g, v in zip(kept, pool_v[kept].tolist()):
-            k, step = step_of(g)
-            _, seq, stack = parents[k]
-            beam.append((v, seq + (step,), _split_top(stack, *step)[0]))
-
-    if best is None:
-        raise RuntimeError("beam search ended without a terminal state")
-    v, seq = best
-    stack = (root,)
+def _replay(n, m, v, seq):
+    """Derivation of score v whose steps are seq, rebuilt from the root."""
+    stack = ((0, n, 0, m),)
     steps = []
     leaves = []
     for j, i, gamma in seq:
@@ -275,6 +467,11 @@ def top_down_parse(matrix, beam_k=10):
         stack, new_leaves = _split_top(stack, j, i, gamma)
         leaves += new_leaves
     return Derivation(tuple(steps), tuple(Block(*b) for b in leaves), n, m, v)
+
+
+def top_down_parse(matrix, beam_k=10):
+    """Best derivation of one matrix: parse_matrices of [matrix]."""
+    return next(parse_matrices([matrix], beam_k))
 
 
 def project(derivation):

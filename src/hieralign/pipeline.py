@@ -16,8 +16,8 @@ from dataclasses import dataclass, fields
 from . import lexicon, softmatrix, workers
 from .alignio import format_alignment
 from .corpus import Vocabulary, encode_pairs
-from .parser import project, top_down_parse
-from .softmatrix import MatrixParams, build_soft_matrix
+from .parser import lockstep_groups, parse_matrices, project
+from .softmatrix import MatrixParams, build_soft_matrices
 
 
 @dataclass
@@ -70,23 +70,45 @@ class AlignerConfig:
         return "".join(f"{f.name}={getattr(self, f.name)}\n" for f in fields(self))
 
     @classmethod
-    def from_snapshot(cls, text):
-        raw = dict(line.split("=", 1) for line in text.splitlines() if line)
+    def from_snapshot(cls, text, path="config.txt"):
+        """Settings from a snapshot; a malformed line raises ValueError("path:line: ...").
+
+        The retired key max_phrase_len is ignored.
+        """
+        kinds = {f.name: f.type if isinstance(f.type, str) else f.type.__name__ for f in fields(cls)}
         kwargs = {}
-        for f in fields(cls):
-            if f.name not in raw:
+        for lineno, line in enumerate(text.splitlines(), start=1):
+            if not line:
                 continue
-            value = raw[f.name]
-            kind = f.type if isinstance(f.type, str) else f.type.__name__
-            if kind == "bool":
-                kwargs[f.name] = value == "True"
-            elif kind == "int":
-                kwargs[f.name] = int(value)
-            elif kind == "float":
-                kwargs[f.name] = float(value)
-            else:
-                kwargs[f.name] = value
-        return cls(**kwargs)
+            name, sep, value = line.partition("=")
+            if name == RETIRED_SETTING:
+                continue
+            if not sep or name not in kinds:
+                raise ValueError(f"{path}:{lineno}: unknown setting {line!r}")
+            try:
+                kwargs[name] = _parse_setting(kinds[name], value)
+            except ValueError:
+                raise ValueError(f"{path}:{lineno}: {name} is not a valid {kinds[name]}: {value!r}") from None
+        try:
+            return cls(**kwargs)
+        except ValueError as exc:
+            raise ValueError(f"{path}: {exc}") from None
+
+
+# A setting of older model directories that no longer exists.
+RETIRED_SETTING = "max_phrase_len"
+
+
+def _parse_setting(kind, value):
+    if kind == "bool":
+        if value not in ("True", "False"):
+            raise ValueError(value)
+        return value == "True"
+    if kind == "int":
+        return int(value)
+    if kind == "float":
+        return float(value)
+    return value
 
 
 @dataclass
@@ -127,20 +149,23 @@ def save_model(model, out_dir):
 
 
 def load_model(model_dir):
+    """The model saved in model_dir; a malformed file raises ValueError("path:line: ...")."""
     try:
-        with open(os.path.join(model_dir, "config.txt"), "r", encoding="utf-8") as fh:
-            config = AlignerConfig.from_snapshot(fh.read())
+        path = os.path.join(model_dir, "config.txt")
+        with open(path, "r", encoding="utf-8") as fh:
+            config = AlignerConfig.from_snapshot(fh.read(), path)
         vocab_src = Vocabulary.load(os.path.join(model_dir, "vocab.src"))
         vocab_tgt = Vocabulary.load(os.path.join(model_dir, "vocab.tgt"))
-        t_fwd = lexicon.TTable.load(
-            os.path.join(model_dir, "ttable.fwd"), vocab_src, vocab_tgt, config.fallback
-        )
-        t_rev = lexicon.TTable.load(
-            os.path.join(model_dir, "ttable.rev"), vocab_tgt, vocab_src, config.fallback
-        )
+        tables = []
+        for direction, cond, cing in ((lexicon.FORWARD, vocab_src, vocab_tgt), (lexicon.REVERSE, vocab_tgt, vocab_src)):
+            path = os.path.join(model_dir, f"ttable.{direction}")
+            table = lexicon.TTable.load(path, cond, cing, config.fallback)
+            if table.direction != direction:
+                raise ValueError(f"{path}:1: header says direction {table.direction!r}, expected {direction!r}")
+            tables.append(table)
     except FileNotFoundError as exc:
         raise FileNotFoundError(f"{model_dir} is not a complete model directory: {exc}") from None
-    return Model(vocab_src, vocab_tgt, t_fwd, t_rev, config)
+    return Model(vocab_src, vocab_tgt, *tables, config)
 
 
 def align_tasks(bitext, model):
@@ -159,22 +184,27 @@ def align_tasks(bitext, model):
     return tasks
 
 
-def _align_pair(pair, t_fwd, t_rev, params, beam, dump_fh=None):
-    """Pharaoh line of one task; a None placeholder gives the empty line.
+def _align_chunk(chunk, t_fwd, t_rev, params, beam, dump_fh=None):
+    """Pharaoh lines of a chunk of tasks; a None placeholder gives the empty line.
 
-    dump_fh, when given, receives the pair's weight matrix as a TSV block.
+    The matrices of each lockstep group of the chunk are built together
+    and parsed together. dump_fh, when given, receives each pair's weight
+    matrix as a TSV block.
     """
-    if pair is None:
-        return ""
-    matrix = build_soft_matrix(pair, t_fwd, t_rev, params)
-    if dump_fh is not None:
-        softmatrix.dump_matrix(matrix, dump_fh)
-    return format_alignment(project(top_down_parse(matrix, beam)))
+    pairs = [pair for pair in chunk if pair is not None]
+    lines = []
+    for group in lockstep_groups([(pair.n, pair.m) for pair in pairs], beam):
+        matrices = build_soft_matrices([pairs[k] for k in group], t_fwd, t_rev, params)
+        if dump_fh is not None:
+            for matrix in matrices:
+                softmatrix.dump_matrix(matrix, dump_fh)
+        lines += [format_alignment(project(d)) for d in parse_matrices(matrices, beam)]
+    lines = iter(lines)
+    return ["" if pair is None else next(lines) for pair in chunk]
 
 
-def _align_chunk(chunk):
-    t_fwd, t_rev, params, beam = workers.payload()
-    return [_align_pair(pair, t_fwd, t_rev, params, beam) for pair in chunk]
+def _align_worker(chunk):
+    return _align_chunk(chunk, *workers.payload())
 
 
 def align_lines(bitext, model, params=None, dump_fh=None):
@@ -185,14 +215,13 @@ def align_lines(bitext, model, params=None, dump_fh=None):
     """
     if params is None:
         params = model.config.matrix_params()
-    tasks = align_tasks(bitext, model)
+    chunks = workers.chunked(align_tasks(bitext, model))
     payload = (model.t_fwd, model.t_rev, params, model.config.beam)
     if dump_fh is not None:
-        return [_align_pair(pair, *payload, dump_fh) for pair in tasks]
-    out = []
-    for lines in workers.map_chunks(_align_chunk, payload, workers.chunked(tasks), model.config.threads):
-        out.extend(lines)
-    return out
+        results = [_align_chunk(chunk, *payload, dump_fh) for chunk in chunks]
+    else:
+        results = workers.map_chunks(_align_worker, payload, chunks, model.config.threads)
+    return [line for lines in results for line in lines]
 
 
 def stderr_log(message):

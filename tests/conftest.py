@@ -1,11 +1,25 @@
-"""Shared fixtures: the synthetic smoke-test corpus and its pipeline run."""
+"""Shared fixtures: the synthetic smoke-test corpus and its pipeline run.
 
+Property tests run under a derandomized hypothesis profile with no example
+database, so every run draws the same examples and writes no .hypothesis/.
+"""
+
+import os
 import random
+import tempfile
 import time
 
 import pytest
+from hypothesis import settings
 
 from hieralign.cli import main as cli_main
+
+settings.register_profile("reproducible", derandomize=True, database=None)
+settings.load_profile("reproducible")
+# Without a database, hypothesis still caches the constants it reads from
+# source files; keep that cache in a directory removed at exit.
+_HYPOTHESIS_STORAGE = tempfile.TemporaryDirectory(prefix="hypothesis-")
+os.environ["HYPOTHESIS_STORAGE_DIRECTORY"] = _HYPOTHESIS_STORAGE.name
 
 SMOKE_PAIRS = 2000
 SMOKE_VOCAB = 50

@@ -2,11 +2,12 @@
 
 Everything here is written directly from the definitions with its own data
 structures (token-keyed dicts, direct double-loop sums, full recursive
-enumeration) so that agreement with the package is meaningful. The one
-exception is the reference beam parser at the end: a plain loop that
-expands one state at a time with the package's own blocks and split
-arithmetic, so that the parser's output can be required to equal it
-exactly, ties included.
+enumeration) so that agreement with the package is meaningful. The
+exceptions are the per-pair matrix build and the reference beam parser at
+the end: plain loops over one pair or one state at a time with the
+package's own lexicon lookups, blocks and split arithmetic, so that the
+package's batched output can be required to equal them exactly, ties
+included.
 """
 
 import math
@@ -14,6 +15,7 @@ import math
 import numpy as np
 from scipy.special import digamma as scipy_digamma
 
+from hieralign.lexicon import symmetric_lexical_score
 from hieralign.parser import (
     F_AVG_FLOOR,
     INVERTED,
@@ -209,6 +211,22 @@ def derivation_count(n, m):
 def random_soft_weights(rng, n, m, floor=1e-8):
     """Weights uniform in [floor, 1), matching the built matrix range."""
     return floor + (1.0 - 1e-12 - floor) * rng.random((n, m))
+
+
+def reference_soft_matrix(pair, t_fwd, t_rev, params):
+    """(weights, prefix) of one pair, built on its own with 2-D broadcasting."""
+    n, m = pair.n, pair.m
+    theta = symmetric_lexical_score(
+        t_fwd, t_rev, np.asarray(pair.source)[:, None], np.asarray(pair.target)[None, :]
+    )
+    raw = np.exp(theta / params.sigma_theta)
+    if params.distortion_enabled:
+        h = np.abs(np.arange(n)[:, None] / n - np.arange(m)[None, :] / m)
+        raw *= np.where(h < params.r, np.exp(np.log1p(-h) / params.sigma_delta), params.p0)
+    weights = np.clip(raw, params.p0 * params.p0, 1.0 - 1e-12)
+    prefix = np.zeros((n + 1, m + 1))
+    prefix[1:, 1:] = weights.cumsum(axis=1).cumsum(axis=0)
+    return weights, prefix
 
 
 def exact_best_score(weights):

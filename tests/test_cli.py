@@ -1,4 +1,5 @@
 import os
+import random
 
 import pytest
 
@@ -100,6 +101,44 @@ def test_align_dump_matrix(toy, tmp_path, capsys):
     assert len(dumped.splitlines()) == 3
     assert main(["align", "-s", toy["src"], "-t", toy["tgt"], "-m", str(model)]) == 0
     assert capsys.readouterr().out == dumped
+
+
+def test_align_rejects_training_options(toy, capsys):
+    model = toy["dir"] / "model"
+    assert main(["train", "-s", toy["src"], "-t", toy["tgt"], "-o", str(model)]) == 0
+    for option in (["--alpha", "0.5"], ["--em-iters", "2"], ["--no-vb"], ["--no-null"], ["--vbh"],
+                   ["--fallback-prob", "0.5"]):
+        with pytest.raises(SystemExit) as exc:
+            main(["align", "-s", toy["src"], "-t", toy["tgt"], "-m", str(model), *option])
+        assert exc.value.code == 2
+        assert option[0] in capsys.readouterr().err
+
+
+def test_align_takes_matrix_settings_from_the_model(tmp_path, capsys):
+    # Reversed word order: the distortion factor of the default settings
+    # pulls these pairs off the anti-diagonal.
+    rng = random.Random(5)
+    src_lines, tgt_lines = [], []
+    for _ in range(40):
+        words = rng.sample(range(12), rng.randint(2, 5))
+        src_lines.append(" ".join(f"s{w}" for w in words) + "\n")
+        tgt_lines.append(" ".join(f"t{w}" for w in reversed(words)) + "\n")
+    src = write(tmp_path / "s", "".join(src_lines))
+    tgt = write(tmp_path / "t", "".join(tgt_lines))
+    settings = ["--sigma-theta", "1", "--no-distortion"]
+    out = tmp_path / "pipeline.align"
+    assert main(["pipeline", "-s", src, "-t", tgt, "-o", str(out), *settings]) == 0
+    tuned, default = tmp_path / "tuned", tmp_path / "default"
+    assert main(["train", "-s", src, "-t", tgt, "-o", str(tuned), *settings]) == 0
+    assert main(["train", "-s", src, "-t", tgt, "-o", str(default)]) == 0
+    capsys.readouterr()
+    assert main(["align", "-s", src, "-t", tgt, "-m", str(tuned)]) == 0
+    assert capsys.readouterr().out == out.read_text()
+    # Flags override the model's settings.
+    assert main(["align", "-s", src, "-t", tgt, "-m", str(default), *settings]) == 0
+    assert capsys.readouterr().out == out.read_text()
+    assert main(["align", "-s", src, "-t", tgt, "-m", str(default)]) == 0
+    assert capsys.readouterr().out != out.read_text()
 
 
 def test_align_reads_input_as_the_model_was_trained(tmp_path, capsys):

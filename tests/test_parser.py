@@ -1,10 +1,14 @@
+from unittest import mock
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import oracles
+from hieralign import parser
 from hieralign.parser import (
+    GROUP_SPLITS,
     INVERTED,
     STRAIGHT,
     Block,
@@ -13,6 +17,8 @@ from hieralign.parser import (
     cut,
     f_avg,
     ncut,
+    lockstep_groups,
+    parse_matrices,
     project,
     sub_blocks,
     top_down_parse,
@@ -358,12 +364,15 @@ def test_parse_equals_reference_loop_exactly(n, m, kind, seed):
         assert got.score == want.score
 
 
-@pytest.mark.parametrize("rows, beam_k", [
+TIED_CASES = [
     (["....", ".x..", "...."], 1),
     (["..x.", "....", ".x.."], 1),
     ([".x..", "x.x.", "...x"], 2),
     (["...", "xx.", ".xx", "..."], 3),
-])
+]
+
+
+@pytest.mark.parametrize("rows, beam_k", TIED_CASES)
 def test_parse_keeps_smallest_sequences_among_tied_scores(rows, beam_k):
     # Equal-scoring states straddle the beam cut here, and which of them
     # are kept decides the result.
@@ -372,6 +381,86 @@ def test_parse_keeps_smallest_sequences_among_tied_scores(rows, beam_k):
     got = top_down_parse(matrix, beam_k)
     want = oracles.reference_top_down_parse(matrix, beam_k)
     assert (got.steps, got.leaves, got.score) == (want.steps, want.leaves, want.score)
+
+
+# --- lockstep groups ---
+
+CHUNK_KINDS = {
+    **MATRIX_KINDS,
+    "row": lambda rng, n, m: oracles.random_soft_weights(rng, 1, m),
+    "column": lambda rng, n, m: oracles.random_soft_weights(rng, n, 1),
+}
+
+
+def assert_each_equals_reference(matrices, beam_k):
+    got = list(parse_matrices(matrices, beam_k))
+    assert len(got) == len(matrices)
+    for matrix, derivation in zip(matrices, got):
+        want = oracles.reference_top_down_parse(matrix, beam_k)
+        assert (derivation.steps, derivation.leaves, derivation.score) == (want.steps, want.leaves, want.score)
+
+
+@settings(max_examples=25, deadline=None)
+@given(
+    specs=st.lists(
+        st.tuples(st.sampled_from(sorted(CHUNK_KINDS)), st.integers(1, 8), st.integers(1, 8),
+                  st.integers(0, 2**32 - 1)),
+        min_size=1, max_size=40,
+    ),
+    bound=st.sampled_from([GROUP_SPLITS, 300, 60]),
+)
+def test_parse_matrices_equals_reference_per_matrix(specs, bound):
+    # Pairs parsed in lockstep must come out exactly as each parsed alone:
+    # the same arithmetic and the same tie-breaks, in whatever group. The
+    # smaller bounds split the list into several groups and leave some
+    # matrices over the bound, in groups of their own.
+    matrices = [SoftMatrix(CHUNK_KINDS[kind](np.random.default_rng(seed), n, m)) for kind, n, m, seed in specs]
+    with mock.patch.object(parser, "GROUP_SPLITS", bound):
+        for beam_k in (1, 3, 10):
+            assert_each_equals_reference(matrices, beam_k)
+
+
+def test_parse_matrices_splits_at_the_real_bound():
+    rng = np.random.default_rng(97)
+    kinds = ["random", "planted", "quarters", "uniform"]
+    matrices = [SoftMatrix(MATRIX_KINDS[kinds[k % 4]](rng, 12, 12)) for k in range(40)]
+    # The smallest square matrix that needs more than GROUP_SPLITS candidates at beam 10.
+    side = next(n for n in range(2, 1000) if 10 * (n - 1) ** 2 > GROUP_SPLITS)
+    matrices.insert(17, SoftMatrix(MATRIX_KINDS["planted"](rng, side, side)))
+    groups = lockstep_groups([(mat.n, mat.m) for mat in matrices], 10)
+    assert [17] in groups and len(groups) >= 3
+    assert_each_equals_reference(matrices, 10)
+
+
+def test_tied_matrices_parsed_together():
+    # The tie cases above, each in one group with the others and with
+    # matrices that have no ties.
+    rng = np.random.default_rng(101)
+    matrices = [SoftMatrix(np.array([[0.9 if c == "x" else 0.1 for c in row] for row in rows]))
+                for rows, _ in TIED_CASES]
+    matrices = [random_matrix(rng, 3, 4), *matrices[:2], random_matrix(rng, 5, 2), *matrices[2:]]
+    for beam_k in (1, 2, 3):
+        assert_each_equals_reference(matrices, beam_k)
+
+
+def test_lockstep_groups_are_consecutive_runs_within_the_bound():
+    shapes = [(3, 4), (1, 9), (8, 1), (30, 30), (5, 5), (2, 2), (60, 60), (4, 4)]
+    for beam_k in (1, 10, 200):
+        groups = lockstep_groups(shapes, beam_k)
+        assert [k for group in groups for k in group] == list(range(len(shapes)))
+        for group in groups:
+            load = sum(beam_k * (shapes[k][0] - 1) * (shapes[k][1] - 1) for k in group)
+            assert load <= GROUP_SPLITS or len(group) == 1
+        for left, right in zip(groups, groups[1:]):
+            # Each run stops only where the next shape would overflow it.
+            load = sum(beam_k * (shapes[k][0] - 1) * (shapes[k][1] - 1) for k in left + right[:1])
+            assert load > GROUP_SPLITS
+
+
+def test_parse_matrices_of_nothing():
+    assert list(parse_matrices([], 10)) == []
+    with pytest.raises(ValueError):
+        parse_matrices([], 0)
 
 
 # --- exact search ---

@@ -1,8 +1,14 @@
 import dataclasses
+import random
+import re
 
 import pytest
 
+import oracles
+from hieralign import workers
+from hieralign.alignio import format_alignment
 from hieralign.corpus import build_vocabulary, drop_empty, encode_pairs
+from hieralign.parser import project
 from hieralign.pipeline import (
     AlignerConfig,
     align_lines,
@@ -11,6 +17,7 @@ from hieralign.pipeline import (
     save_model,
     train_model,
 )
+from hieralign.softmatrix import build_soft_matrix
 
 
 def test_defaults_match_reported_settings():
@@ -100,3 +107,79 @@ def test_reversed_order_corpus_recovered_by_nested_inversions():
     model = train_model(pairs, vsrc, vtgt, AlignerConfig(sigma_theta=1.0, distortion=False))
     hyps = [parse_alignment_line(line) for line in align_lines(bitext, model)]
     assert aer(hyps, golds)["aer"] < 0.05
+
+
+def test_align_lines_equals_per_pair_reference():
+    # Placeholders (empty sides, over-length pairs) sit between the pairs,
+    # one-word sides among them, and the corpus spans several chunks.
+    rng = random.Random(61)
+    bitext = []
+    for _ in range(workers.CHUNK_SIZE + 40):
+        n, m = rng.choice([(rng.randint(1, 9), rng.randint(1, 9)), (1, rng.randint(1, 6)), (0, 3), (11, 4)])
+        bitext.append(([f"s{rng.randrange(25)}" for _ in range(n)], [f"t{rng.randrange(25)}" for _ in range(m)]))
+    raw = drop_empty(bitext)
+    vsrc, vtgt = build_vocabulary(raw)
+    model = train_model(encode_pairs(raw, vsrc, vtgt), vsrc, vtgt, AlignerConfig(max_sentence_len=10))
+    params = model.config.matrix_params()
+    want = []
+    for pair in align_tasks(bitext, model):
+        if pair is None:
+            want.append("")
+            continue
+        matrix = build_soft_matrix(pair, model.t_fwd, model.t_rev, params)
+        want.append(format_alignment(project(oracles.reference_top_down_parse(matrix, model.config.beam))))
+    assert "" in want
+    assert align_lines(bitext, model) == want
+
+
+def write_model(tmp_path):
+    _, model = trained_toy_model()
+    save_model(model, tmp_path)
+    return tmp_path
+
+
+def test_load_model_rejects_duplicate_vocabulary_line(tmp_path):
+    model_dir = write_model(tmp_path)
+    path = model_dir / "vocab.tgt"
+    path.write_text(path.read_text() + "house\n")
+    with pytest.raises(ValueError, match=rf"{re.escape(str(path))}:3: duplicate token 'house'"):
+        load_model(model_dir)
+
+
+def test_load_model_rejects_ttable_of_the_other_direction(tmp_path):
+    model_dir = write_model(tmp_path)
+    path = model_dir / "ttable.fwd"
+    path.write_text(path.read_text().replace("#ttable fwd", "#ttable rev", 1))
+    with pytest.raises(ValueError, match=rf"{re.escape(str(path))}:1: .*'rev'.*'fwd'"):
+        load_model(model_dir)
+
+
+@pytest.mark.parametrize("size", ["0", "3"])
+def test_load_model_rejects_ttable_vocabulary_size_out_of_range(tmp_path, size):
+    model_dir = write_model(tmp_path)
+    path = model_dir / "ttable.rev"
+    header, body = path.read_text().split("\n", 1)
+    assert header == "#ttable rev 2"
+    path.write_text(f"#ttable rev {size}\n{body}")
+    with pytest.raises(ValueError, match=rf"{re.escape(str(path))}:1: vocabulary size {size} outside 1..2"):
+        load_model(model_dir)
+
+
+def test_load_model_rejects_unparsable_setting(tmp_path):
+    model_dir = write_model(tmp_path)
+    path = model_dir / "config.txt"
+    path.write_text(path.read_text().replace("alpha=0.01", "alpha=abc"))
+    line = path.read_text().splitlines().index("alpha=abc") + 1
+    with pytest.raises(ValueError, match=rf"{re.escape(str(path))}:{line}: alpha"):
+        load_model(model_dir)
+
+
+def test_load_model_rejects_unknown_setting(tmp_path):
+    model_dir = write_model(tmp_path)
+    path = model_dir / "config.txt"
+    path.write_text(path.read_text() + "max_phrase_len=7\n")
+    assert load_model(model_dir).config == AlignerConfig(threads=1)
+    path.write_text(path.read_text() + "colour=blue\n")
+    line = len(path.read_text().splitlines())
+    with pytest.raises(ValueError, match=rf"{re.escape(str(path))}:{line}: unknown setting 'colour=blue'"):
+        load_model(model_dir)

@@ -6,7 +6,7 @@ import pytest
 import oracles
 from hieralign.corpus import SentencePair
 from hieralign.lexicon import FORWARD, REVERSE, TTable
-from hieralign.softmatrix import MatrixParams, SoftMatrix, build_soft_matrix, distortion
+from hieralign.softmatrix import MatrixParams, SoftMatrix, build_soft_matrices, build_soft_matrix, distortion
 
 
 def tables_for(prob_fwd, prob_rev, n, m):
@@ -137,3 +137,25 @@ def test_nonpositive_weights_rejected():
         SoftMatrix(np.array([[0.5, 0.0], [0.1, 0.2]]))
     with pytest.raises(ValueError):
         SoftMatrix(np.zeros((0, 3)))
+
+
+def test_batch_build_equals_per_pair_reference_exactly():
+    # One lexicon gather and one prefix pass for many pairs of mixed shapes
+    # must give every pair the same weights and prefix table, to the bit,
+    # as building it alone.
+    rng = np.random.default_rng(17)
+    vocab = 12
+    fwd = {(f, e): float(rng.uniform(1e-6, 1.0)) for f in range(1, vocab) for e in range(vocab) if rng.random() < 0.6}
+    rev = {(e, f): float(rng.uniform(1e-6, 1.0)) for f in range(vocab) for e in range(1, vocab) if rng.random() < 0.6}
+    t_fwd, t_rev = TTable(FORWARD, fwd, vocab - 1), TTable(REVERSE, rev, vocab - 1)
+    shapes = [(1, 1), (1, 7), (6, 1), (3, 9), (9, 3), (12, 12), (2, 5), (40, 3), (3, 40)]
+    pairs = [SentencePair(tuple(int(x) for x in rng.integers(-1, vocab, size=n)),
+                          tuple(int(x) for x in rng.integers(-1, vocab, size=m)), k)
+             for k, (n, m) in enumerate(shapes)]
+    for params in (MatrixParams(), MatrixParams(sigma_theta=1.0, distortion_enabled=False)):
+        for pair, matrix in zip(pairs, build_soft_matrices(pairs, t_fwd, t_rev, params)):
+            weights, prefix = oracles.reference_soft_matrix(pair, t_fwd, t_rev, params)
+            assert np.array_equal(matrix.weights, weights)
+            assert np.array_equal(matrix.prefix, prefix)
+            assert np.array_equal(SoftMatrix(weights).prefix, prefix)
+    assert build_soft_matrices([], t_fwd, t_rev) == []
