@@ -20,17 +20,17 @@ from .alignio import (
     parse_alignment_line,
     read_alignment_file,
 )
-from .corpus import (
-    CorpusError,
-    LoadStats,
-    build_vocabulary,
-    drop_empty,
-    encode_pairs,
-    read_bitext,
-    read_bitext_joined,
-)
+from .corpus import CorpusError, encode_corpus, read_bitext, read_bitext_joined
 from .evaluate import GoldFormatError
-from .pipeline import AlignerConfig, align_lines, load_model, save_model, stderr_log, train_model
+from .pipeline import (
+    TRAINING,
+    AlignerConfig,
+    align_lines,
+    load_model,
+    save_model,
+    stderr_log,
+    train_model,
+)
 
 
 def _add_input_options(p, joined=True):
@@ -41,45 +41,34 @@ def _add_input_options(p, joined=True):
         p.add_argument("--separator", default="|||", help="separator token for --bitext")
 
 
+# Settings that align takes from the model unless a flag overrides them:
+# all it offers but threads, resolved on each run, and lowercase, which
+# must agree with the model.
+ALIGN_SETTINGS = tuple(f.name for f in dataclasses.fields(AlignerConfig)
+                       if f.metadata["group"] != TRAINING and f.name not in ("threads", "lowercase"))
+
+
 def _add_config_options(p, from_model=False):
-    """Setting options, defaulting to AlignerConfig's defaults.
+    """One option per AlignerConfig field, in its group and with its default.
 
-    from_model (align) leaves out the training options and leaves the
-    matrix, beam and length options unset unless given, so that they
-    default to the model's config.txt.
+    from_model (align) leaves out the training options and leaves
+    ALIGN_SETTINGS unset unless given, so that they default to the model's
+    config.txt.
     """
-    base = AlignerConfig()
-
-    def default(name):
-        return argparse.SUPPRESS if from_model else getattr(base, name)
-
-    if not from_model:
-        g = p.add_argument_group("training")
-        g.add_argument("--em-iters", type=int, default=base.em_iters, help="EM iterations per direction")
-        g.add_argument("--no-vb", dest="vb", action="store_false", help="plain EM instead of variational Bayes")
-        g.add_argument("--alpha", type=float, default=base.alpha, help="Dirichlet concentration for VB")
-        g.add_argument("--no-null", dest="use_null", action="store_false", help="drop the NULL conditioning word")
-        g.add_argument("--vbh", action="store_true", help="re-estimate tables from symmetrized Viterbi links")
-        g.add_argument("--fallback-prob", type=float, default=base.fallback, help="probability for unseen word pairs")
-    g = p.add_argument_group("matrix and parsing")
-    g.add_argument("--sigma-theta", type=float, default=default("sigma_theta"), help="lexical score temperature")
-    g.add_argument("--sigma-delta", type=float, default=default("sigma_delta"), help="distortion temperature")
-    g.add_argument("--no-distortion", dest="distortion", action="store_false", default=default("distortion"),
-                   help="disable the distortion factor")
-    g.add_argument("--distortion-threshold", type=float, default=default("r"), dest="r",
-                   help="relative-position threshold for the distortion bonus")
-    g.add_argument("--p0", type=float, default=default("p0"), help="flat distortion penalty and floor base")
-    g.add_argument("--beam", type=int, default=default("beam"), help="beam width of the parser")
-    g = p.add_argument_group("misc")
-    g.add_argument("--threads", default="auto", help="alignment worker processes ('auto' = all cores)")
-    g.add_argument("--max-sentence-len", type=int, default=default("max_sentence_len"),
-                   help="skip pairs with a longer side")
-    g.add_argument("--lowercase", action="store_true",
-                   help="lowercase input text (align follows the model's setting)")
-
-
-# Settings that align takes from the model unless a flag overrides them.
-ALIGN_SETTINGS = ("sigma_theta", "sigma_delta", "distortion", "r", "p0", "beam", "max_sentence_len")
+    groups = {}
+    for f in dataclasses.fields(AlignerConfig):
+        meta = f.metadata
+        if from_model and meta["group"] == TRAINING:
+            continue
+        if meta["group"] not in groups:
+            groups[meta["group"]] = p.add_argument_group(meta["group"])
+        if f.type == "bool":
+            options = {"action": "store_false" if f.default else "store_true"}
+        else:
+            options = {"type": {"int": int, "float": float}[f.type]}
+        options["default"] = argparse.SUPPRESS if from_model and f.name in ALIGN_SETTINGS else f.default
+        groups[meta["group"]].add_argument(meta["flag"], dest=f.name, help=meta["help"],
+                                           **{**options, **meta["argparse"]})
 
 
 def resolve_threads(value):
@@ -92,23 +81,8 @@ def resolve_threads(value):
 
 
 def config_from_args(args):
-    return AlignerConfig(
-        em_iters=args.em_iters,
-        vb=args.vb,
-        alpha=args.alpha,
-        use_null=args.use_null,
-        vbh=args.vbh,
-        fallback=args.fallback_prob,
-        sigma_theta=args.sigma_theta,
-        sigma_delta=args.sigma_delta,
-        distortion=args.distortion,
-        r=args.r,
-        p0=args.p0,
-        beam=args.beam,
-        threads=resolve_threads(args.threads),
-        max_sentence_len=args.max_sentence_len,
-        lowercase=args.lowercase,
-    )
+    settings = {f.name: getattr(args, f.name) for f in dataclasses.fields(AlignerConfig)}
+    return AlignerConfig(**{**settings, "threads": resolve_threads(args.threads)})
 
 
 def read_input(args, lowercase):
@@ -129,11 +103,8 @@ def _report_skips(stats):
         stderr_log(f"skipped {stats.skipped_long} pair(s) over the length limit")
 
 
-def _train(args, config):
-    stats = LoadStats()
-    raw = drop_empty(read_input(args, config.lowercase), stats)
-    vsrc, vtgt = build_vocabulary(raw)
-    pairs = encode_pairs(raw, vsrc, vtgt, max_len=config.max_sentence_len, stats=stats)
+def _train(bitext, config):
+    pairs, vsrc, vtgt, stats = encode_corpus(bitext, config.max_sentence_len)
     _report_skips(stats)
     if not pairs:
         raise CorpusError("no usable sentence pairs after filtering")
@@ -142,7 +113,7 @@ def _train(args, config):
 
 def cmd_train(args):
     config = config_from_args(args)
-    model = _train(args, config)
+    model = _train(read_input(args, config.lowercase), config)
     save_model(model, args.out_dir)
     stderr_log(f"model written to {args.out_dir}")
     return 0
@@ -175,8 +146,8 @@ def cmd_align(args):
 
 def cmd_pipeline(args):
     config = config_from_args(args)
-    model = _train(args, config)
     bitext = read_input(args, config.lowercase)
+    model = _train(bitext, config)
     started = time.perf_counter()
     lines = align_lines(bitext, model)
     with open(args.out, "w", encoding="utf-8") as fh:
@@ -228,9 +199,7 @@ def cmd_extract(args):
     alignments = read_alignment_file(args.align)
     if len(bitext) != len(alignments):
         raise CorpusError(f"corpus has {len(bitext)} lines, alignment has {len(alignments)} lines")
-    table = set()
-    for (src, tgt), links in zip(bitext, alignments):
-        table |= phrase.phrase_strings(src, tgt, links, args.max_len, not args.no_unaligned_extension)
+    table = phrase.phrase_table(bitext, alignments, args.max_len, not args.no_unaligned_extension)
     if args.dump:
         with open(args.dump, "w", encoding="utf-8") as fh:
             for src_phrase, tgt_phrase in sorted(table):
@@ -241,19 +210,17 @@ def cmd_extract(args):
 
 def cmd_sweep(args):
     config = config_from_args(args)
-    model = _train(args, config)
-    bitext = read_input(args, config.lowercase)
+    # Every grid point and the gold file are checked before training.
+    grid = [dataclasses.replace(config, sigma_theta=float(theta), sigma_delta=float(delta))
+            for theta in args.theta_grid.split(",") for delta in args.delta_grid.split(",")]
     golds = evaluate.load_gold(args.gold)
-    theta_grid = [float(x) for x in args.theta_grid.split(",")]
-    delta_grid = [float(x) for x in args.delta_grid.split(",")]
-    for sigma_theta in theta_grid:
-        for sigma_delta in delta_grid:
-            model.config.sigma_theta = sigma_theta
-            model.config.sigma_delta = sigma_delta
-            lines = align_lines(bitext, model)
-            hyps = [parse_alignment_line(line) for line in lines]
-            metrics = evaluate.aer(hyps, golds)
-            sys.stdout.write(f"{sigma_theta:g}\t{sigma_delta:g}\t{_fmt_metric(metrics['recall'])}\n")
+    bitext = read_input(args, config.lowercase)
+    model = _train(bitext, config)
+    for point in grid:
+        lines = align_lines(bitext, dataclasses.replace(model, config=point))
+        hyps = [parse_alignment_line(line) for line in lines]
+        metrics = evaluate.aer(hyps, golds)
+        sys.stdout.write(f"{point.sigma_theta:g}\t{point.sigma_delta:g}\t{_fmt_metric(metrics['recall'])}\n")
     return 0
 
 

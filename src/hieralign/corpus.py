@@ -213,24 +213,25 @@ def encode_pairs(raw_pairs, vocab_src, vocab_tgt, max_len=None, stats=None):
     return pairs
 
 
-def load_parallel_corpus(source_path, target_path, lowercase=False, max_len=None):
-    """Read, filter and encode a two-file corpus.
+def encode_corpus(bitext, max_len=None):
+    """Drop empty-side pairs of a raw bitext, build both vocabularies, encode.
 
     Returns (pairs, source vocabulary, target vocabulary, stats). Ids are
-    assigned in first-occurrence order, so loading the same files twice
+    assigned in first-occurrence order, so encoding the same bitext twice
     yields identical results.
     """
     stats = LoadStats()
-    raw = drop_empty(read_bitext(source_path, target_path, lowercase), stats)
+    raw = drop_empty(bitext, stats)
     vsrc, vtgt = build_vocabulary(raw)
     pairs = encode_pairs(raw, vsrc, vtgt, max_len=max_len, stats=stats)
     return pairs, vsrc, vtgt, stats
+
+
+def load_parallel_corpus(source_path, target_path, lowercase=False, max_len=None):
+    """encode_corpus of a two-file corpus."""
+    return encode_corpus(read_bitext(source_path, target_path, lowercase), max_len)
 
 
 def load_joined_corpus(path, separator=DEFAULT_SEPARATOR, lowercase=False, max_len=None):
-    """Same contract as load_parallel_corpus for a single joined file."""
-    stats = LoadStats()
-    raw = drop_empty(read_bitext_joined(path, separator, lowercase), stats)
-    vsrc, vtgt = build_vocabulary(raw)
-    pairs = encode_pairs(raw, vsrc, vtgt, max_len=max_len, stats=stats)
-    return pairs, vsrc, vtgt, stats
+    """encode_corpus of a single joined file."""
+    return encode_corpus(read_bitext_joined(path, separator, lowercase), max_len)

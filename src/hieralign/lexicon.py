@@ -52,17 +52,13 @@ _LOW = (1 << _SHIFT) - 1
 
 @dataclass(frozen=True)
 class EmConfig:
-    iterations: int = 5
-    vb: bool = True
-    alpha: float = 0.01
-    use_null: bool = True
-    fallback: float = DEFAULT_FALLBACK
+    """EM settings, a view of pipeline.AlignerConfig that declares and checks them."""
 
-    def __post_init__(self):
-        if self.iterations < 1:
-            raise ValueError("iterations must be >= 1")
-        if self.alpha <= 0:
-            raise ValueError("alpha must be > 0")
+    iterations: int
+    vb: bool
+    alpha: float
+    use_null: bool
+    fallback: float
 
 
 def pack(conditioned, conditioning):

@@ -84,11 +84,16 @@ def phrase_strings(src_tokens, tgt_tokens, links, max_len=7, unaligned_extension
     return out
 
 
-def phrase_table_size(bitext, alignments, max_len=7, unaligned_extension=True):
-    """Number of distinct phrase pairs across the aligned corpus."""
+def phrase_table(bitext, alignments, max_len=7, unaligned_extension=True):
+    """Distinct (source text, target text) phrase pairs across an aligned corpus."""
     if len(bitext) != len(alignments):
         raise ValueError("corpus and alignments differ in length")
     table = set()
     for (src, tgt), links in zip(bitext, alignments):
         table |= phrase_strings(src, tgt, links, max_len, unaligned_extension)
-    return len(table)
+    return table
+
+
+def phrase_table_size(bitext, alignments, max_len=7, unaligned_extension=True):
+    """Number of distinct phrase pairs across the aligned corpus."""
+    return len(phrase_table(bitext, alignments, max_len, unaligned_extension))

@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import os
 import sys
-from dataclasses import dataclass, fields
+from dataclasses import dataclass, field, fields
 
 from . import lexicon, softmatrix, workers
 from .alignio import format_alignment
@@ -20,33 +20,55 @@ from .parser import lockstep_groups, parse_matrices, project
 from .softmatrix import MatrixParams, build_soft_matrices
 
 
+# Option groups of the command line; align offers every group but TRAINING.
+TRAINING = "training"
+MATRIX = "matrix and parsing"
+MISC = "misc"
+
+
+def _setting(default, flag, group, help, /, **argparse_options):
+    """A setting: its default and its command-line option.
+
+    A bool option switches the setting away from its default; argparse_options
+    go to add_argument as they are.
+    """
+    return field(default=default, metadata={"flag": flag, "group": group, "help": help, "argparse": argparse_options})
+
+
 @dataclass
 class AlignerConfig:
-    """Every knob of the toolkit in one place, with its standard defaults."""
+    """Every setting of the toolkit, declared once with its default and its option.
 
-    em_iters: int = 5
-    vb: bool = True
-    alpha: float = 0.01
-    use_null: bool = True
-    vbh: bool = False
-    fallback: float = lexicon.DEFAULT_FALLBACK
-    sigma_theta: float = 3.0
-    sigma_delta: float = 5.0
-    distortion: bool = True
-    r: float = 0.5
-    p0: float = 1e-4
-    beam: int = 10
-    threads: int = 1
-    max_sentence_len: int = 200
-    lowercase: bool = False
+    Field types are the strings "int", "float" and "bool" (postponed annotations).
+    """
+
+    em_iters: int = _setting(5, "--em-iters", TRAINING, "EM iterations per direction")
+    vb: bool = _setting(True, "--no-vb", TRAINING, "plain EM instead of variational Bayes")
+    alpha: float = _setting(0.01, "--alpha", TRAINING, "Dirichlet concentration for VB")
+    use_null: bool = _setting(True, "--no-null", TRAINING, "drop the NULL conditioning word")
+    vbh: bool = _setting(False, "--vbh", TRAINING, "re-estimate tables from symmetrized Viterbi links")
+    fallback: float = _setting(lexicon.DEFAULT_FALLBACK, "--fallback-prob", TRAINING,
+                               "probability for unseen word pairs", metavar="FALLBACK_PROB")
+    sigma_theta: float = _setting(3.0, "--sigma-theta", MATRIX, "lexical score temperature")
+    sigma_delta: float = _setting(5.0, "--sigma-delta", MATRIX, "distortion temperature")
+    distortion: bool = _setting(True, "--no-distortion", MATRIX, "disable the distortion factor")
+    r: float = _setting(0.5, "--distortion-threshold", MATRIX, "relative-position threshold for the distortion bonus")
+    p0: float = _setting(1e-4, "--p0", MATRIX, "flat distortion penalty and floor base")
+    beam: int = _setting(10, "--beam", MATRIX, "beam width of the parser")
+    # The command line takes a count or 'auto', resolved when it is read.
+    threads: int = _setting(1, "--threads", MISC, "alignment worker processes ('auto' = all cores)",
+                            type=str, default="auto")
+    max_sentence_len: int = _setting(200, "--max-sentence-len", MISC, "skip pairs with a longer side")
+    lowercase: bool = _setting(False, "--lowercase", MISC, "lowercase input text (align follows the model's setting)")
 
     def __post_init__(self):
         if self.beam < 1:
             raise ValueError("beam must be >= 1")
-        for name in ("em_iters", "alpha", "fallback", "sigma_theta", "sigma_delta",
-                     "r", "p0", "threads", "max_sentence_len"):
-            if getattr(self, name) <= 0:
-                raise ValueError(f"{name} must be positive")
+        for f in fields(self):
+            if f.type != "bool" and not getattr(self, f.name) > 0:  # "not > 0" rejects NaN too
+                raise ValueError(f"{f.name} must be positive")
+        if not 0 < self.r <= 1:
+            raise ValueError("distortion threshold r must be in (0, 1]")
 
     def em_config(self):
         return lexicon.EmConfig(
@@ -75,7 +97,7 @@ class AlignerConfig:
 
         The retired key max_phrase_len is ignored.
         """
-        kinds = {f.name: f.type if isinstance(f.type, str) else f.type.__name__ for f in fields(cls)}
+        kinds = {f.name: f.type for f in fields(cls)}
         kwargs = {}
         for lineno, line in enumerate(text.splitlines(), start=1):
             if not line:
@@ -207,16 +229,14 @@ def _align_worker(chunk):
     return _align_chunk(chunk, *workers.payload())
 
 
-def align_lines(bitext, model, params=None, dump_fh=None):
+def align_lines(bitext, model, dump_fh=None):
     """Pharaoh lines for a raw bitext, in input order.
 
     dump_fh, when given, receives the per-pair weight matrices as TSV
     blocks; dumping forces single-process operation.
     """
-    if params is None:
-        params = model.config.matrix_params()
     chunks = workers.chunked(align_tasks(bitext, model))
-    payload = (model.t_fwd, model.t_rev, params, model.config.beam)
+    payload = (model.t_fwd, model.t_rev, model.config.matrix_params(), model.config.beam)
     if dump_fh is not None:
         results = [_align_chunk(chunk, *payload, dump_fh) for chunk in chunks]
     else:

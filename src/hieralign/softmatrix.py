@@ -21,17 +21,13 @@ UPPER_MARGIN = 1e-12
 
 @dataclass(frozen=True)
 class MatrixParams:
-    sigma_theta: float = 3.0
-    sigma_delta: float = 5.0
-    distortion_enabled: bool = True
-    r: float = 0.5
-    p0: float = 1e-4
+    """Matrix settings, a view of pipeline.AlignerConfig that declares and checks them."""
 
-    def __post_init__(self):
-        if self.sigma_theta <= 0 or self.sigma_delta <= 0 or self.p0 <= 0:
-            raise ValueError("sigma_theta, sigma_delta and p0 must be positive")
-        if not 0 < self.r <= 1:
-            raise ValueError("distortion threshold r must be in (0, 1]")
+    sigma_theta: float
+    sigma_delta: float
+    distortion_enabled: bool
+    r: float
+    p0: float
 
 
 class SoftMatrix:
@@ -92,7 +88,7 @@ def distortion(j, i, n, m):
     return h, math.log1p(-h)
 
 
-def build_soft_matrices(pairs, t_fwd, t_rev, params=MatrixParams()):
+def build_soft_matrices(pairs, t_fwd, t_rev, params):
     """Weight matrices of sentence pairs, all from one lexicon gather.
 
     raw(j, i) = exp(theta(f_j, e_i) / sigma_theta) times the distortion
@@ -120,7 +116,7 @@ def build_soft_matrices(pairs, t_fwd, t_rev, params=MatrixParams()):
             for a, b, end in zip(n.tolist(), m.tolist(), ends)]
 
 
-def build_soft_matrix(pair, t_fwd, t_rev, params=MatrixParams()):
+def build_soft_matrix(pair, t_fwd, t_rev, params):
     """Weight matrix for one sentence pair: build_soft_matrices of [pair]."""
     return build_soft_matrices([pair], t_fwd, t_rev, params)[0]
 

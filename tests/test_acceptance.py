@@ -16,7 +16,6 @@ from hieralign.corpus import build_vocabulary, drop_empty, encode_pairs
 from hieralign.evaluate import GoldAlignment, aer, load_gold
 from hieralign.lexicon import (
     FORWARD,
-    EmConfig,
     corpus_log_likelihood,
     digamma,
     em_step,
@@ -25,6 +24,7 @@ from hieralign.lexicon import (
 )
 from hieralign.parser import Block, INVERTED, SplitStep, STRAIGHT, f_avg, ncut, project, top_down_parse
 from hieralign.phrase import extract_spans
+from hieralign.pipeline import AlignerConfig
 from hieralign.softmatrix import SoftMatrix
 from hieralign.symmetrize import grow_diag_final_and, intersect, union_links
 
@@ -106,7 +106,7 @@ def test_criterion_04_em_correctness():
     vsrc, vtgt = build_vocabulary(raw)
     pairs = encode_pairs(raw, vsrc, vtgt)
 
-    config = EmConfig(iterations=1, vb=False, use_null=True)
+    config = AlignerConfig(em_iters=1, vb=False, use_null=True).em_config()
     table = uniform_init(pairs, FORWARD, config)
     previous = corpus_log_likelihood(pairs, table, config)
     for _ in range(5):
@@ -115,7 +115,7 @@ def test_criterion_04_em_correctness():
         assert current >= previous - 1e-9
         previous = current
 
-    vb_table = train_ibm1(pairs, FORWARD, EmConfig(iterations=5, vb=True))
+    vb_table = train_ibm1(pairs, FORWARD, AlignerConfig(em_iters=5, vb=True).em_config())
     sums = {}
     for (f, e), p in vb_table.probs.items():
         sums[e] = sums.get(e, 0.0) + p

@@ -3,7 +3,8 @@ import random
 
 import pytest
 
-from hieralign.cli import main, resolve_threads
+from hieralign.cli import build_arg_parser, config_from_args, main, resolve_threads
+from hieralign.pipeline import AlignerConfig
 
 
 def write(path, text):
@@ -246,6 +247,53 @@ def test_sweep_cli(toy, tmp_path, capsys):
     for line in lines:
         theta, delta, recall = line.split("\t")
         assert float(recall) >= 0.0
+
+
+@pytest.mark.parametrize("gold_text, option, message", [
+    ("0-0 1-1\n0-0\n0-0 1-1 2-2\n", ["--theta-grid", "0"], "sigma_theta must be positive"),
+    ("0-0 1-1\n0-0\n0-0 1_1 2-2\n", [], "1_1"),
+])
+def test_sweep_checks_its_settings_and_gold_before_training(toy, tmp_path, capsys, gold_text, option, message):
+    gold = write(tmp_path / "g", gold_text)
+    rc = main(["sweep", "-s", toy["src"], "-t", toy["tgt"], "--gold", gold, *option])
+    assert rc == 1
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert message in err
+    assert " iteration " not in err
+
+
+@pytest.mark.parametrize("command", [["train", "-o", "m"], ["pipeline", "-o", "out"], ["sweep", "--gold", "g"]])
+def test_no_setting_flags_give_the_default_config(command, monkeypatch):
+    monkeypatch.delenv("HIERALIGN_THREADS", raising=False)
+    args = build_arg_parser().parse_args([*command, "-s", "s", "-t", "t"])
+    assert config_from_args(args) == AlignerConfig(threads=resolve_threads("auto"))
+
+
+def test_align_offers_only_the_run_settings():
+    top = build_arg_parser()
+    align = next(action for action in top._actions if action.dest == "command").choices["align"]
+    offered = {flag for action in align._actions for flag in action.option_strings}
+    inputs = {"-h", "--help", "-s", "--source", "-t", "--target", "--bitext", "--separator", "-m", "--model",
+              "--stats", "--dump-matrix"}
+    settings = {"--sigma-theta", "--sigma-delta", "--no-distortion", "--distortion-threshold", "--p0", "--beam",
+                "--max-sentence-len", "--threads", "--lowercase"}
+    assert offered == inputs | settings
+
+
+def test_distortion_threshold_over_one_rejected_before_training(toy, capsys):
+    model = toy["dir"] / "model"
+    rc = main(["train", "-s", toy["src"], "-t", toy["tgt"], "-o", str(model), "--distortion-threshold", "2"])
+    assert rc == 1
+    err = capsys.readouterr().err
+    assert "error: distortion threshold r must be in (0, 1]" in err
+    assert " iteration " not in err
+    assert not model.exists()
+    out = toy["dir"] / "out"
+    rc = main(["pipeline", "-s", toy["src"], "-t", toy["tgt"], "-o", str(out), "--distortion-threshold", "1.5"])
+    assert rc == 1
+    assert "error: distortion threshold r must be in (0, 1]" in capsys.readouterr().err
+    assert not out.exists()
 
 
 def test_bitext_and_split_files_conflict(toy, tmp_path, capsys):

@@ -22,7 +22,6 @@ from hieralign.corpus import (
 from hieralign.lexicon import (
     FORWARD,
     REVERSE,
-    EmConfig,
     TTable,
     corpus_log_likelihood,
     digamma,
@@ -37,6 +36,7 @@ from hieralign.lexicon import (
     vbh_reestimate,
     viterbi_alignment,
 )
+from hieralign.pipeline import AlignerConfig, load_model, save_model, train_model
 
 EULER_GAMMA = 0.5772156649015329
 
@@ -91,7 +91,7 @@ TOY = [
 
 def test_plain_em_matches_brute_force():
     pairs, vsrc, vtgt = corpus_from_tokens(TOY)
-    config = EmConfig(iterations=5, vb=False, use_null=False)
+    config = AlignerConfig(em_iters=5, vb=False, use_null=False).em_config()
     table = train_ibm1(pairs, REVERSE, config)
     got = table_as_tokens(table, vtgt, vsrc)
     oriented = [(tgt, src) for src, tgt in TOY]
@@ -104,7 +104,7 @@ def test_plain_em_matches_brute_force():
 
 def test_vb_em_matches_brute_force():
     pairs, vsrc, vtgt = corpus_from_tokens(TOY + [(["haus", "ist"], ["house", "is"])])
-    config = EmConfig(iterations=5, vb=True, alpha=0.01, use_null=True)
+    config = AlignerConfig(em_iters=5, vb=True, alpha=0.01, use_null=True).em_config()
     table = train_ibm1(pairs, FORWARD, config)
     got = table_as_tokens(table, vsrc, vtgt)
     want = oracles.brute_force_ibm1(
@@ -123,13 +123,13 @@ def test_vb_em_matches_brute_force():
 
 def test_single_pair_single_iteration():
     pairs, _, _ = corpus_from_tokens([(["a"], ["x"])])
-    table = train_ibm1(pairs, FORWARD, EmConfig(iterations=1, vb=False, use_null=False))
+    table = train_ibm1(pairs, FORWARD, AlignerConfig(em_iters=1, vb=False, use_null=False).em_config())
     assert table.probs == {(1, 1): 1.0}
 
 
 def test_training_is_deterministic():
     pairs, _, _ = corpus_from_tokens(TOY)
-    config = EmConfig()
+    config = AlignerConfig().em_config()
     first = train_ibm1(pairs, FORWARD, config)
     second = train_ibm1(pairs, FORWARD, config)
     assert first.probs == second.probs
@@ -141,7 +141,7 @@ def test_worker_count_does_not_change_tables():
         for k in range(300)
     ]
     pairs, _, _ = corpus_from_tokens(token_pairs)
-    config = EmConfig(iterations=2)
+    config = AlignerConfig(em_iters=2).em_config()
     serial = train_ibm1(pairs, FORWARD, config, threads=1)
     parallel = train_ibm1(pairs, FORWARD, config, threads=3)
     assert serial.probs == parallel.probs
@@ -153,7 +153,7 @@ def test_expected_counts_ignore_worker_count():
         for k in range(300)
     ]
     pairs, _, _ = corpus_from_tokens(token_pairs)
-    config = EmConfig()
+    config = AlignerConfig().em_config()
     table = uniform_init(pairs, FORWARD, config)
     serial = expected_counts(pairs, table, config, 1)
     parallel = expected_counts(pairs, table, config, 2)
@@ -165,7 +165,7 @@ def test_expected_counts_ignore_worker_count():
 @pytest.mark.parametrize("vb", [True, False])
 def test_array_em_matches_dict_reference(smoke_corpus, direction, vb):
     pairs, _, _, _ = load_parallel_corpus(smoke_corpus["src"], smoke_corpus["tgt"])
-    config = EmConfig(vb=vb)
+    config = AlignerConfig(vb=vb).em_config()
     table = uniform_init(pairs, direction, config)
     sides = [oriented(pair, direction) for pair in pairs]
     ref = dict(table.probs.items())
@@ -185,7 +185,7 @@ def test_array_em_matches_dict_reference(smoke_corpus, direction, vb):
 
 def test_empty_corpus_rejected():
     with pytest.raises(ValueError):
-        train_ibm1([], FORWARD, EmConfig())
+        train_ibm1([], FORWARD, AlignerConfig().em_config())
 
 
 # --- M-step formulas ---
@@ -199,7 +199,7 @@ def test_plain_mstep_normalizes_counts():
 def test_vb_mstep_formula():
     # Corpus {(x, e), (y, u)} with NULL off: one count per pair, V = 2.
     pairs, vsrc, vtgt = corpus_from_tokens([(["x"], ["e"]), (["y"], ["u"])])
-    config = EmConfig(iterations=1, vb=True, alpha=0.01, use_null=False)
+    config = AlignerConfig(em_iters=1, vb=True, alpha=0.01, use_null=False).em_config()
     table = train_ibm1(pairs, FORWARD, config)
     got = table_as_tokens(table, vsrc, vtgt)
     want = math.exp(digamma(1.01)) / math.exp(digamma(1.02))
@@ -216,7 +216,7 @@ def test_vb_subnormalization():
     pairs, _, _ = corpus_from_tokens(
         [(["a", "b"], ["x"]), (["b", "c"], ["x", "y"]), (["a"], ["y"])]
     )
-    table = train_ibm1(pairs, FORWARD, EmConfig(iterations=3, vb=True))
+    table = train_ibm1(pairs, FORWARD, AlignerConfig(em_iters=3, vb=True).em_config())
     sums = {}
     for (f, e), p in table.probs.items():
         assert 0.0 < p <= 1.0
@@ -227,7 +227,7 @@ def test_vb_subnormalization():
 
 def test_plain_em_rows_sum_to_one():
     pairs, _, _ = corpus_from_tokens(TOY + [(["haus", "ist"], ["house", "is"])])
-    table = train_ibm1(pairs, FORWARD, EmConfig(iterations=4, vb=False))
+    table = train_ibm1(pairs, FORWARD, AlignerConfig(em_iters=4, vb=False).em_config())
     sums = {}
     for (f, e), p in table.probs.items():
         assert 0.0 < p <= 1.0
@@ -238,9 +238,9 @@ def test_plain_em_rows_sum_to_one():
 
 def test_em_config_validation():
     with pytest.raises(ValueError):
-        EmConfig(iterations=0)
+        AlignerConfig(em_iters=0)
     with pytest.raises(ValueError):
-        EmConfig(alpha=0.0)
+        AlignerConfig(alpha=0.0)
 
 
 def test_plain_em_likelihood_monotone():
@@ -248,7 +248,7 @@ def test_plain_em_likelihood_monotone():
         [(["a", "b", "c"], ["x", "y"]), (["b", "c"], ["y", "z"]), (["a"], ["x", "z"])] * 4
     )
     for use_null in (True, False):
-        config = EmConfig(iterations=1, vb=False, use_null=use_null)
+        config = AlignerConfig(em_iters=1, vb=False, use_null=use_null).em_config()
         table = uniform_init(pairs, FORWARD, config)
         previous = corpus_log_likelihood(pairs, table, config)
         for _ in range(5):
@@ -262,7 +262,7 @@ def test_direction_symmetry():
     pairs, _, _ = corpus_from_tokens(TOY)
     swapped_tokens = [(tgt, src) for src, tgt in TOY]
     swapped, _, _ = corpus_from_tokens(swapped_tokens)
-    config = EmConfig()
+    config = AlignerConfig().em_config()
     fwd = train_ibm1(pairs, FORWARD, config)
     rev = train_ibm1(swapped, REVERSE, config)
     assert fwd.probs == rev.probs
@@ -346,7 +346,7 @@ def test_vbh_pair_with_empty_symmetrization_contributes_nothing():
 
 def test_vbh_idempotent_when_viterbi_stable():
     pairs, _, _ = corpus_from_tokens([(["a", "b"], ["x", "y"]), (["b"], ["y"]), (["a"], ["x"])])
-    config = EmConfig(iterations=3)
+    config = AlignerConfig(em_iters=3).em_config()
     t_fwd = train_ibm1(pairs, FORWARD, config)
     t_rev = train_ibm1(pairs, REVERSE, config)
     once_fwd, once_rev = vbh_reestimate(pairs, t_fwd, t_rev)
@@ -359,7 +359,7 @@ def test_vbh_idempotent_when_viterbi_stable():
 
 def test_ttable_roundtrip(tmp_path):
     pairs, vsrc, vtgt = corpus_from_tokens(TOY)
-    table = train_ibm1(pairs, FORWARD, EmConfig())
+    table = train_ibm1(pairs, FORWARD, AlignerConfig().em_config())
     path = tmp_path / "ttable.fwd"
     table.save(path, vsrc, vtgt)
     reloaded = TTable.load(path, vsrc, vtgt)
@@ -369,8 +369,6 @@ def test_ttable_roundtrip(tmp_path):
 
 
 def test_null_token_in_corpus_survives_model_roundtrip(tmp_path):
-    from hieralign.pipeline import AlignerConfig, load_model, save_model, train_model
-
     pairs, vsrc, vtgt = corpus_from_tokens(
         [(["a", NULL_TOKEN, "b"], ["x", "y"]), (["a", "b"], ["x"]), ([NULL_TOKEN, "c"], ["z", "y"])]
     )

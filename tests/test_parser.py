@@ -1,3 +1,4 @@
+import math
 from unittest import mock
 
 import numpy as np
@@ -380,6 +381,21 @@ def test_parse_keeps_smallest_sequences_among_tied_scores(rows, beam_k):
     matrix = SoftMatrix(weights)
     got = top_down_parse(matrix, beam_k)
     want = oracles.reference_top_down_parse(matrix, beam_k)
+    assert (got.steps, got.leaves, got.score) == (want.steps, want.leaves, want.score)
+
+
+def test_later_terminal_tying_the_best_keeps_the_smaller_sequence():
+    # The straight split (1, 2) is terminal at the first level with score
+    # log(1/3). The inverted (1, 2) then (2, 1) reaches exactly that score
+    # at the second level, and the first, smaller step sequence must stay.
+    # The 0.9/0.1 weights of TIED_CASES cannot produce such a tie.
+    t = 2.0 ** -60
+    with np.errstate(all="raise"):
+        matrix = SoftMatrix(np.array([[t, t, t], [t, 1, 1], [t, t, t]]))
+        got = top_down_parse(matrix, 10)
+        want = oracles.reference_top_down_parse(matrix, 10)
+    assert [step for _, step in got.steps] == [SplitStep(1, 2, STRAIGHT)]
+    assert got.score == pytest.approx(math.log(1 / 3))
     assert (got.steps, got.leaves, got.score) == (want.steps, want.leaves, want.score)
 
 

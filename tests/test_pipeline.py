@@ -3,6 +3,8 @@ import random
 import re
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import oracles
 from hieralign import workers
@@ -40,11 +42,35 @@ def test_snapshot_roundtrip():
     assert dataclasses.asdict(restored) == dataclasses.asdict(config)
 
 
+# Any valid setting: positive numbers, r in (0, 1].
+SETTING_VALUES = {"bool": st.booleans(), "int": st.integers(min_value=1),
+                  "float": st.floats(min_value=0, exclude_min=True, allow_nan=False)}
+
+
+@settings(max_examples=200)
+@given(st.fixed_dictionaries({
+    f.name: st.floats(min_value=0, max_value=1, exclude_min=True) if f.name == "r" else SETTING_VALUES[f.type]
+    for f in dataclasses.fields(AlignerConfig)
+}))
+def test_any_config_survives_its_snapshot(values):
+    config = AlignerConfig(**values)
+    assert AlignerConfig.from_snapshot(config.snapshot()) == config
+
+
 def test_invalid_config_rejected():
     with pytest.raises(ValueError):
         AlignerConfig(beam=0)
     with pytest.raises(ValueError):
         AlignerConfig(alpha=-1.0)
+    with pytest.raises(ValueError, match="em_iters must be positive"):
+        AlignerConfig(em_iters=0)
+    for name in ("alpha", "sigma_theta", "r", "p0"):
+        with pytest.raises(ValueError, match=f"{name} must be positive"):
+            AlignerConfig(**{name: float("nan")})
+    for r in (2.0, 1.0 + 1e-9):
+        with pytest.raises(ValueError, match=re.escape("distortion threshold r must be in (0, 1]")):
+            AlignerConfig(r=r)
+    assert AlignerConfig(r=1.0).r == 1.0
 
 
 def trained_toy_model(tmp_path=None):
@@ -171,6 +197,14 @@ def test_load_model_rejects_unparsable_setting(tmp_path):
     path.write_text(path.read_text().replace("alpha=0.01", "alpha=abc"))
     line = path.read_text().splitlines().index("alpha=abc") + 1
     with pytest.raises(ValueError, match=rf"{re.escape(str(path))}:{line}: alpha"):
+        load_model(model_dir)
+
+
+def test_load_model_rejects_invalid_setting(tmp_path):
+    model_dir = write_model(tmp_path)
+    path = model_dir / "config.txt"
+    path.write_text(path.read_text().replace("\nr=0.5\n", "\nr=2.0\n"))
+    with pytest.raises(ValueError, match=rf"{re.escape(str(path))}: distortion threshold r must be in \(0, 1\]"):
         load_model(model_dir)
 
 

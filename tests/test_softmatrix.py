@@ -6,7 +6,8 @@ import pytest
 import oracles
 from hieralign.corpus import SentencePair
 from hieralign.lexicon import FORWARD, REVERSE, TTable
-from hieralign.softmatrix import MatrixParams, SoftMatrix, build_soft_matrices, build_soft_matrix, distortion
+from hieralign.pipeline import AlignerConfig
+from hieralign.softmatrix import SoftMatrix, build_soft_matrices, build_soft_matrix, distortion
 
 
 def tables_for(prob_fwd, prob_rev, n, m):
@@ -48,14 +49,14 @@ def test_distortion_bounds():
 
 def test_build_no_distortion_is_plain_score():
     t_fwd, t_rev = tables_for(0.25, 0.25, 1, 1)
-    params = MatrixParams(sigma_theta=1.0, distortion_enabled=False)
+    params = AlignerConfig(sigma_theta=1.0, distortion=False).matrix_params()
     matrix = build_soft_matrix(pair_of(1, 1), t_fwd, t_rev, params)
     assert matrix.weights[0, 0] == pytest.approx(0.25)
 
 
 def test_build_distortion_at_diagonal_is_neutral():
     t_fwd, t_rev = tables_for(0.25, 0.25, 1, 1)
-    params = MatrixParams(sigma_theta=1.0, sigma_delta=5.0)
+    params = AlignerConfig(sigma_theta=1.0, sigma_delta=5.0).matrix_params()
     matrix = build_soft_matrix(pair_of(1, 1), t_fwd, t_rev, params)
     assert matrix.weights[0, 0] == pytest.approx(0.25)
 
@@ -63,7 +64,7 @@ def test_build_distortion_at_diagonal_is_neutral():
 def test_build_flat_penalty_branch():
     # Perfect lexical pair but h = 0.5 >= r at cell (0, 1) of a 1x2 pair.
     t_fwd, t_rev = tables_for(1.0, 1.0, 1, 2)
-    matrix = build_soft_matrix(pair_of(1, 2), t_fwd, t_rev, MatrixParams(sigma_theta=3.0))
+    matrix = build_soft_matrix(pair_of(1, 2), t_fwd, t_rev, AlignerConfig(sigma_theta=3.0).matrix_params())
     assert matrix.weights[0, 1] == pytest.approx(1e-4)
 
 
@@ -73,7 +74,7 @@ def test_build_fallback_cell_value():
     # the p0^2 floor.
     t_fwd = TTable(FORWARD, {}, 1)
     t_rev = TTable(REVERSE, {}, 2)
-    matrix = build_soft_matrix(pair_of(1, 2), t_fwd, t_rev, MatrixParams(sigma_theta=3.0))
+    matrix = build_soft_matrix(pair_of(1, 2), t_fwd, t_rev, AlignerConfig(sigma_theta=3.0).matrix_params())
     want = (1e-10) ** (1.0 / 3.0) * 1e-4
     assert matrix.weights[0, 1] == pytest.approx(want, rel=1e-9)
     assert matrix.weights[0, 1] >= 1e-8
@@ -86,14 +87,14 @@ def test_weights_clamped_into_range():
         fwd = {(j + 1, i + 1): float(rng.uniform(1e-12, 1.0)) for j in range(n) for i in range(m)}
         rev = {(i + 1, j + 1): float(rng.uniform(1e-12, 1.0)) for j in range(n) for i in range(m)}
         matrix = build_soft_matrix(
-            pair_of(n, m), TTable(FORWARD, fwd, n), TTable(REVERSE, rev, m), MatrixParams()
+            pair_of(n, m), TTable(FORWARD, fwd, n), TTable(REVERSE, rev, m), AlignerConfig().matrix_params()
         )
         assert np.all(matrix.weights >= 1e-8)
         assert np.all(matrix.weights < 1.0)
 
 
 def test_weight_monotone_in_theta():
-    params = MatrixParams()
+    params = AlignerConfig().matrix_params()
     previous = 0.0
     for p in (1e-9, 1e-6, 1e-3, 0.1, 0.5, 0.9):
         t_fwd, t_rev = tables_for(p, p, 1, 1)
@@ -107,7 +108,7 @@ def test_neutral_configuration_is_clamped_geometric_mean():
     n, m = 4, 5
     fwd = {(j + 1, i + 1): float(rng.uniform(1e-12, 1.0)) for j in range(n) for i in range(m)}
     rev = {(i + 1, j + 1): float(rng.uniform(1e-12, 1.0)) for j in range(n) for i in range(m)}
-    params = MatrixParams(sigma_theta=1.0, distortion_enabled=False)
+    params = AlignerConfig(sigma_theta=1.0, distortion=False).matrix_params()
     matrix = build_soft_matrix(
         pair_of(n, m), TTable(FORWARD, fwd, n), TTable(REVERSE, rev, m), params
     )
@@ -152,10 +153,11 @@ def test_batch_build_equals_per_pair_reference_exactly():
     pairs = [SentencePair(tuple(int(x) for x in rng.integers(-1, vocab, size=n)),
                           tuple(int(x) for x in rng.integers(-1, vocab, size=m)), k)
              for k, (n, m) in enumerate(shapes)]
-    for params in (MatrixParams(), MatrixParams(sigma_theta=1.0, distortion_enabled=False)):
+    for config in (AlignerConfig(), AlignerConfig(sigma_theta=1.0, distortion=False)):
+        params = config.matrix_params()
         for pair, matrix in zip(pairs, build_soft_matrices(pairs, t_fwd, t_rev, params)):
             weights, prefix = oracles.reference_soft_matrix(pair, t_fwd, t_rev, params)
             assert np.array_equal(matrix.weights, weights)
             assert np.array_equal(matrix.prefix, prefix)
             assert np.array_equal(SoftMatrix(weights).prefix, prefix)
-    assert build_soft_matrices([], t_fwd, t_rev) == []
+    assert build_soft_matrices([], t_fwd, t_rev, params) == []
