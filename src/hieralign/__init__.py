@@ -24,7 +24,6 @@ from .lexicon import (
     EmConfig,
     TTable,
     digamma,
-    em_step,
     symmetric_lexical_score,
     train_ibm1,
     vbh_reestimate,
@@ -78,7 +77,6 @@ __all__ = [
     "cut",
     "digamma",
     "distortion",
-    "em_step",
     "extract_phrases",
     "f_avg",
     "grow_diag_final_and",

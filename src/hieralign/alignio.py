@@ -30,9 +30,3 @@ def read_alignment_file(path):
         for lineno, line in enumerate(fh, start=1):
             out.append(parse_alignment_line(line, lineno))
     return out
-
-
-def write_alignment_file(path, alignments):
-    with open(path, "w", encoding="utf-8") as fh:
-        for links in alignments:
-            fh.write(format_alignment(links) + "\n")

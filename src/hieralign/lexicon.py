@@ -387,11 +387,6 @@ def _em_round(links, table, config):
     return TTable(table.direction, probs, table.cond_vocab_size, table.fallback)
 
 
-def em_step(pairs, table, config):
-    """One E+M round; returns a new table, the input is left untouched."""
-    return _em_round(_Links(pairs, table.direction, config.use_null), table, config)
-
-
 def uniform_init(pairs, direction, config, cond_vocab_size=None):
     """Uniform table over co-occurring pairs (plus NULL when enabled)."""
     return _Links(pairs, direction, config.use_null).uniform(direction, config, cond_vocab_size)
@@ -426,7 +421,7 @@ def symmetric_lexical_score(t_fwd, t_rev, f, e):
     return 0.5 * (np.log(t_fwd.lookup(f, e)) + np.log(t_rev.lookup(e, f)))
 
 
-def viterbi_alignment(pair, table, use_null=True):
+def viterbi_alignment(pair, table, use_null):
     """Per-word argmax links under one directional table.
 
     Each conditioned word links to its best conditioning word; ties go to
@@ -451,7 +446,7 @@ def _link_counts(conditioned, conditioning):
     return PairMap(packed, counts.astype(np.float64))
 
 
-def vbh_reestimate(pairs, t_fwd, t_rev, use_null=True):
+def vbh_reestimate(pairs, t_fwd, t_rev, use_null):
     """Rebuild both tables from gdfa-symmetrized Viterbi links.
 
     Every symmetrized link contributes one count in each direction; counts

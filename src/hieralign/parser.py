@@ -22,9 +22,7 @@ the same as when it is searched alone.
 
 from __future__ import annotations
 
-from bisect import bisect_right
 from dataclasses import dataclass
-from functools import cache
 from itertools import accumulate
 
 import numpy as np
@@ -40,7 +38,7 @@ F_AVG_FLOOR = 1e-300
 # matrix over the bound is parsed alone. It bounds the memory of a group's pools and block
 # scoring; each matrix's result does not depend on its group, so it is a
 # constant rather than a tuning knob.
-GROUP_SPLITS = 32768
+GROUP_SPLITS = 131072
 
 
 @dataclass(frozen=True)
@@ -189,17 +187,6 @@ def _is_terminal(block):
     return block[1] - block[0] == 1 or block[3] - block[2] == 1
 
 
-def _split_top(stack, j, i, gamma):
-    """Split the top block of a stack of (j0, j1, i0, i1) tuples.
-
-    Returns (stack, leaves): non-terminal sub-blocks go back on the stack
-    (right first, then left), terminal ones become leaves (left first).
-    """
-    halves = _halves(stack[-1], j, i, gamma)
-    leaves = [b for b in halves if _is_terminal(b)]
-    return stack[:-1] + tuple([b for b in halves[::-1] if b not in leaves]), leaves
-
-
 # Columns of (j0, j1, i0, i1, j, i) that make a split's (right, left)
 # sub-blocks, per gamma: _halves applied to the column numbers.
 _HALF_COLUMNS = np.array([[c for half in _halves((0, 1, 2, 3), 4, 5, gamma)[::-1] for c in half]
@@ -212,22 +199,25 @@ class _Lockstep:
     The beam states of all the matrices (pairs) are rows of arrays, sorted
     by pair: pair, score v, and a fixed-depth stack of unparsed
     (j0, j1, i0, i1) blocks with its depth. trail keeps, per level, each
-    state's back-pointer (parent, j, i, gamma), from which its step
+    state's parent and last step (j, i, gamma), from which its step
     sequence is read. The splits of each distinct top block are scored
-    once per pair, all new blocks of a level in one gather; memo maps a
-    block to its first row in store, which holds one row per split and one
-    column per gamma. A level's pool holds each pair's candidates
-    contiguously, parent by parent with gamma innermost, and is cut pair by
-    pair. Exact score ties, the only places where step sequences decide,
-    are broken in Python for the tied pair alone.
+    once per pair, all new blocks of a level in one gather: memo holds the
+    sorted keys of the blocks scored so far, each from its two prefix
+    corners, and the first row of each in store, which holds one row per
+    split and one column per gamma. A level's pool holds each pair's
+    candidates contiguously, parent by parent, then split (j, i), then
+    gamma. States keep their pool order, so within a pair pool position is
+    step-sequence order, and ties go to the lowest position. Step
+    sequences are compared only when a terminal ties the best one of an
+    earlier level.
     """
 
     def __init__(self, matrices, beam_k):
         self.beam_k = beam_k
         self.pairs = len(matrices)
         self.prefix = np.concatenate([mat.prefix.ravel() for mat in matrices])
-        self.base = [0, *accumulate((mat.n + 1) * (mat.m + 1) for mat in matrices)]
-        self.stride = [mat.m + 1 for mat in matrices]
+        self.base = np.array([0, *accumulate((mat.n + 1) * (mat.m + 1) for mat in matrices)])
+        self.stride = np.array([mat.m + 1 for mat in matrices])
         self.edges = np.arange(self.pairs + 1)
         self.pair = self.edges[:-1]
         self.v = np.zeros(self.pairs)
@@ -238,9 +228,12 @@ class _Lockstep:
         self.stack[:, 0] = [(0, mat.n, 0, mat.m) for mat in matrices]
         self.depth = np.ones(self.pairs, dtype=np.int64)
         self.trail = []
-        self.best_v = [-np.inf] * self.pairs
-        self.best = [None] * self.pairs  # (level, parent state, step) of each pair's best terminal
-        self.memo = {}
+        self.best_v = np.full(self.pairs, -np.inf)
+        # (level, parent state, j, i, gamma) of each pair's best terminal; level -1 before one is found
+        self.best = np.full((self.pairs, 5), -1)
+        # The memo's rows are the sorted block keys and each block's first
+        # store row; a sentinel key above every block's ends it.
+        self.memo = np.array([[np.iinfo(np.int64).max], [0]])
         self.store = np.empty((2 * sum((mat.n - 1) * (mat.m - 1) for mat in matrices), 2))
         self.store_term = np.empty(self.store.shape, dtype=bool)
         self.fill = 0
@@ -253,56 +246,55 @@ class _Lockstep:
             self._level(level, live)
             level += 1
             live = self.depth.nonzero()[0]
-        if None in self.best:
+        if (self.best[:, 0] < 0).any():
             raise RuntimeError("beam search ended without a terminal state")
-        for g, v in enumerate(self.best_v):
-            yield v, self._best_seq(g)
+        yield from zip(self.best_v.tolist(), self._sequences(self.best))
 
-    def _best_seq(self, g):
-        """Step sequence of pair g's best terminal state."""
-        level, state, step = self.best[g]
-        return self._seq(level, state) + (step,)
-
-    def _seq(self, level, state):
-        """Step sequence of a state of the given level, read back through the trail."""
-        steps = []
-        for parent, j, i, gamma in reversed(self.trail[:level]):
-            steps.append((int(j[state]), int(i[state]), int(gamma[state])))
-            state = parent[state]
-        return tuple(steps[::-1])
+    def _sequences(self, ends):
+        """Step sequences of the rows (level, state, j, i, gamma) of ends: the
+        state's steps, read back through the trail, then (j, i, gamma)."""
+        level, state = ends[:, 0], ends[:, 1].copy()
+        seqs = np.empty((len(ends), level.max() + 1, 3), dtype=np.int64)
+        seqs[np.arange(len(ends)), level] = ends[:, 2:]
+        for back in reversed(range(level.max())):
+            at = (level > back).nonzero()[0]
+            parent, step = self.trail[back]
+            seqs[at, back] = step[state[at]]
+            state[at] = parent[state[at]]
+        return [tuple(map(tuple, rows[:n + 1])) for rows, n in zip(seqs.tolist(), level.tolist())]
 
     def _spans(self, pair, top):
         """First store row and split count of each block, scoring the blocks not seen yet."""
-        memo = self.memo
-        fill = self.fill
-        firsts = []
-        sizes = []
-        new = []
-        for p, j0, j1, i0, i1 in zip(pair.tolist(), *top.T.tolist()):
-            # A block is keyed by the flat positions of its two prefix corners.
-            row0 = self.base[p] + j0 * self.stride[p]
-            row1 = row0 + (j1 - j0) * self.stride[p]
-            key = (row0 + i0) * self.prefix.size + row1 + i1
-            size = (j1 - j0 - 1) * (i1 - i0 - 1)
-            first = memo.get(key)
-            if first is None:
-                memo[key] = first = fill
-                new += (row0, row1, self.stride[p], i0, i1, i1 - i0 - 1, fill - self.fill, j1 - j0 - 2, size)
-                fill += size
-            firsts.append(first)
-            sizes.append(size)
-        if new:
+        j0, j1, i0, i1 = top.T.astype(np.int64)
+        stride = self.stride[pair]
+        row0 = self.base[pair] + j0 * stride
+        row1 = row0 + (j1 - j0) * stride
+        size = (j1 - j0 - 1) * (i1 - i0 - 1)
+        # A block is keyed by the flat positions of its two prefix corners.
+        keys, index, inverse = np.unique((row0 + i0) * self.prefix.size + row1 + i1,
+                                         return_index=True, return_inverse=True)
+        at = self.memo[0].searchsorted(keys)
+        known, rows = self.memo[:, at]
+        new = (known != keys).nonzero()[0]
+        if new.size:
+            s = index[new]
+            sizes = size[s]
+            start = sizes.cumsum() - sizes
+            rows[new] = self.fill + start
+            fill = self.fill + int(sizes.sum())
             if fill > len(self.store):
-                rows = max(fill, 2 * len(self.store))
-                self.store = np.resize(self.store, (rows, 2))
-                self.store_term = np.resize(self.store_term, (rows, 2))
+                grown = max(fill, 2 * len(self.store))
+                self.store = np.resize(self.store, (grown, 2))
+                self.store_term = np.resize(self.store_term, (grown, 2))
             # int32 indices: a group's prefix tables would need 16 GB to overflow them.
-            new = np.array(new, dtype=np.int32).reshape(-1, 9).T
-            logf, term = _score_blocks(self.prefix, new[:8], new[8])
+            blocks = np.array([row0[s], row1[s], stride[s], i0[s], i1[s], i1[s] - i0[s] - 1, start,
+                               j1[s] - j0[s] - 2], dtype=np.int32)
+            logf, term = _score_blocks(self.prefix, blocks, sizes)
             self.store[self.fill:fill] = logf.T
             self.store_term[self.fill:fill] = term.T
             self.fill = fill
-        return np.array(firsts), np.array(sizes)
+            self.memo = np.insert(self.memo, at[new], (keys[new], rows[new]), axis=1)
+        return rows[inverse], size
 
     def _level(self, level, live):
         """Expand the top block of every live state, then cut each pair's pool."""
@@ -322,90 +314,73 @@ class _Lockstep:
         slots += np.arange(slots.size, dtype=slots.dtype)
         pool = self.v[live].repeat(count)
         pool += self.store.ravel()[slots]
-        bounds = np.concatenate(([0], end))[pair.searchsorted(self.edges)].tolist()
+        bounds = np.concatenate(([0], end))[pair.searchsorted(self.edges)]
 
-        @cache
-        def parents():
-            return end.tolist(), first.tolist(), top.tolist(), live.tolist()
-
-        def entry(e):
-            """(parent state, (j, i, gamma)) of pool entry e."""
-            ends, firsts, blocks, states = parents()
-            s = bisect_right(ends, e)
-            j0, _, i0, i1 = blocks[s]
-            split, gamma = divmod(e - firsts[s], 2)
-            jj, ii = divmod(split, i1 - i0 - 1)
-            return states[s], (j0 + 1 + jj, i0 + 1 + ii, gamma)
-
-        def seq_key(e):
-            state, step = entry(e)
-            return self._seq(level, state) + (step,)
+        def steps(entries):
+            """Parent row and (j0, j1, i0, i1, j, i, gamma) of each pool entry."""
+            s = end.searchsorted(entries, side="right")
+            block = top[s]
+            split, gamma = np.divmod(entries - first[s], 2)
+            jj, ii = np.divmod(split, block[:, 3] - block[:, 2] - 1)
+            return s, np.column_stack((block, block[:, 0] + jj + 1, block[:, 2] + ii + 1, gamma))
 
         # Every terminal successor competes for its pair's final argmax,
         # pruned or not. A child is terminal when both halves of its split
-        # are and its parent held one block.
-        hits = (self.store_term.ravel()[slots] & (depth == 1).repeat(count)).nonzero()[0]
+        # are and its parent held one block. A pair's winner is the lowest
+        # position among its maxima.
+        hits = self.store_term.ravel()[slots].nonzero()[0]
+        hits = hits[depth[end.searchsorted(hits, side="right")] == 1]
         if hits.size:
             value = pool[hits]
-            heads = hits.searchsorted(bounds).tolist()
-            some = [g for g in range(self.pairs) if heads[g] < heads[g + 1]]
-            starts = [heads[g] for g in some] + [hits.size]
-            tops = np.maximum.reduceat(value, starts[:-1])
-            top_v = tops.tolist()
-            better = [q for q, g in enumerate(some) if top_v[q] >= self.best_v[g]]
-            if better:
-                at = (value == tops.repeat([b - a for a, b in zip(starts, starts[1:])])).nonzero()[0]
-                ties = at.searchsorted(starts).tolist()
-                leaders = hits[at[ties[:-1]]].tolist()
-            for q in better:
-                g = some[q]
-                e = leaders[q]
-                if ties[q + 1] - ties[q] > 1:
-                    e = min(hits[at[ties[q]:ties[q + 1]]].tolist(), key=seq_key)
-                if top_v[q] == self.best_v[g] and seq_key(e) >= self._best_seq(g):
-                    continue
-                self.best_v[g] = top_v[q]
-                self.best[g] = (level, *entry(e))
+            g = bounds.searchsorted(hits, side="right") - 1
+            heads = np.concatenate(([True], g[1:] != g[:-1])).nonzero()[0]
+            peak = np.maximum.reduceat(value, heads)
+            g = g[heads]
+            maxima = np.where(value == peak.repeat(np.diff(heads, append=hits.size)), hits, pool.size)
+            winner = np.minimum.reduceat(maxima, heads)
+            s, block = steps(winner)
+            ends = np.column_stack((np.full(winner.size, level), live[s], block[:, 4:]))
+            better = peak > self.best_v[g]
+            for q in (peak == self.best_v[g]).nonzero()[0].tolist():
+                mine, held = self._sequences(np.stack((ends[q], self.best[g[q]])))
+                better[q] = mine < held
+            self.best_v[g[better]] = peak[better]
+            self.best[g[better]] = ends[better]
 
-        # Keep each pair's top beam_k candidates by score, ties by step sequence.
-        over = [g for g in range(self.pairs) if bounds[g + 1] - bounds[g] > k]
-        if over:
-            cuts = [-np.inf] * self.pairs
-            expected = pool.size
-            for g in over:
-                a, b = bounds[g], bounds[g + 1]
+        # Keep each pair's top beam_k candidates by score. Where more tie at
+        # the cut than there is room for, the lowest positions stay.
+        entries = np.diff(bounds)
+        over = (entries > k).nonzero()[0]
+        kept = np.arange(pool.size)
+        if over.size:
+            cuts = np.full(self.pairs, -np.inf)
+            for g, a, b in zip(over.tolist(), bounds[over].tolist(), bounds[over + 1].tolist()):
                 cuts[g] = np.partition(pool[a:b], b - a - k)[b - a - k]
-                expected -= b - a - k
-            keep = pool >= np.array(cuts)[pair].repeat(count)
-            kept = keep.nonzero()[0]
-            if kept.size > expected:
-                held = np.concatenate(([0], keep.cumsum()))[bounds]
-                for g in (np.diff(held) > k).nonzero()[0].tolist():
-                    a, b = bounds[g], bounds[g + 1]
-                    tied = a + (pool[a:b] == cuts[g]).nonzero()[0]
-                    keep[tied] = False
-                    keep[sorted(tied.tolist(), key=seq_key)[:k - (held[g + 1] - held[g]) + tied.size]] = True
-                kept = keep.nonzero()[0]
-        else:
-            kept = np.arange(pool.size)
+            kept = (pool >= cuts[pair].repeat(count)).nonzero()[0]
+            if kept.size > pool.size - (entries[over] - k).sum():
+                # A tied entry stays when fewer than room, the beam left
+                # after its pair's better entries, tie before it.
+                g = bounds.searchsorted(kept, side="right") - 1
+                tied = pool[kept] == cuts[g]
+                before = tied.cumsum() - tied
+                rank = before - before[kept.searchsorted(bounds[g])]
+                room = k - np.bincount(g[~tied], minlength=self.pairs)
+                kept = kept[~tied | (rank < room[g])]
 
         # Each kept entry becomes a state: its parent's stack without the
         # top block, then the split's non-terminal halves, right first.
-        s = end.searchsorted(kept, side="right")
-        block = top[s]
-        split, gamma = np.divmod(kept - first[s], 2)
-        jj, ii = np.divmod(split, block[:, 3] - block[:, 2] - 1)
-        block = np.concatenate((block, (block[:, 0] + jj + 1)[:, None], (block[:, 2] + ii + 1)[:, None]), axis=1)
+        s, block = steps(kept)
         index = np.arange(kept.size)
-        halves = block[index[:, None], _HALF_COLUMNS[gamma]].reshape(-1, 2, 4)
-        pushed = (halves[:, :, 1::2] - halves[:, :, ::2]).min(axis=2) > 1
+        straight, inverted = _HALF_COLUMNS
+        halves = np.where(block[:, 6:] == STRAIGHT, block[:, straight], block[:, inverted]).reshape(-1, 2, 4)
+        pushed = np.minimum(halves[:, :, 1] - halves[:, :, 0], halves[:, :, 3] - halves[:, :, 2]) > 1
         parent = live[s]
         stack = self.stack[parent]
         height = depth[s] - 1
         for h in (0, 1):
             stack[index, height] = halves[:, h]
             height += pushed[:, h]
-        self.trail.append((parent, block[:, 4], block[:, 5], gamma))
+        self.trail.append((parent, block[:, 4:]))
         self.pair = pair[s]
         self.v = pool[kept]
         self.stack = stack
@@ -431,7 +406,7 @@ def lockstep_groups(shapes, beam_k):
     return groups
 
 
-def parse_matrices(matrices, beam_k=10):
+def parse_matrices(matrices, beam_k):
     """Best derivation of each matrix found by beam search; see the module docstring.
 
     Yields the derivations in order, each replayed only when it is taken,
@@ -450,26 +425,45 @@ def _derivations(matrices, beam_k):
         group = [matrices[k] for k in group]
         split = [mat for mat in group if mat.n > 1 and mat.m > 1]
         found = _Lockstep(split, beam_k).run() if split else None
+        # Blocks and steps recur across a group's derivations; frozen, they can be shared.
+        blocks, steps = _Interned(Block), _Interned(SplitStep)
         for mat in group:
             if mat.n > 1 and mat.m > 1:
-                yield _replay(mat.n, mat.m, *next(found))
+                yield _replay(mat.n, mat.m, *next(found), blocks, steps)
             else:
                 yield Derivation((), (Block(0, mat.n, 0, mat.m),), mat.n, mat.m, 0.0)
 
 
-def _replay(n, m, v, seq):
-    """Derivation of score v whose steps are seq, rebuilt from the root."""
-    stack = ((0, n, 0, m),)
-    steps = []
+class _Interned(dict):
+    """Instances of a frozen class by their field values, each made once."""
+
+    def __init__(self, cls):
+        self.cls = cls
+
+    def __missing__(self, values):
+        self[values] = made = self.cls(*values)
+        return made
+
+
+def _replay(n, m, v, seq, blocks, steps):
+    """Derivation of score v whose steps are seq, rebuilt from the root.
+
+    Non-terminal sub-blocks go on the stack right first, so the left one is
+    split next; terminal ones become leaves, left first.
+    """
+    stack = [(0, n, 0, m)]
+    splits = []
     leaves = []
-    for j, i, gamma in seq:
-        steps.append((Block(*stack[-1]), SplitStep(j, i, gamma)))
-        stack, new_leaves = _split_top(stack, j, i, gamma)
-        leaves += new_leaves
-    return Derivation(tuple(steps), tuple(Block(*b) for b in leaves), n, m, v)
+    for step in seq:
+        block = stack.pop()
+        splits.append((blocks[block], steps[step]))
+        left, right = _halves(block, *step)
+        stack += [half for half in (right, left) if not _is_terminal(half)]
+        leaves += [blocks[half] for half in (left, right) if _is_terminal(half)]
+    return Derivation(tuple(splits), tuple(leaves), n, m, v)
 
 
-def top_down_parse(matrix, beam_k=10):
+def top_down_parse(matrix, beam_k):
     """Best derivation of one matrix: parse_matrices of [matrix]."""
     return next(parse_matrices([matrix], beam_k))
 

@@ -69,6 +69,8 @@ class AlignerConfig:
                 raise ValueError(f"{f.name} must be positive")
         if not 0 < self.r <= 1:
             raise ValueError("distortion threshold r must be in (0, 1]")
+        if not 0 < self.fallback <= 1:
+            raise ValueError("fallback probability must be in (0, 1]")
 
     def em_config(self):
         return lexicon.EmConfig(

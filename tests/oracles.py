@@ -7,7 +7,8 @@ exceptions are the per-pair matrix build and the reference beam parser at
 the end: plain loops over one pair or one state at a time with the
 package's own lexicon lookups, blocks and split arithmetic, so that the
 package's batched output can be required to equal them exactly, ties
-included.
+included. em_step and write_alignment_file are test helpers built on the
+package's public API.
 """
 
 import math
@@ -15,7 +16,8 @@ import math
 import numpy as np
 from scipy.special import digamma as scipy_digamma
 
-from hieralign.lexicon import symmetric_lexical_score
+from hieralign.alignio import format_alignment
+from hieralign.lexicon import TTable, expected_counts, normalize_plain, normalize_vb, symmetric_lexical_score
 from hieralign.parser import (
     F_AVG_FLOOR,
     INVERTED,
@@ -387,7 +389,7 @@ def _materialize(parent, j, i, gamma, v):
     )
 
 
-def reference_top_down_parse(matrix, beam_k=10):
+def reference_top_down_parse(matrix, beam_k):
     """Best derivation found by beam search, one _expand_block call per beam state.
 
     A 1 x m or n x 1 matrix is already terminal and yields the empty
@@ -471,3 +473,19 @@ def reference_top_down_parse(matrix, beam_k=10):
     if best_state is None:
         raise RuntimeError("beam search ended without a terminal state")
     return Derivation(best_state.splits, best_state.leaves, n, m, best_state.v)
+
+
+def em_step(pairs, table, config):
+    """One E+M round through the package's E- and M-steps; returns a new table."""
+    counts = expected_counts(pairs, table, config)
+    if config.vb:
+        probs = normalize_vb(counts, config.alpha, table.cond_vocab_size)
+    else:
+        probs = normalize_plain(counts)
+    return TTable(table.direction, probs, table.cond_vocab_size, table.fallback)
+
+
+def write_alignment_file(path, alignments):
+    with open(path, "w", encoding="utf-8") as fh:
+        for links in alignments:
+            fh.write(format_alignment(links) + "\n")

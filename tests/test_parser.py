@@ -373,25 +373,31 @@ TIED_CASES = [
 ]
 
 
+def tied_weights(rows):
+    return np.array([[0.9 if c == "x" else 0.1 for c in row] for row in rows])
+
+
 @pytest.mark.parametrize("rows, beam_k", TIED_CASES)
 def test_parse_keeps_smallest_sequences_among_tied_scores(rows, beam_k):
     # Equal-scoring states straddle the beam cut here, and which of them
     # are kept decides the result.
-    weights = np.array([[0.9 if c == "x" else 0.1 for c in row] for row in rows])
-    matrix = SoftMatrix(weights)
+    matrix = SoftMatrix(tied_weights(rows))
     got = top_down_parse(matrix, beam_k)
     want = oracles.reference_top_down_parse(matrix, beam_k)
     assert (got.steps, got.leaves, got.score) == (want.steps, want.leaves, want.score)
 
 
+# The straight split (1, 2) is terminal at the first level with score
+# log(1/3). The inverted (1, 2) then (2, 1) reaches exactly that score at
+# the second level, and the first, smaller step sequence must stay. The
+# 0.9/0.1 weights of TIED_CASES cannot produce such a tie.
+TINY = 2.0 ** -60
+LATER_TERMINAL_TIE = np.array([[TINY, TINY, TINY], [TINY, 1, 1], [TINY, TINY, TINY]])
+
+
 def test_later_terminal_tying_the_best_keeps_the_smaller_sequence():
-    # The straight split (1, 2) is terminal at the first level with score
-    # log(1/3). The inverted (1, 2) then (2, 1) reaches exactly that score
-    # at the second level, and the first, smaller step sequence must stay.
-    # The 0.9/0.1 weights of TIED_CASES cannot produce such a tie.
-    t = 2.0 ** -60
     with np.errstate(all="raise"):
-        matrix = SoftMatrix(np.array([[t, t, t], [t, 1, 1], [t, t, t]]))
+        matrix = SoftMatrix(LATER_TERMINAL_TIE)
         got = top_down_parse(matrix, 10)
         want = oracles.reference_top_down_parse(matrix, 10)
     assert [step for _, step in got.steps] == [SplitStep(1, 2, STRAIGHT)]
@@ -423,7 +429,7 @@ def assert_each_equals_reference(matrices, beam_k):
                   st.integers(0, 2**32 - 1)),
         min_size=1, max_size=40,
     ),
-    bound=st.sampled_from([GROUP_SPLITS, 300, 60]),
+    bound=st.sampled_from([GROUP_SPLITS, 32768, 300, 60]),
 )
 def test_parse_matrices_equals_reference_per_matrix(specs, bound):
     # Pairs parsed in lockstep must come out exactly as each parsed alone:
@@ -449,14 +455,46 @@ def test_parse_matrices_splits_at_the_real_bound():
 
 
 def test_tied_matrices_parsed_together():
-    # The tie cases above, each in one group with the others and with
-    # matrices that have no ties.
+    # The tie cases above, many times over in one group, between matrices
+    # that have no ties.
     rng = np.random.default_rng(101)
-    matrices = [SoftMatrix(np.array([[0.9 if c == "x" else 0.1 for c in row] for row in rows]))
-                for rows, _ in TIED_CASES]
-    matrices = [random_matrix(rng, 3, 4), *matrices[:2], random_matrix(rng, 5, 2), *matrices[2:]]
-    for beam_k in (1, 2, 3):
+    tied = [SoftMatrix(tied_weights(rows)) for rows, _ in TIED_CASES] + [SoftMatrix(LATER_TERMINAL_TIE)]
+    matrices = []
+    for _ in range(24):
+        matrices += [random_matrix(rng, *rng.integers(2, 7, size=2)), *tied]
+    assert len(matrices) - 24 > 100
+    for beam_k in (1, 2, 3, 10):
+        assert len(lockstep_groups([(mat.n, mat.m) for mat in matrices], beam_k)) == 1
         assert_each_equals_reference(matrices, beam_k)
+
+
+def test_each_block_is_scored_once_per_group():
+    # Two identical matrices in one group are still two pairs: each gets
+    # its own blocks, scored once.
+    rng = np.random.default_rng(103)
+    twin = random_matrix(rng, 7, 6)
+    matrices = [twin, random_matrix(rng, 5, 8), SoftMatrix(tied_weights(TIED_CASES[3][0])), twin]
+    assert len(lockstep_groups([(mat.n, mat.m) for mat in matrices], 10)) == 1
+    score_blocks = parser._score_blocks
+    scored = []
+
+    def record(prefix, blocks, sizes):
+        # A block is named by the flat positions of its two prefix corners,
+        # (row0 + i0, row1 + i1).
+        scored.extend(zip((blocks[0] + blocks[3]).tolist(), (blocks[1] + blocks[4]).tolist()))
+        return score_blocks(prefix, blocks, sizes)
+
+    with mock.patch.object(parser, "_score_blocks", record):
+        assert_each_equals_reference(matrices, 10)
+    assert len(scored) == len(set(scored))
+    base = np.cumsum([0] + [(mat.n + 1) * (mat.m + 1) for mat in matrices]).tolist()
+
+    def blocks_of(k):
+        """Pair k's scored blocks, by corner positions in its own prefix table."""
+        return {(a - base[k], b - base[k]) for a, b in scored if base[k] <= a < base[k + 1]}
+
+    assert (0, twin.n * (twin.m + 1) + twin.m) in blocks_of(0)
+    assert blocks_of(0) == blocks_of(3)
 
 
 def test_lockstep_groups_are_consecutive_runs_within_the_bound():

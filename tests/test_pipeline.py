@@ -1,4 +1,5 @@
 import dataclasses
+import hashlib
 import random
 import re
 
@@ -42,14 +43,14 @@ def test_snapshot_roundtrip():
     assert dataclasses.asdict(restored) == dataclasses.asdict(config)
 
 
-# Any valid setting: positive numbers, r in (0, 1].
+# Any valid setting: positive numbers, r and fallback in (0, 1].
 SETTING_VALUES = {"bool": st.booleans(), "int": st.integers(min_value=1),
                   "float": st.floats(min_value=0, exclude_min=True, allow_nan=False)}
 
 
 @settings(max_examples=200)
 @given(st.fixed_dictionaries({
-    f.name: st.floats(min_value=0, max_value=1, exclude_min=True) if f.name == "r" else SETTING_VALUES[f.type]
+    f.name: st.floats(min_value=0, max_value=1, exclude_min=True) if f.name in ("r", "fallback") else SETTING_VALUES[f.type]
     for f in dataclasses.fields(AlignerConfig)
 }))
 def test_any_config_survives_its_snapshot(values):
@@ -71,6 +72,10 @@ def test_invalid_config_rejected():
         with pytest.raises(ValueError, match=re.escape("distortion threshold r must be in (0, 1]")):
             AlignerConfig(r=r)
     assert AlignerConfig(r=1.0).r == 1.0
+    for fallback in (float("inf"), 2.0, 1.0 + 1e-9):
+        with pytest.raises(ValueError, match=re.escape("fallback probability must be in (0, 1]")):
+            AlignerConfig(fallback=fallback)
+    assert AlignerConfig(fallback=1.0).fallback == 1.0
 
 
 def trained_toy_model(tmp_path=None):
@@ -203,8 +208,12 @@ def test_load_model_rejects_unparsable_setting(tmp_path):
 def test_load_model_rejects_invalid_setting(tmp_path):
     model_dir = write_model(tmp_path)
     path = model_dir / "config.txt"
-    path.write_text(path.read_text().replace("\nr=0.5\n", "\nr=2.0\n"))
+    snapshot = path.read_text()
+    path.write_text(snapshot.replace("\nr=0.5\n", "\nr=2.0\n"))
     with pytest.raises(ValueError, match=rf"{re.escape(str(path))}: distortion threshold r must be in \(0, 1\]"):
+        load_model(model_dir)
+    path.write_text(re.sub(r"\nfallback=.*\n", "\nfallback=2.0\n", snapshot))
+    with pytest.raises(ValueError, match=rf"{re.escape(str(path))}: fallback probability must be in \(0, 1\]"):
         load_model(model_dir)
 
 
@@ -217,3 +226,13 @@ def test_load_model_rejects_unknown_setting(tmp_path):
     line = len(path.read_text().splitlines())
     with pytest.raises(ValueError, match=rf"{re.escape(str(path))}:{line}: unknown setting 'colour=blue'"):
         load_model(model_dir)
+
+
+# sha256 of the Pharaoh output of the default-settings smoke pipeline. A
+# speedup must leave it unchanged; an approved change of output, such as a
+# new beam default, updates it.
+SMOKE_OUTPUT_SHA256 = "7529f7fdcfb5c88c53d7ff035e8240ff1750d95a621cd19652edde0cc38a9862"
+
+
+def test_smoke_output_is_pinned(smoke_run):
+    assert hashlib.sha256(smoke_run["out"].read_bytes()).hexdigest() == SMOKE_OUTPUT_SHA256
