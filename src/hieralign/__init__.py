@@ -35,10 +35,6 @@ from .parser import (
     Block,
     Derivation,
     SplitStep,
-    asso,
-    cut,
-    f_avg,
-    ncut,
     project,
     top_down_parse,
 )
@@ -71,21 +67,17 @@ __all__ = [
     "Vocabulary",
     "aer",
     "align_lines",
-    "asso",
     "build_soft_matrix",
     "build_vocabulary",
-    "cut",
     "digamma",
     "distortion",
     "extract_phrases",
-    "f_avg",
     "grow_diag_final_and",
     "intersect",
     "load_gold",
     "load_joined_corpus",
     "load_model",
     "load_parallel_corpus",
-    "ncut",
     "phrase_table_size",
     "project",
     "save_model",

@@ -17,11 +17,11 @@ model files work on whole arrays.
 
 from __future__ import annotations
 
-import re
 from collections.abc import Mapping
 from dataclasses import dataclass
 from functools import cached_property
 from itertools import chain, repeat
+from operator import ne
 
 import numpy as np
 
@@ -32,9 +32,6 @@ from .workers import CHUNK_SIZE
 FORWARD = "fwd"
 REVERSE = "rev"
 
-# Floor used when looking up word pairs the table has never seen.
-DEFAULT_FALLBACK = 1e-10
-
 # Keeps stored probabilities strictly positive even when exp(psi(...))
 # underflows for extreme alpha settings.
 TINY_PROB = 1e-300
@@ -42,9 +39,6 @@ TINY_PROB = 1e-300
 # Conditioning column of a NULL entry in a ttable file. Whitespace
 # tokenization never yields an empty token, so no word can be read as NULL.
 NULL_FIELD = ""
-
-# Zero or more ttable rows: three tab-separated fields, newline-terminated.
-_ROWS = re.compile(r"(?:[^\t\n]*\t[^\t\n]*\t[^\t\n]*\n)*")
 
 _SHIFT = 32
 _LOW = (1 << _SHIFT) - 1
@@ -162,15 +156,31 @@ def _float_or_nan(text):
 
 
 def _probabilities(path, texts):
+    """The float of each text, each run of equal neighbouring texts converted once."""
+    starts = np.flatnonzero(np.fromiter(map(ne, texts, chain([None], texts)), bool, len(texts)))
+    heads = list(map(texts.__getitem__, starts.tolist()))
     try:
-        probs = np.fromiter(map(float, texts), np.float64, len(texts))
+        values = np.fromiter(map(float, heads), np.float64, len(heads))
     except ValueError:
-        probs = np.array([_float_or_nan(t) for t in texts], dtype=np.float64)
-    bad = np.flatnonzero(~((probs > 0.0) & (probs <= 1.0)))
+        values = np.array([_float_or_nan(text) for text in heads], dtype=np.float64)
+    bad = np.flatnonzero(~((values > 0.0) & (values <= 1.0)))
     if bad.size:
-        k = int(bad[0])
+        k = int(starts[bad[0]])
         raise ValueError(f"{path}:{k + 2}: probability {texts[k]!r} is not a number in (0, 1]")
-    return probs
+    return np.repeat(values, np.diff(starts, append=len(texts)))
+
+
+def _check_fields(path, body):
+    """Raise ValueError("path:line: ...") unless every newline-terminated line of body has two tabs."""
+    text = np.frombuffer(body.encode("utf-8"), np.uint8)
+    ends = np.flatnonzero(text == ord("\n"))
+    tabs = np.flatnonzero(text == ord("\t"))
+    # Every line has two tabs exactly when tabs 2k and 2k + 1 both lie on line k.
+    if len(tabs) == 2 * len(ends) and (tabs[1::2] < ends).all() and (tabs[2::2] > ends[:-1]).all():
+        return
+    counts = np.bincount(np.searchsorted(ends, tabs), minlength=len(ends))
+    k = int(np.flatnonzero(counts != 2)[0])
+    raise ValueError(f"{path}:{k + 2}: expected 3 tab-separated fields, got {counts[k] + 1}")
 
 
 class TTable:
@@ -182,7 +192,7 @@ class TTable:
     used as the dimension of the symmetric Dirichlet prior in VB mode.
     """
 
-    def __init__(self, direction, probs, cond_vocab_size, fallback=DEFAULT_FALLBACK):
+    def __init__(self, direction, probs, cond_vocab_size, fallback):
         if direction not in (FORWARD, REVERSE):
             raise ValueError(f"unknown direction {direction!r}")
         self.direction = direction
@@ -199,19 +209,25 @@ class TTable:
 
         Column 1 is the conditioned word, column 2 the conditioning word,
         empty for NULL; probabilities carry 17 significant digits so
-        reloading is exact. Rows are grouped by conditioning word.
+        reloading is exact. Rows are grouped by conditioning word. Each
+        distinct probability is formatted once, and the rows are joined
+        from whole columns of cells.
         """
-        cond_tokens = conditioned_vocab.tokens()
-        cing_tokens = conditioning_vocab.tokens()
-        cing_tokens[NULL_ID] = NULL_FIELD
-        rows = zip(self.probs.conditioned().tolist(), self.probs.conditioning().tolist(),
-                   self.probs.data.tolist())
+        cond_cells = [token + "\t" for token in conditioned_vocab.tokens()]
+        cing_cells = [token + "\t" for token in conditioning_vocab.tokens()]
+        cing_cells[NULL_ID] = NULL_FIELD + "\t"
+        values, value_of_row = np.unique(self.probs.data, return_inverse=True)
+        prob_cells = ("%.17g\n" * len(values) % tuple(values.tolist())).splitlines(keepends=True)
+        cells = [None] * (3 * len(self.probs))
+        cells[0::3] = map(cond_cells.__getitem__, self.probs.conditioned().tolist())
+        cells[1::3] = map(cing_cells.__getitem__, self.probs.conditioning().tolist())
+        cells[2::3] = map(prob_cells.__getitem__, value_of_row.tolist())
         with open(path, "w", encoding="utf-8") as fh:
             fh.write(f"#ttable {self.direction} {self.cond_vocab_size}\n")
-            fh.write("".join(f"{cond_tokens[f]}\t{cing_tokens[e]}\t{p:.17g}\n" for f, e, p in rows))
+            fh.write("".join(cells))
 
     @classmethod
-    def load(cls, path, conditioned_vocab, conditioning_vocab, fallback=DEFAULT_FALLBACK):
+    def load(cls, path, conditioned_vocab, conditioning_vocab, fallback):
         """Read a table written by save; a malformed row raises ValueError("path:line: ...").
 
         Files whose NULL entries carry the `<NULL>` token still load when
@@ -228,11 +244,7 @@ class TTable:
             raise ValueError(f"{path}:1: vocabulary size {header[2]} outside 1..{conditioned_vocab.real_size}")
         if body and not body.endswith("\n"):
             body += "\n"
-        if not _ROWS.fullmatch(body):
-            for k, line in enumerate(body.split("\n")):
-                count = line.count("\t") + 1
-                if count != 3:
-                    raise ValueError(f"{path}:{k + 2}: expected 3 tab-separated fields, got {count}")
+        _check_fields(path, body)
         fields = body.replace("\n", "\t").split("\t")[:-1]
         f_toks, e_toks, p_texts = fields[0::3], fields[1::3], fields[2::3]
         cing_ids = conditioning_vocab.ids()

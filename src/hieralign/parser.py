@@ -94,53 +94,6 @@ def sub_blocks(block, j, i, gamma):
     return Block(*left), Block(*right)
 
 
-def asso(matrix, rows, cols):
-    """Total weight of the sub-block rows x cols, O(1) via the prefix sums."""
-    j0, j1 = rows
-    i0, i1 = cols
-    p = matrix.prefix
-    return float(p[j1, i1] - p[j0, i1] - p[j1, i0] + p[j0, i0])
-
-
-def _check_interior(block, step):
-    if not (block.j0 < step.j < block.j1 and block.i0 < step.i < block.i1):
-        raise ValueError(f"split {step} not interior to {block}")
-
-
-def cut(matrix, block, step):
-    """Weight severed by the split: the two sub-blocks left unaligned."""
-    _check_interior(block, step)
-    x = (block.j0, step.j)
-    xbar = (step.j, block.j1)
-    y = (block.i0, step.i)
-    ybar = (step.i, block.i1)
-    if step.gamma == STRAIGHT:
-        return asso(matrix, x, ybar) + asso(matrix, xbar, y)
-    return asso(matrix, x, y) + asso(matrix, xbar, ybar)
-
-
-def ncut(matrix, block, step):
-    """Normalized cut of the split; in (0, 2) for positive matrices."""
-    _check_interior(block, step)
-    x = (block.j0, step.j)
-    xbar = (step.j, block.j1)
-    y = (block.i0, step.i)
-    ybar = (step.i, block.i1)
-    c = cut(matrix, block, step)
-    if step.gamma == STRAIGHT:
-        a = asso(matrix, x, y)
-        b = asso(matrix, xbar, ybar)
-    else:
-        a = asso(matrix, x, ybar)
-        b = asso(matrix, xbar, y)
-    return c / (c + 2.0 * a) + c / (c + 2.0 * b)
-
-
-def f_avg(matrix, block, step):
-    """Mean F1 of the two aligned sub-blocks; equals 1 - ncut/2."""
-    return 1.0 - ncut(matrix, block, step) / 2.0
-
-
 def _score_blocks(prefix, blocks, sizes):
     """Log F_avg and terminal flags of every interior split of each block.
 

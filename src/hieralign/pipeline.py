@@ -47,7 +47,7 @@ class AlignerConfig:
     alpha: float = _setting(0.01, "--alpha", TRAINING, "Dirichlet concentration for VB")
     use_null: bool = _setting(True, "--no-null", TRAINING, "drop the NULL conditioning word")
     vbh: bool = _setting(False, "--vbh", TRAINING, "re-estimate tables from symmetrized Viterbi links")
-    fallback: float = _setting(lexicon.DEFAULT_FALLBACK, "--fallback-prob", TRAINING,
+    fallback: float = _setting(1e-10, "--fallback-prob", TRAINING,
                                "probability for unseen word pairs", metavar="FALLBACK_PROB")
     sigma_theta: float = _setting(3.0, "--sigma-theta", MATRIX, "lexical score temperature")
     sigma_delta: float = _setting(5.0, "--sigma-delta", MATRIX, "distortion temperature")

@@ -11,8 +11,10 @@ import time
 
 import pytest
 from hypothesis import settings
+from hypothesis import strategies as st
 
 from hieralign.cli import main as cli_main
+from hieralign.corpus import NULL_TOKEN
 
 settings.register_profile("reproducible", derandomize=True, database=None)
 settings.load_profile("reproducible")
@@ -20,6 +22,12 @@ settings.load_profile("reproducible")
 # source files; keep that cache in a directory removed at exit.
 _HYPOTHESIS_STORAGE = tempfile.TemporaryDirectory(prefix="hypothesis-")
 os.environ["HYPOTHESIS_STORAGE_DIRECTORY"] = _HYPOTHESIS_STORAGE.name
+
+# Any token whitespace tokenization can produce, and the reserved NULL token.
+TOKENS = st.one_of(
+    st.just(NULL_TOKEN),
+    st.text(st.characters(exclude_categories=("Cs",)), min_size=1).filter(lambda t: t.split() == [t]),
+)
 
 SMOKE_PAIRS = 2000
 SMOKE_VOCAB = 50

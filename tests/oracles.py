@@ -3,12 +3,15 @@
 Everything here is written directly from the definitions with its own data
 structures (token-keyed dicts, direct double-loop sums, full recursive
 enumeration) so that agreement with the package is meaningful. The
-exceptions are the per-pair matrix build and the reference beam parser at
-the end: plain loops over one pair or one state at a time with the
-package's own lexicon lookups, blocks and split arithmetic, so that the
-package's batched output can be required to equal them exactly, ties
-included. em_step and write_alignment_file are test helpers built on the
-package's public API.
+exceptions are at the end. The scalar split scoring (asso, cut, ncut,
+f_avg) reads one block sum at a time from a matrix's prefix table. The
+per-pair matrix build and the reference beam parser are plain loops over
+one pair or one state at a time with the package's own lexicon lookups,
+blocks and split arithmetic, so that the package's batched output can be
+required to equal them exactly, ties included. em_step and
+write_alignment_file are test helpers built on the package's public API,
+and reference_ttable_text writes a ttable one row at a time, the byte
+reference for TTable.save.
 """
 
 import math
@@ -17,7 +20,15 @@ import numpy as np
 from scipy.special import digamma as scipy_digamma
 
 from hieralign.alignio import format_alignment
-from hieralign.lexicon import TTable, expected_counts, normalize_plain, normalize_vb, symmetric_lexical_score
+from hieralign.corpus import NULL_ID
+from hieralign.lexicon import (
+    NULL_FIELD,
+    TTable,
+    expected_counts,
+    normalize_plain,
+    normalize_vb,
+    symmetric_lexical_score,
+)
 from hieralign.parser import (
     F_AVG_FLOOR,
     INVERTED,
@@ -25,7 +36,6 @@ from hieralign.parser import (
     Block,
     Derivation,
     SplitStep,
-    f_avg,
     sub_blocks,
 )
 
@@ -278,6 +288,55 @@ def exact_best_score(weights):
     return solve(0, n, 0, m)
 
 
+# --- scalar split scoring on a matrix's prefix table ---
+
+def asso(matrix, rows, cols):
+    """Total weight of the sub-block rows x cols, O(1) via the prefix sums."""
+    j0, j1 = rows
+    i0, i1 = cols
+    p = matrix.prefix
+    return float(p[j1, i1] - p[j0, i1] - p[j1, i0] + p[j0, i0])
+
+
+def _check_interior(block, step):
+    if not (block.j0 < step.j < block.j1 and block.i0 < step.i < block.i1):
+        raise ValueError(f"split {step} not interior to {block}")
+
+
+def cut(matrix, block, step):
+    """Weight severed by the split: the two sub-blocks left unaligned."""
+    _check_interior(block, step)
+    x = (block.j0, step.j)
+    xbar = (step.j, block.j1)
+    y = (block.i0, step.i)
+    ybar = (step.i, block.i1)
+    if step.gamma == STRAIGHT:
+        return asso(matrix, x, ybar) + asso(matrix, xbar, y)
+    return asso(matrix, x, y) + asso(matrix, xbar, ybar)
+
+
+def ncut(matrix, block, step):
+    """Normalized cut of the split; in (0, 2) for positive matrices."""
+    _check_interior(block, step)
+    x = (block.j0, step.j)
+    xbar = (step.j, block.j1)
+    y = (block.i0, step.i)
+    ybar = (step.i, block.i1)
+    c = cut(matrix, block, step)
+    if step.gamma == STRAIGHT:
+        a = asso(matrix, x, y)
+        b = asso(matrix, xbar, ybar)
+    else:
+        a = asso(matrix, x, ybar)
+        b = asso(matrix, xbar, y)
+    return c / (c + 2.0 * a) + c / (c + 2.0 * b)
+
+
+def f_avg(matrix, block, step):
+    """Mean F1 of the two aligned sub-blocks; equals 1 - ncut/2."""
+    return 1.0 - ncut(matrix, block, step) / 2.0
+
+
 # --- reference beam search: one vectorized expansion per state ---
 
 class ParserState:
@@ -489,3 +548,14 @@ def write_alignment_file(path, alignments):
     with open(path, "w", encoding="utf-8") as fh:
         for links in alignments:
             fh.write(format_alignment(links) + "\n")
+
+
+def reference_ttable_text(table, conditioned_vocab, conditioning_vocab):
+    """The bytes TTable.save writes, as text, built one row at a time."""
+    cond_tokens = conditioned_vocab.tokens()
+    cing_tokens = conditioning_vocab.tokens()
+    cing_tokens[NULL_ID] = NULL_FIELD
+    rows = zip(table.probs.conditioned().tolist(), table.probs.conditioning().tolist(),
+               table.probs.data.tolist())
+    header = f"#ttable {table.direction} {table.cond_vocab_size}\n"
+    return header + "".join(f"{cond_tokens[f]}\t{cing_tokens[e]}\t{p:.17g}\n" for f, e, p in rows)

@@ -1,5 +1,11 @@
-import pytest
+import os
+import tempfile
 
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from conftest import TOKENS
 from hieralign.corpus import (
     NULL_ID,
     NULL_TOKEN,
@@ -107,6 +113,20 @@ def test_vocabulary_roundtrip(tmp_path):
     for k in range(len(vocab)):
         assert reloaded.token(k) == vocab.token(k)
     assert reloaded.lookup("dos") == vocab.lookup("dos")
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.lists(TOKENS, unique=True, max_size=8))
+def test_vocabulary_roundtrip_any_tokens(tokens):
+    vocab = Vocabulary()
+    for token in tokens:
+        vocab.add(token)
+    with tempfile.TemporaryDirectory() as root:
+        path = os.path.join(root, "vocab")
+        vocab.save(path)
+        reloaded = Vocabulary.load(path)
+    assert reloaded.tokens() == vocab.tokens()
+    assert reloaded.ids() == vocab.ids()
 
 
 def test_streaming_twice_identical(tmp_path):

@@ -9,6 +9,7 @@ from hypothesis import strategies as st
 from scipy.special import digamma as scipy_digamma
 
 import oracles
+from conftest import TOKENS
 from hieralign.corpus import (
     NULL_ID,
     NULL_TOKEN,
@@ -22,6 +23,7 @@ from hieralign.corpus import (
 from hieralign.lexicon import (
     FORWARD,
     REVERSE,
+    TINY_PROB,
     TTable,
     corpus_log_likelihood,
     digamma,
@@ -38,6 +40,7 @@ from hieralign.lexicon import (
 from hieralign.pipeline import AlignerConfig, load_model, save_model, train_model
 
 EULER_GAMMA = 0.5772156649015329
+FALLBACK = AlignerConfig().fallback
 
 
 def corpus_from_tokens(token_pairs):
@@ -270,7 +273,7 @@ def test_direction_symmetry():
 # --- lexical score ---
 
 def make_table(direction, probs, size=4):
-    return TTable(direction, probs, size)
+    return TTable(direction, probs, size, FALLBACK)
 
 
 def test_symmetric_score_perfect():
@@ -361,7 +364,7 @@ def test_ttable_roundtrip(tmp_path):
     table = train_ibm1(pairs, FORWARD, AlignerConfig().em_config())
     path = tmp_path / "ttable.fwd"
     table.save(path, vsrc, vtgt)
-    reloaded = TTable.load(path, vsrc, vtgt)
+    reloaded = TTable.load(path, vsrc, vtgt, FALLBACK)
     assert reloaded.direction == table.direction
     assert reloaded.cond_vocab_size == table.cond_vocab_size
     assert reloaded.probs == table.probs
@@ -385,7 +388,7 @@ def test_legacy_null_token_column_loads(tmp_path):
     vtgt.add("x")
     path = tmp_path / "ttable.fwd"
     path.write_text(f"#ttable fwd 1\na\tx\t0.75\na\t{NULL_TOKEN}\t0.25\n", encoding="utf-8")
-    assert TTable.load(path, vsrc, vtgt).probs == {(1, 1): 0.75, (1, NULL_ID): 0.25}
+    assert TTable.load(path, vsrc, vtgt, FALLBACK).probs == {(1, 1): 0.75, (1, NULL_ID): 0.25}
 
 
 @pytest.mark.parametrize(
@@ -400,6 +403,14 @@ def test_legacy_null_token_column_loads(tmp_path):
         ("b\tx\t0.5", "token 'b' is not in the vocabulary"),
         ("a\tw\t0.5", "token 'w' is not in the vocabulary"),
         ("a\t\t0.5", "duplicate entry"),
+        # Two rows whose tab counts add up to two per line, in either order.
+        ("a\tx\na\tx\t0.5\textra", "expected 3 tab-separated fields, got 2"),
+        ("a\tx\t0.5\textra\na\tx", "expected 3 tab-separated fields, got 4"),
+        ("", "expected 3 tab-separated fields, got 1"),
+        ("a\tx\tinf", "probability 'inf' is not a number in (0, 1]"),
+        # The first of two bad probabilities is reported, though they
+        # would sort the other way.
+        ("a\tx\tmuch\na\tx\tless", "probability 'much' is not a number in (0, 1]"),
     ],
 )
 def test_ttable_load_rejects_malformed_row(tmp_path, row, message):
@@ -409,35 +420,79 @@ def test_ttable_load_rejects_malformed_row(tmp_path, row, message):
     path = tmp_path / "ttable.fwd"
     path.write_text(f"#ttable fwd 1\na\t\t0.25\n{row}\na\tx\t0.5\n", encoding="utf-8")
     with pytest.raises(ValueError) as err:
-        TTable.load(path, vsrc, vtgt)
+        TTable.load(path, vsrc, vtgt, FALLBACK)
     assert str(err.value) == f"{path}:3: {message}"
 
 
-TOKENS = st.one_of(
-    st.just(NULL_TOKEN),
-    st.text(st.characters(exclude_categories=("Cs",)), min_size=1).filter(lambda t: t.split() == [t]),
-)
+def draw_vocabulary(data):
+    vocab = Vocabulary()
+    for token in data.draw(st.lists(TOKENS, min_size=1, max_size=5, unique=True)):
+        vocab.add(token)
+    return vocab
 
 
 @settings(max_examples=60, deadline=None)
 @given(st.data())
 def test_ttable_save_load_roundtrip_any_tokens(data):
-    vocabs = []
-    for _ in range(2):
-        vocab = Vocabulary()
-        for token in data.draw(st.lists(TOKENS, min_size=1, max_size=5, unique=True)):
-            vocab.add(token)
-        vocabs.append(vocab)
-    vsrc, vtgt = vocabs
+    vsrc, vtgt = draw_vocabulary(data), draw_vocabulary(data)
     keys = st.tuples(st.integers(1, len(vsrc) - 1), st.integers(0, len(vtgt) - 1))
     probs = data.draw(st.dictionaries(keys, st.floats(0.0, 1.0, exclude_min=True), max_size=12))
-    table = TTable(FORWARD, probs, vsrc.real_size)
+    table = TTable(FORWARD, probs, vsrc.real_size, FALLBACK)
     with tempfile.TemporaryDirectory() as root:
         paths = [os.path.join(root, name) for name in ("vocab.src", "vocab.tgt", "ttable.fwd")]
         vsrc.save(paths[0])
         vtgt.save(paths[1])
         table.save(paths[2], vsrc, vtgt)
-        reloaded = TTable.load(paths[2], Vocabulary.load(paths[0]), Vocabulary.load(paths[1]))
+        reloaded = TTable.load(paths[2], Vocabulary.load(paths[0]), Vocabulary.load(paths[1]), FALLBACK)
     assert reloaded.direction == FORWARD
     assert reloaded.cond_vocab_size == vsrc.real_size
     assert reloaded.probs == table.probs
+
+
+def test_ttable_load_reports_a_bad_probability_after_repeated_ones(tmp_path):
+    vsrc, vtgt = Vocabulary(), Vocabulary()
+    vsrc.add("a")
+    vsrc.add("b")
+    vtgt.add("x")
+    path = tmp_path / "ttable.fwd"
+    path.write_text("#ttable fwd 2\na\tx\t0.5\na\t\t0.5\nb\tx\t0.5\nb\t\tmuch\n", encoding="utf-8")
+    with pytest.raises(ValueError) as err:
+        TTable.load(path, vsrc, vtgt, FALLBACK)
+    assert str(err.value) == f"{path}:5: probability 'much' is not a number in (0, 1]"
+
+
+def test_ttable_without_final_newline_loads(tmp_path):
+    vsrc, vtgt = Vocabulary(), Vocabulary()
+    vsrc.add("a")
+    vtgt.add("x")
+    path = tmp_path / "ttable.fwd"
+    path.write_text("#ttable fwd 1\na\tx\t0.75\na\t\t0.25", encoding="utf-8")
+    assert TTable.load(path, vsrc, vtgt, FALLBACK).probs == {(1, 1): 0.75, (1, NULL_ID): 0.25}
+
+
+# Probabilities the 17-digit writer must get right: both ends of the stored
+# range, the smallest subnormal, a value with no exact binary form, and
+# neighbours that differ only in the 17th significant digit.
+EDGE_PROBS = [1.0, TINY_PROB, 5e-324, 0.1, math.nextafter(0.1, 1.0), math.nextafter(1.0, 0.0),
+              0.3, math.nextafter(0.3, 0.0)]
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.data())
+def test_ttable_save_writes_reference_bytes(data):
+    vsrc, vtgt = draw_vocabulary(data), draw_vocabulary(data)
+    # A few values shared by many entries, as in trained tables.
+    pool = data.draw(st.lists(st.sampled_from(EDGE_PROBS) | st.floats(0.0, 1.0, exclude_min=True),
+                              min_size=1, max_size=4))
+    keys = st.tuples(st.integers(1, len(vsrc) - 1), st.integers(0, len(vtgt) - 1))
+    probs = data.draw(st.dictionaries(keys, st.sampled_from(pool), max_size=25))
+    table = TTable(REVERSE, probs, vsrc.real_size, FALLBACK)
+    with tempfile.TemporaryDirectory() as root:
+        path = os.path.join(root, "ttable.rev")
+        table.save(path, vsrc, vtgt)
+        with open(path, "rb") as fh:
+            written = fh.read()
+        reloaded = TTable.load(path, vsrc, vtgt, FALLBACK)
+    assert written == oracles.reference_ttable_text(table, vsrc, vtgt).encode("utf-8")
+    assert np.array_equal(reloaded.probs.packed, table.probs.packed)
+    assert np.array_equal(reloaded.probs.data, table.probs.data)

@@ -14,10 +14,6 @@ from hieralign.parser import (
     STRAIGHT,
     Block,
     SplitStep,
-    asso,
-    cut,
-    f_avg,
-    ncut,
     lockstep_groups,
     parse_matrices,
     project,
@@ -25,7 +21,7 @@ from hieralign.parser import (
     top_down_parse,
 )
 from hieralign.softmatrix import SoftMatrix
-from oracles import ParserState, next_states
+from oracles import ParserState, asso, cut, f_avg, ncut, next_states
 
 HAND = SoftMatrix(np.array([[0.9, 0.1], [0.1, 0.9]]))
 

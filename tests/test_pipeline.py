@@ -10,6 +10,7 @@ from hypothesis import strategies as st
 import oracles
 from hieralign import workers
 from hieralign.alignio import format_alignment
+from hieralign.cli import main as cli_main
 from hieralign.corpus import build_vocabulary, drop_empty, encode_pairs
 from hieralign.parser import project
 from hieralign.pipeline import (
@@ -236,3 +237,18 @@ SMOKE_OUTPUT_SHA256 = "7529f7fdcfb5c88c53d7ff035e8240ff1750d95a621cd19652edde0cc
 
 def test_smoke_output_is_pinned(smoke_run):
     assert hashlib.sha256(smoke_run["out"].read_bytes()).hexdigest() == SMOKE_OUTPUT_SHA256
+
+
+# sha256 of the lexicon files of the default-settings smoke model. Model
+# files are byte-identical across speedups of their writer.
+SMOKE_TTABLE_SHA256 = {
+    "ttable.fwd": "9ed5b78042f56e168faa73e11c51d97782b91701c16f1b256bc99192d52e1e0d",
+    "ttable.rev": "ee5a2cf7585ce3bbc10964ffec00266cfe28b076b4aacca96c6a14794b83aef1",
+}
+
+
+def test_smoke_model_tables_are_pinned(smoke_corpus, tmp_path):
+    model = tmp_path / "model"
+    assert cli_main(["train", "-s", str(smoke_corpus["src"]), "-t", str(smoke_corpus["tgt"]), "-o", str(model)]) == 0
+    for name, digest in SMOKE_TTABLE_SHA256.items():
+        assert hashlib.sha256((model / name).read_bytes()).hexdigest() == digest

@@ -9,11 +9,13 @@ from hieralign.lexicon import FORWARD, REVERSE, TTable
 from hieralign.pipeline import AlignerConfig
 from hieralign.softmatrix import SoftMatrix, build_soft_matrices, build_soft_matrix, distortion
 
+FALLBACK = AlignerConfig().fallback
+
 
 def tables_for(prob_fwd, prob_rev, n, m):
     fwd = {(j + 1, i + 1): prob_fwd for j in range(n) for i in range(m)}
     rev = {(i + 1, j + 1): prob_rev for j in range(n) for i in range(m)}
-    return TTable(FORWARD, fwd, n), TTable(REVERSE, rev, m)
+    return TTable(FORWARD, fwd, n, FALLBACK), TTable(REVERSE, rev, m, FALLBACK)
 
 
 def pair_of(n, m):
@@ -72,8 +74,8 @@ def test_build_fallback_cell_value():
     # Unseen pair both ways: theta = log 1e-10; with sigma_theta = 3 and the
     # flat penalty, the raw value (1e-10)^(1/3) * 1e-4 ~ 4.64e-8 stays above
     # the p0^2 floor.
-    t_fwd = TTable(FORWARD, {}, 1)
-    t_rev = TTable(REVERSE, {}, 2)
+    t_fwd = TTable(FORWARD, {}, 1, FALLBACK)
+    t_rev = TTable(REVERSE, {}, 2, FALLBACK)
     matrix = build_soft_matrix(pair_of(1, 2), t_fwd, t_rev, AlignerConfig(sigma_theta=3.0).matrix_params())
     want = (1e-10) ** (1.0 / 3.0) * 1e-4
     assert matrix.weights[0, 1] == pytest.approx(want, rel=1e-9)
@@ -87,7 +89,8 @@ def test_weights_clamped_into_range():
         fwd = {(j + 1, i + 1): float(rng.uniform(1e-12, 1.0)) for j in range(n) for i in range(m)}
         rev = {(i + 1, j + 1): float(rng.uniform(1e-12, 1.0)) for j in range(n) for i in range(m)}
         matrix = build_soft_matrix(
-            pair_of(n, m), TTable(FORWARD, fwd, n), TTable(REVERSE, rev, m), AlignerConfig().matrix_params()
+            pair_of(n, m), TTable(FORWARD, fwd, n, FALLBACK), TTable(REVERSE, rev, m, FALLBACK),
+            AlignerConfig().matrix_params(),
         )
         assert np.all(matrix.weights >= 1e-8)
         assert np.all(matrix.weights < 1.0)
@@ -110,7 +113,7 @@ def test_neutral_configuration_is_clamped_geometric_mean():
     rev = {(i + 1, j + 1): float(rng.uniform(1e-12, 1.0)) for j in range(n) for i in range(m)}
     params = AlignerConfig(sigma_theta=1.0, distortion=False).matrix_params()
     matrix = build_soft_matrix(
-        pair_of(n, m), TTable(FORWARD, fwd, n), TTable(REVERSE, rev, m), params
+        pair_of(n, m), TTable(FORWARD, fwd, n, FALLBACK), TTable(REVERSE, rev, m, FALLBACK), params
     )
     for j in range(n):
         for i in range(m):
@@ -148,7 +151,7 @@ def test_batch_build_equals_per_pair_reference_exactly():
     vocab = 12
     fwd = {(f, e): float(rng.uniform(1e-6, 1.0)) for f in range(1, vocab) for e in range(vocab) if rng.random() < 0.6}
     rev = {(e, f): float(rng.uniform(1e-6, 1.0)) for f in range(vocab) for e in range(1, vocab) if rng.random() < 0.6}
-    t_fwd, t_rev = TTable(FORWARD, fwd, vocab - 1), TTable(REVERSE, rev, vocab - 1)
+    t_fwd, t_rev = TTable(FORWARD, fwd, vocab - 1, FALLBACK), TTable(REVERSE, rev, vocab - 1, FALLBACK)
     shapes = [(1, 1), (1, 7), (6, 1), (3, 9), (9, 3), (12, 12), (2, 5), (40, 3), (3, 40)]
     pairs = [SentencePair(tuple(int(x) for x in rng.integers(-1, vocab, size=n)),
                           tuple(int(x) for x in rng.integers(-1, vocab, size=m)), k)
