@@ -14,7 +14,6 @@ from .corpus import (
     SentencePair,
     Vocabulary,
     build_vocabulary,
-    load_joined_corpus,
     load_parallel_corpus,
 )
 from .evaluate import GoldAlignment, aer, load_gold
@@ -38,7 +37,6 @@ from .parser import (
     project,
     top_down_parse,
 )
-from .phrase import extract_phrases, phrase_table_size
 from .pipeline import AlignerConfig, Model, align_lines, load_model, save_model, train_model
 from .softmatrix import MatrixParams, SoftMatrix, build_soft_matrix, distortion
 from .symmetrize import grow_diag_final_and, intersect, union_links
@@ -71,14 +69,11 @@ __all__ = [
     "build_vocabulary",
     "digamma",
     "distortion",
-    "extract_phrases",
     "grow_diag_final_and",
     "intersect",
     "load_gold",
-    "load_joined_corpus",
     "load_model",
     "load_parallel_corpus",
-    "phrase_table_size",
     "project",
     "save_model",
     "symmetric_lexical_score",

@@ -286,10 +286,7 @@ def main(argv=None):
     args = build_arg_parser().parse_args(argv)
     try:
         return args.func(args)
-    except (CorpusError, GoldFormatError, AlignmentFormatError, ValueError) as exc:
-        stderr_log(f"error: {exc}")
-        return 1
-    except FileNotFoundError as exc:
+    except (CorpusError, GoldFormatError, AlignmentFormatError, ValueError, FileNotFoundError) as exc:
         stderr_log(f"error: {exc}")
         return 1
 

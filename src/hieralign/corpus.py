@@ -231,7 +231,3 @@ def load_parallel_corpus(source_path, target_path, lowercase=False, max_len=None
     """encode_corpus of a two-file corpus."""
     return encode_corpus(read_bitext(source_path, target_path, lowercase), max_len)
 
-
-def load_joined_corpus(path, separator=DEFAULT_SEPARATOR, lowercase=False, max_len=None):
-    """encode_corpus of a single joined file."""
-    return encode_corpus(read_bitext_joined(path, separator, lowercase), max_len)

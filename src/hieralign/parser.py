@@ -35,9 +35,9 @@ F_AVG_FLOOR = 1e-300
 
 # Matrices parsed together in lockstep expand at most this many splits per
 # level, beam_k * sum((n - 1) * (m - 1)), each in two orientations, and a
-# matrix over the bound is parsed alone. It bounds the memory of a group's pools and block
-# scoring; each matrix's result does not depend on its group, so it is a
-# constant rather than a tuning knob.
+# matrix over the bound is parsed alone. It bounds the memory of a group's
+# pools and of a level's block scores; each matrix's result does not depend
+# on its group, so it is a constant rather than a tuning knob.
 GROUP_SPLITS = 131072
 
 
@@ -53,10 +53,6 @@ class Block:
     def __post_init__(self):
         if not (0 <= self.j0 < self.j1 and 0 <= self.i0 < self.i1):
             raise ValueError(f"degenerate block {self}")
-
-    @property
-    def is_terminal(self):
-        return self.j1 - self.j0 == 1 or self.i1 - self.i0 == 1
 
 
 @dataclass(frozen=True)
@@ -88,12 +84,6 @@ def _halves(block, j, i, gamma):
     return (j0, j, i, i1), (j, j1, i0, i)
 
 
-def sub_blocks(block, j, i, gamma):
-    """(left, right) sub-blocks of a split; left holds source span [j0, j)."""
-    left, right = _halves((block.j0, block.j1, block.i0, block.i1), j, i, gamma)
-    return Block(*left), Block(*right)
-
-
 def _score_blocks(prefix, blocks, sizes):
     """Log F_avg and terminal flags of every interior split of each block.
 
@@ -104,7 +94,7 @@ def _score_blocks(prefix, blocks, sizes):
     width = i1 - i0 - 1, last = j1 - j0 - 2, and start is the position of
     the block's first split among all the splits scored. sizes holds each
     block's split count. The blocks are scored together in one flattened
-    gather. Returns (logf, term), indexed [gamma, split], the splits laid
+    gather. Returns (logf, term), indexed [split, gamma], the splits laid
     out block by block, each block's in (j, i) order. term marks the
     splits whose two aligned sub-blocks are both terminal.
     """
@@ -113,7 +103,8 @@ def _score_blocks(prefix, blocks, sizes):
     # A split is terminal when both of its aligned sub-blocks have one
     # source or one target word: x, xb, y or yb of length 1.
     y = np.array([ii == 0, ii == width - 1])
-    term = ((jj == 0) | y) & ((jj == last) | y[::-1])
+    term = np.empty((jj.size, 2), dtype=bool)
+    np.logical_and((jj == 0) | y, (jj == last) | y[::-1], out=term.T)
     rows = np.array([row0, row0 + (jj + 1) * stride, row1])
     cols = np.array([i0, i0 + ii + 1, i1])
     del row0, row1, stride, i0, i1, width, start, last, jj, ii
@@ -132,7 +123,9 @@ def _score_blocks(prefix, blocks, sizes):
     # a[1, ::-1] the second, and the cut c is the sum of the other two.
     c = a[0, ::-1] + a[1]
     ncut = c / (c + 2.0 * a[0]) + c / (c + 2.0 * a[1, ::-1])
-    logf = np.log(np.maximum(1.0 - ncut / 2.0, F_AVG_FLOOR))
+    logf = np.empty(term.shape)
+    np.maximum(1.0 - ncut / 2.0, F_AVG_FLOOR, out=logf.T)
+    np.log(logf, out=logf)
     return logf, term
 
 
@@ -153,13 +146,11 @@ class _Lockstep:
     by pair: pair, score v, and a fixed-depth stack of unparsed
     (j0, j1, i0, i1) blocks with its depth. trail keeps, per level, each
     state's parent and last step (j, i, gamma), from which its step
-    sequence is read. The splits of each distinct top block are scored
-    once per pair, all new blocks of a level in one gather: memo holds the
-    sorted keys of the blocks scored so far, each from its two prefix
-    corners, and the first row of each in store, which holds one row per
-    split and one column per gamma. A level's pool holds each pair's
-    candidates contiguously, parent by parent, then split (j, i), then
-    gamma. States keep their pool order, so within a pair pool position is
+    sequence is read. Each level scores the splits of its distinct top
+    blocks, one per pair and block, in one gather; nothing scored is kept
+    for later levels. A level's pool holds each pair's candidates
+    contiguously, parent by parent, then split (j, i), then gamma. States
+    keep their pool order, so within a pair pool position is
     step-sequence order, and ties go to the lowest position. Step
     sequences are compared only when a terminal ties the best one of an
     earlier level.
@@ -184,12 +175,6 @@ class _Lockstep:
         self.best_v = np.full(self.pairs, -np.inf)
         # (level, parent state, j, i, gamma) of each pair's best terminal; level -1 before one is found
         self.best = np.full((self.pairs, 5), -1)
-        # The memo's rows are the sorted block keys and each block's first
-        # store row; a sentinel key above every block's ends it.
-        self.memo = np.array([[np.iinfo(np.int64).max], [0]])
-        self.store = np.empty((2 * sum((mat.n - 1) * (mat.m - 1) for mat in matrices), 2))
-        self.store_term = np.empty(self.store.shape, dtype=bool)
-        self.fill = 0
 
     def run(self):
         """Search every level; then yield each pair's best (score, step sequence)."""
@@ -216,38 +201,28 @@ class _Lockstep:
             state[at] = parent[state[at]]
         return [tuple(map(tuple, rows[:n + 1])) for rows, n in zip(seqs.tolist(), level.tolist())]
 
-    def _spans(self, pair, top):
-        """First store row and split count of each block, scoring the blocks not seen yet."""
+    def _scores(self, pair, top):
+        """Scores of the distinct blocks of top, and each state's first row and split count.
+
+        The scores logf and term are flat, indexed [split, gamma], with the
+        splits laid out block by block; a state's block starts at row
+        first_row of them.
+        """
         j0, j1, i0, i1 = top.T.astype(np.int64)
         stride = self.stride[pair]
         row0 = self.base[pair] + j0 * stride
         row1 = row0 + (j1 - j0) * stride
         size = (j1 - j0 - 1) * (i1 - i0 - 1)
         # A block is keyed by the flat positions of its two prefix corners.
-        keys, index, inverse = np.unique((row0 + i0) * self.prefix.size + row1 + i1,
-                                         return_index=True, return_inverse=True)
-        at = self.memo[0].searchsorted(keys)
-        known, rows = self.memo[:, at]
-        new = (known != keys).nonzero()[0]
-        if new.size:
-            s = index[new]
-            sizes = size[s]
-            start = sizes.cumsum() - sizes
-            rows[new] = self.fill + start
-            fill = self.fill + int(sizes.sum())
-            if fill > len(self.store):
-                grown = max(fill, 2 * len(self.store))
-                self.store = np.resize(self.store, (grown, 2))
-                self.store_term = np.resize(self.store_term, (grown, 2))
-            # int32 indices: a group's prefix tables would need 16 GB to overflow them.
-            blocks = np.array([row0[s], row1[s], stride[s], i0[s], i1[s], i1[s] - i0[s] - 1, start,
-                               j1[s] - j0[s] - 2], dtype=np.int32)
-            logf, term = _score_blocks(self.prefix, blocks, sizes)
-            self.store[self.fill:fill] = logf.T
-            self.store_term[self.fill:fill] = term.T
-            self.fill = fill
-            self.memo = np.insert(self.memo, at[new], (keys[new], rows[new]), axis=1)
-        return rows[inverse], size
+        _, s, inverse = np.unique((row0 + i0) * self.prefix.size + row1 + i1,
+                                  return_index=True, return_inverse=True)
+        sizes = size[s]
+        start = sizes.cumsum() - sizes
+        # int32 indices: a group's prefix tables would need 16 GB to overflow them.
+        blocks = np.array([row0[s], row1[s], stride[s], i0[s], i1[s], i1[s] - i0[s] - 1, start,
+                           j1[s] - j0[s] - 2], dtype=np.int32)
+        logf, term = _score_blocks(self.prefix, blocks, sizes)
+        return logf.ravel(), term.ravel(), start[inverse], size
 
     def _level(self, level, live):
         """Expand the top block of every live state, then cut each pair's pool."""
@@ -255,10 +230,10 @@ class _Lockstep:
         pair = self.pair[live]
         depth = self.depth[live]
         top = self.stack[live, depth - 1]
-        first_row, size = self._spans(pair, top)
+        logf, term, first_row, size = self._scores(pair, top)
 
         # Entry e of parent s's candidates is split (e - first[s]) // 2 of
-        # its top block with gamma e % 2, at flat store position
+        # its top block with gamma e % 2, at flat score position
         # 2 * first_row[s] + e - first[s].
         count = 2 * size
         end = count.cumsum()
@@ -266,7 +241,7 @@ class _Lockstep:
         slots = (2 * first_row - first).repeat(count)
         slots += np.arange(slots.size, dtype=slots.dtype)
         pool = self.v[live].repeat(count)
-        pool += self.store.ravel()[slots]
+        pool += logf[slots]
         bounds = np.concatenate(([0], end))[pair.searchsorted(self.edges)]
 
         def steps(entries):
@@ -281,7 +256,7 @@ class _Lockstep:
         # pruned or not. A child is terminal when both halves of its split
         # are and its parent held one block. A pair's winner is the lowest
         # position among its maxima.
-        hits = self.store_term.ravel()[slots].nonzero()[0]
+        hits = term[slots].nonzero()[0]
         hits = hits[depth[end.searchsorted(hits, side="right")] == 1]
         if hits.size:
             value = pool[hits]

@@ -69,11 +69,6 @@ def extract_spans(n, m, links, max_len=7, unaligned_extension=True):
     return out
 
 
-def extract_phrases(pair, alignment, max_len=7, unaligned_extension=True):
-    """Span pairs extracted from one sentence pair's alignment."""
-    return extract_spans(pair.n, pair.m, alignment, max_len, unaligned_extension)
-
-
 def phrase_strings(src_tokens, tgt_tokens, links, max_len=7, unaligned_extension=True):
     """Extracted phrase pairs as (source text, target text)."""
     out = set()
@@ -93,7 +88,3 @@ def phrase_table(bitext, alignments, max_len=7, unaligned_extension=True):
         table |= phrase_strings(src, tgt, links, max_len, unaligned_extension)
     return table
 
-
-def phrase_table_size(bitext, alignments, max_len=7, unaligned_extension=True):
-    """Number of distinct phrase pairs across the aligned corpus."""
-    return len(phrase_table(bitext, alignments, max_len, unaligned_extension))

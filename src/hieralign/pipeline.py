@@ -15,7 +15,7 @@ from dataclasses import dataclass, field, fields
 
 from . import lexicon, softmatrix, workers
 from .alignio import format_alignment
-from .corpus import Vocabulary, encode_pairs
+from .corpus import Vocabulary, drop_empty, encode_pairs
 from .parser import lockstep_groups, parse_matrices, project
 from .softmatrix import MatrixParams, build_soft_matrices
 
@@ -198,13 +198,9 @@ def align_tasks(bitext, model):
     Empty-side and over-length pairs keep their line as an empty alignment
     so output stays line-aligned with the input.
     """
-    limit = model.config.max_sentence_len
-    tasks = []
-    for index, (src, tgt) in enumerate(bitext):
-        if not src or not tgt or len(src) > limit or len(tgt) > limit:
-            tasks.append(None)
-            continue
-        tasks.append(encode_pairs([(index, src, tgt)], model.vocab_src, model.vocab_tgt)[0])
+    tasks = [None] * len(bitext)
+    for pair in encode_pairs(drop_empty(bitext), model.vocab_src, model.vocab_tgt, model.config.max_sentence_len):
+        tasks[pair.index] = pair
     return tasks
 
 

@@ -36,7 +36,7 @@ from hieralign.parser import (
     Block,
     Derivation,
     SplitStep,
-    sub_blocks,
+    _halves,
 )
 
 NULL = None  # stands in for the NULL conditioning word
@@ -339,6 +339,17 @@ def f_avg(matrix, block, step):
 
 # --- reference beam search: one vectorized expansion per state ---
 
+def sub_blocks(block, j, i, gamma):
+    """(left, right) sub-blocks of a split; left holds source span [j0, j)."""
+    left, right = _halves((block.j0, block.j1, block.i0, block.i1), j, i, gamma)
+    return Block(*left), Block(*right)
+
+
+def is_terminal_block(block):
+    """True when the block has one source or one target word."""
+    return block.j1 - block.j0 == 1 or block.i1 - block.i0 == 1
+
+
 class ParserState:
     """Search state: unparsed-block stack, split history, score, tie key."""
 
@@ -375,11 +386,11 @@ def next_states(state, matrix):
                 v = state.v + math.log(max(f_avg(matrix, block, step), F_AVG_FLOOR))
                 left, right = sub_blocks(block, j, i, gamma)
                 stack = rest
-                if not right.is_terminal:
+                if not is_terminal_block(right):
                     stack = stack + (right,)
-                if not left.is_terminal:
+                if not is_terminal_block(left):
                     stack = stack + (left,)
-                leaves = state.leaves + tuple(b for b in (left, right) if b.is_terminal)
+                leaves = state.leaves + tuple(b for b in (left, right) if is_terminal_block(b))
                 out.append(
                     ParserState(
                         stack,
@@ -434,11 +445,11 @@ def _materialize(parent, j, i, gamma, v):
     step = SplitStep(int(j), int(i), int(gamma))
     left, right = sub_blocks(block, step.j, step.i, step.gamma)
     stack = parent.stack[:-1]
-    if not right.is_terminal:
+    if not is_terminal_block(right):
         stack = stack + (right,)
-    if not left.is_terminal:
+    if not is_terminal_block(left):
         stack = stack + (left,)
-    leaves = parent.leaves + tuple(b for b in (left, right) if b.is_terminal)
+    leaves = parent.leaves + tuple(b for b in (left, right) if is_terminal_block(b))
     return ParserState(
         stack,
         parent.splits + ((block, step),),
@@ -458,7 +469,7 @@ def reference_top_down_parse(matrix, beam_k):
         raise ValueError("beam_k must be >= 1")
     n, m = matrix.n, matrix.m
     root = Block(0, n, 0, m)
-    if root.is_terminal:
+    if is_terminal_block(root):
         return Derivation((), (root,), n, m, 0.0)
 
     beam = [ParserState((root,), (), (), 0.0, ())]

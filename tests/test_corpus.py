@@ -14,8 +14,8 @@ from hieralign.corpus import (
     Vocabulary,
     build_vocabulary,
     drop_empty,
+    encode_corpus,
     encode_pairs,
-    load_joined_corpus,
     load_parallel_corpus,
     read_bitext,
     read_bitext_joined,
@@ -62,7 +62,7 @@ def test_undecodable_bytes(tmp_path):
 
 def test_joined_basic(tmp_path):
     path = write(tmp_path / "j", "a b ||| x y\n")
-    pairs, _, _, _ = load_joined_corpus(path)
+    pairs, _, _, _ = encode_corpus(read_bitext_joined(path))
     assert pairs[0].n == 2 and pairs[0].m == 2
 
 

@@ -17,11 +17,10 @@ from hieralign.parser import (
     lockstep_groups,
     parse_matrices,
     project,
-    sub_blocks,
     top_down_parse,
 )
 from hieralign.softmatrix import SoftMatrix
-from oracles import ParserState, asso, cut, f_avg, ncut, next_states
+from oracles import ParserState, asso, cut, f_avg, is_terminal_block, ncut, next_states, sub_blocks
 
 HAND = SoftMatrix(np.array([[0.9, 0.1], [0.1, 0.9]]))
 
@@ -148,7 +147,7 @@ def test_terminal_blocks_never_pushed():
             if state.is_terminal:
                 continue
             for s in next_states(state, matrix):
-                assert all(not b.is_terminal for b in s.stack)
+                assert all(not is_terminal_block(b) for b in s.stack)
                 nxt.append(s)
         frontier = nxt[:10]
 
@@ -256,7 +255,7 @@ def test_leaves_partition_both_axes_and_replay_matches():
             assert popped == block
             left, right = sub_blocks(block, step.j, step.i, step.gamma)
             for sub in (right, left):
-                if sub.is_terminal:
+                if is_terminal_block(sub):
                     leaves.append(sub)
                 else:
                     stack.append(sub)
@@ -278,7 +277,7 @@ def test_parse_agrees_with_reference_beam_search():
 def reference_beam_parse(matrix, beam_k):
     """Plain-Python beam search over the reference next_states."""
     root = Block(0, matrix.n, 0, matrix.m)
-    if root.is_terminal:
+    if is_terminal_block(root):
         return 0.0
     beam = [root_state(matrix)]
     best = None
@@ -464,25 +463,27 @@ def test_tied_matrices_parsed_together():
         assert_each_equals_reference(matrices, beam_k)
 
 
-def test_each_block_is_scored_once_per_group():
+def test_each_block_is_scored_once_per_level():
     # Two identical matrices in one group are still two pairs: each gets
-    # its own blocks, scored once.
+    # its own blocks, and a level scores each of its blocks once.
     rng = np.random.default_rng(103)
     twin = random_matrix(rng, 7, 6)
     matrices = [twin, random_matrix(rng, 5, 8), SoftMatrix(tied_weights(TIED_CASES[3][0])), twin]
     assert len(lockstep_groups([(mat.n, mat.m) for mat in matrices], 10)) == 1
     score_blocks = parser._score_blocks
-    scored = []
+    calls = []
 
     def record(prefix, blocks, sizes):
         # A block is named by the flat positions of its two prefix corners,
         # (row0 + i0, row1 + i1).
-        scored.extend(zip((blocks[0] + blocks[3]).tolist(), (blocks[1] + blocks[4]).tolist()))
+        calls.append(list(zip((blocks[0] + blocks[3]).tolist(), (blocks[1] + blocks[4]).tolist())))
         return score_blocks(prefix, blocks, sizes)
 
     with mock.patch.object(parser, "_score_blocks", record):
         assert_each_equals_reference(matrices, 10)
-    assert len(scored) == len(set(scored))
+    for scored in calls:
+        assert len(scored) == len(set(scored))
+    scored = [block for call in calls for block in call]
     base = np.cumsum([0] + [(mat.n + 1) * (mat.m + 1) for mat in matrices]).tolist()
 
     def blocks_of(k):

@@ -2,11 +2,10 @@ import random
 
 from hieralign.corpus import SentencePair
 from hieralign.phrase import (
-    extract_phrases,
     extract_spans,
     is_consistent,
     phrase_strings,
-    phrase_table_size,
+    phrase_table,
 )
 
 
@@ -38,25 +37,25 @@ def brute_force_spans(n, m, links, max_len, tight=False):
 
 def test_monotone_2x2():
     pair = SentencePair((1, 2), (1, 2), 0)
-    got = extract_phrases(pair, {(0, 0), (1, 1)}, max_len=2)
+    got = extract_spans(pair.n, pair.m, {(0, 0), (1, 1)}, max_len=2)
     assert got == {((0, 1), (0, 1)), ((1, 2), (1, 2)), ((0, 2), (0, 2))}
 
 
 def test_swapped_2x2():
     pair = SentencePair((1, 2), (1, 2), 0)
-    got = extract_phrases(pair, {(0, 1), (1, 0)}, max_len=2)
+    got = extract_spans(pair.n, pair.m, {(0, 1), (1, 0)}, max_len=2)
     assert got == {((0, 1), (1, 2)), ((1, 2), (0, 1)), ((0, 2), (0, 2))}
 
 
 def test_fully_linked_2x2():
     pair = SentencePair((1, 2), (1, 2), 0)
-    got = extract_phrases(pair, {(0, 0), (0, 1), (1, 0), (1, 1)}, max_len=2)
+    got = extract_spans(pair.n, pair.m, {(0, 0), (0, 1), (1, 0), (1, 1)}, max_len=2)
     assert got == {((0, 2), (0, 2))}
 
 
 def test_empty_alignment_extracts_nothing():
     pair = SentencePair((1, 2), (1, 2), 0)
-    assert extract_phrases(pair, set()) == set()
+    assert extract_spans(pair.n, pair.m, set()) == set()
 
 
 def test_monotone_closed_form():
@@ -133,7 +132,7 @@ def test_consistency_antitone_in_links():
 def test_phrase_table_size_distinct():
     bitext = [(["a", "b"], ["x", "y"])] * 2
     alignments = [{(0, 0), (1, 1)}] * 2
-    assert phrase_table_size(bitext, alignments, max_len=2) == 3
+    assert len(phrase_table(bitext, alignments, max_len=2)) == 3
 
 
 def test_phrase_strings():

@@ -2,6 +2,7 @@ import dataclasses
 import hashlib
 import random
 import re
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
@@ -252,3 +253,15 @@ def test_smoke_model_tables_are_pinned(smoke_corpus, tmp_path):
     assert cli_main(["train", "-s", str(smoke_corpus["src"]), "-t", str(smoke_corpus["tgt"]), "-o", str(model)]) == 0
     for name, digest in SMOKE_TTABLE_SHA256.items():
         assert hashlib.sha256((model / name).read_bytes()).hexdigest() == digest
+
+
+def test_readme_python_api_runs(tmp_path, monkeypatch):
+    # The README's "Python API" snippet, run as written on a toy corpus.
+    readme = (Path(__file__).parents[1] / "README.md").read_text(encoding="utf-8")
+    snippet = re.search(r"^## Python API\n\n```python\n(.*?)^```", readme, re.M | re.S).group(1)
+    (tmp_path / "corpus.src").write_text("a b c\nb c\na c\nc a b\n", encoding="utf-8")
+    (tmp_path / "corpus.tgt").write_text("x y z\ny z\nx z\nz x y\n", encoding="utf-8")
+    monkeypatch.chdir(tmp_path)
+    namespace = {}
+    exec(snippet, namespace)
+    assert {j for j, _ in namespace["links"]} == {0, 1, 2}
