@@ -38,7 +38,7 @@ from .parser import (
     top_down_parse,
 )
 from .pipeline import AlignerConfig, Model, align_lines, load_model, save_model, train_model
-from .softmatrix import MatrixParams, SoftMatrix, build_soft_matrix, distortion
+from .softmatrix import MatrixParams, SoftMatrix, build_soft_matrix
 from .symmetrize import grow_diag_final_and, intersect, union_links
 
 __version__ = "0.1.0"
@@ -68,7 +68,6 @@ __all__ = [
     "build_soft_matrix",
     "build_vocabulary",
     "digamma",
-    "distortion",
     "grow_diag_final_and",
     "intersect",
     "load_gold",

@@ -35,10 +35,18 @@ F_AVG_FLOOR = 1e-300
 
 # Matrices parsed together in lockstep expand at most this many splits per
 # level, beam_k * sum((n - 1) * (m - 1)), each in two orientations, and a
-# matrix over the bound is parsed alone. It bounds the memory of a group's
-# pools and of a level's block scores; each matrix's result does not depend
-# on its group, so it is a constant rather than a tuning knob.
-GROUP_SPLITS = 131072
+# matrix over the bound is parsed alone. It bounds a level's pool (8 bytes
+# per candidate) and block scores; all else is built SLICE positions at a
+# time. At 1 << 20 the 60 pairs of 20-40 words of perfbench's long corpus
+# run as one group of 39 levels, not 5 groups of 193 at 131072, and the
+# benchmark's peak RSS moves by under 0.1%. A matrix's result does not
+# depend on its group, so this is a constant rather than a tuning knob.
+GROUP_SPLITS = 1 << 20
+
+# Positions per slice of a level's block scoring (about 150 bytes of
+# temporaries per split) and of the passes over its pool. No value depends
+# on the slice it was computed in.
+SLICE = 16384
 
 
 @dataclass(frozen=True)
@@ -84,26 +92,26 @@ def _halves(block, j, i, gamma):
     return (j0, j, i, i1), (j, j1, i0, i)
 
 
-def _score_blocks(prefix, blocks, sizes):
-    """Log F_avg and terminal flags of every interior split of each block.
+def _score_blocks(prefix, blocks, sizes, logf, term):
+    """Log F_avg and terminal flags of interior splits of each block, into logf and term.
 
     blocks is an int array with one column per block and the rows
     (row0, row1, stride, i0, i1, width, start, last): the block
     ([j0, j1), [i0, i1)) of a matrix whose prefix table rows j0 and j1
     begin at row0 and row1 of the flat array prefix, rows stride apart.
     width = i1 - i0 - 1, last = j1 - j0 - 2, and start is the position of
-    the block's first split among all the splits scored. sizes holds each
-    block's split count. The blocks are scored together in one flattened
-    gather. Returns (logf, term), indexed [split, gamma], the splits laid
-    out block by block, each block's in (j, i) order. term marks the
-    splits whose two aligned sub-blocks are both terminal.
+    the block's first split among the splits scored, which may be negative:
+    sizes holds the count of each block's splits scored, from split -start
+    on if so. The blocks are scored together in one flattened gather, into
+    the float and bool arrays logf and term, indexed [split, gamma], the
+    splits laid out block by block, each block's in (j, i) order. term
+    marks the splits whose two aligned sub-blocks are both terminal.
     """
     row0, row1, stride, i0, i1, width, start, last = np.repeat(blocks, sizes, axis=1)
     jj, ii = np.divmod(np.arange(row0.size, dtype=blocks.dtype) - start, width)
     # A split is terminal when both of its aligned sub-blocks have one
     # source or one target word: x, xb, y or yb of length 1.
     y = np.array([ii == 0, ii == width - 1])
-    term = np.empty((jj.size, 2), dtype=bool)
     np.logical_and((jj == 0) | y, (jj == last) | y[::-1], out=term.T)
     rows = np.array([row0, row0 + (jj + 1) * stride, row1])
     cols = np.array([i0, i0 + ii + 1, i1])
@@ -123,10 +131,23 @@ def _score_blocks(prefix, blocks, sizes):
     # a[1, ::-1] the second, and the cut c is the sum of the other two.
     c = a[0, ::-1] + a[1]
     ncut = c / (c + 2.0 * a[0]) + c / (c + 2.0 * a[1, ::-1])
-    logf = np.empty(term.shape)
     np.maximum(1.0 - ncut / 2.0, F_AVG_FLOOR, out=logf.T)
     np.log(logf, out=logf)
-    return logf, term
+
+
+def _slices(start, end, step):
+    """Slices of at most step positions of ranges [start, end) laid end to
+    end: (a, b, lo, hi, counts) for positions [a, b), which fall in ranges
+    lo:hi, counts of them in each."""
+    total = int(end[-1])
+    if total <= step:
+        # Most levels fit one slice; this skips the searches.
+        yield 0, total, 0, end.size, end - start
+        return
+    for a in range(0, total, step):
+        b = min(a + step, total)
+        lo, hi = end.searchsorted(a, side="right"), start.searchsorted(b)
+        yield a, b, lo, hi, np.minimum(end[lo:hi], b) - np.maximum(start[lo:hi], a)
 
 
 def _is_terminal(block):
@@ -147,13 +168,16 @@ class _Lockstep:
     (j0, j1, i0, i1) blocks with its depth. trail keeps, per level, each
     state's parent and last step (j, i, gamma), from which its step
     sequence is read. Each level scores the splits of its distinct top
-    blocks, one per pair and block, in one gather; nothing scored is kept
-    for later levels. A level's pool holds each pair's candidates
-    contiguously, parent by parent, then split (j, i), then gamma. States
-    keep their pool order, so within a pair pool position is
-    step-sequence order, and ties go to the lowest position. Step
-    sequences are compared only when a terminal ties the best one of an
-    earlier level.
+    blocks, one per pair and block, SLICE splits per gather, into one
+    array; nothing scored is kept for later levels. A level's pool holds
+    each pair's candidates contiguously, parent by parent, then split
+    (j, i), then gamma. It is gathered from the scores and cut to the beam
+    SLICE entries at a time, so the pool and the level's scores are its
+    only arrays of their size, and the scores are dropped once the pool is
+    gathered. States keep their pool order, so within a pair pool
+    position is step-sequence order, and ties go to the lowest position.
+    Step sequences are compared only when a terminal ties the best one of
+    an earlier level.
     """
 
     def __init__(self, matrices, beam_k):
@@ -206,7 +230,8 @@ class _Lockstep:
 
         The scores logf and term are flat, indexed [split, gamma], with the
         splits laid out block by block; a state's block starts at row
-        first_row of them.
+        first_row of them. They are scored SLICE splits at a time, so a
+        block may span slices.
         """
         j0, j1, i0, i1 = top.T.astype(np.int64)
         stride = self.stride[pair]
@@ -217,11 +242,17 @@ class _Lockstep:
         _, s, inverse = np.unique((row0 + i0) * self.prefix.size + row1 + i1,
                                   return_index=True, return_inverse=True)
         sizes = size[s]
-        start = sizes.cumsum() - sizes
+        end = sizes.cumsum()
+        start = end - sizes
         # int32 indices: a group's prefix tables would need 16 GB to overflow them.
         blocks = np.array([row0[s], row1[s], stride[s], i0[s], i1[s], i1[s] - i0[s] - 1, start,
                            j1[s] - j0[s] - 2], dtype=np.int32)
-        logf, term = _score_blocks(self.prefix, blocks, sizes)
+        logf = np.empty((end[-1], 2))
+        term = np.empty((end[-1], 2), dtype=bool)
+        for a, b, lo, hi, counts in _slices(start, end, SLICE):
+            part = blocks[:, lo:hi].copy()
+            part[6] -= a
+            _score_blocks(self.prefix, part, counts, logf[a:b], term[a:b])
         return logf.ravel(), term.ravel(), start[inverse], size
 
     def _level(self, level, live):
@@ -238,10 +269,17 @@ class _Lockstep:
         count = 2 * size
         end = count.cumsum()
         first = end - count
-        slots = (2 * first_row - first).repeat(count)
-        slots += np.arange(slots.size, dtype=slots.dtype)
-        pool = self.v[live].repeat(count)
-        pool += logf[slots]
+        pool = np.empty(end[-1])
+        hits = []
+        for a, b, lo, hi, counts in _slices(first, end, SLICE):
+            # In place: fresh slice-sized temporaries made this loop twice as slow.
+            slots = (2 * first_row[lo:hi] - first[lo:hi]).repeat(counts)
+            slots += np.arange(a, b)
+            np.take(logf, slots, out=pool[a:b])
+            pool[a:b] += self.v[live[lo:hi]].repeat(counts)
+            hits.append(term[slots].nonzero()[0] + a)
+        del logf, term
+        hits = np.concatenate(hits)
         bounds = np.concatenate(([0], end))[pair.searchsorted(self.edges)]
 
         def steps(entries):
@@ -256,7 +294,6 @@ class _Lockstep:
         # pruned or not. A child is terminal when both halves of its split
         # are and its parent held one block. A pair's winner is the lowest
         # position among its maxima.
-        hits = term[slots].nonzero()[0]
         hits = hits[depth[end.searchsorted(hits, side="right")] == 1]
         if hits.size:
             value = pool[hits]
@@ -279,12 +316,16 @@ class _Lockstep:
         # the cut than there is room for, the lowest positions stay.
         entries = np.diff(bounds)
         over = (entries > k).nonzero()[0]
-        kept = np.arange(pool.size)
-        if over.size:
+        if not over.size:
+            kept = np.arange(pool.size)
+        else:
             cuts = np.full(self.pairs, -np.inf)
             for g, a, b in zip(over.tolist(), bounds[over].tolist(), bounds[over + 1].tolist()):
                 cuts[g] = np.partition(pool[a:b], b - a - k)[b - a - k]
-            kept = (pool >= cuts[pair].repeat(count)).nonzero()[0]
+            keep = np.empty(pool.size, dtype=bool)
+            for a, b, lo, hi, counts in _slices(first, end, SLICE):
+                np.greater_equal(pool[a:b], cuts[pair[lo:hi]].repeat(counts), out=keep[a:b])
+            kept = keep.nonzero()[0]
             if kept.size > pool.size - (entries[over] - k).sum():
                 # A tied entry stays when fewer than room, the beam left
                 # after its pair's better entries, tie before it.

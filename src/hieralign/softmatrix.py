@@ -7,7 +7,6 @@ block association downstream stays strictly positive.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from itertools import chain
 
@@ -75,17 +74,6 @@ def _cells(n, m):
     local = np.arange(cells.sum()) - np.repeat(np.cumsum(cells) - cells, cells)
     j, i = np.divmod(local, m[pair])
     return pair, j, i, np.repeat(np.cumsum(n) - n, cells) + j, np.repeat(np.cumsum(m) - m, cells) + i
-
-
-def distortion(j, i, n, m):
-    """Relative-position penalty: h = |j/n - i/m|, delta = log(1 - h).
-
-    Raw 0-based indices over the side lengths keep h strictly below 1.
-    """
-    if not (0 <= j < n and 0 <= i < m):
-        raise ValueError(f"index ({j}, {i}) outside {n}x{m}")
-    h = abs(j / n - i / m)
-    return h, math.log1p(-h)
 
 
 def build_soft_matrices(pairs, t_fwd, t_rev, params):

@@ -225,6 +225,17 @@ def random_soft_weights(rng, n, m, floor=1e-8):
     return floor + (1.0 - 1e-12 - floor) * rng.random((n, m))
 
 
+def distortion(j, i, n, m):
+    """Relative-position penalty: h = |j/n - i/m|, delta = log(1 - h).
+
+    Raw 0-based indices over the side lengths keep h strictly below 1.
+    """
+    if not (0 <= j < n and 0 <= i < m):
+        raise ValueError(f"index ({j}, {i}) outside {n}x{m}")
+    h = abs(j / n - i / m)
+    return h, math.log1p(-h)
+
+
 def reference_soft_matrix(pair, t_fwd, t_rev, params):
     """(weights, prefix) of one pair, built on its own with 2-D broadcasting."""
     n, m = pair.n, pair.m

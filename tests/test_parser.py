@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 from unittest import mock
 
 import numpy as np
@@ -11,6 +12,7 @@ from hieralign import parser
 from hieralign.parser import (
     GROUP_SPLITS,
     INVERTED,
+    SLICE,
     STRAIGHT,
     Block,
     SplitStep,
@@ -425,14 +427,16 @@ def assert_each_equals_reference(matrices, beam_k):
         min_size=1, max_size=40,
     ),
     bound=st.sampled_from([GROUP_SPLITS, 32768, 300, 60]),
+    slice_size=st.sampled_from([SLICE, 64, 5]),
 )
-def test_parse_matrices_equals_reference_per_matrix(specs, bound):
+def test_parse_matrices_equals_reference_per_matrix(specs, bound, slice_size):
     # Pairs parsed in lockstep must come out exactly as each parsed alone:
     # the same arithmetic and the same tie-breaks, in whatever group. The
     # smaller bounds split the list into several groups and leave some
-    # matrices over the bound, in groups of their own.
+    # matrices over the bound, in groups of their own; the smaller slices
+    # cut a level's scoring, pool gather and beam cut into several passes.
     matrices = [SoftMatrix(CHUNK_KINDS[kind](np.random.default_rng(seed), n, m)) for kind, n, m, seed in specs]
-    with mock.patch.object(parser, "GROUP_SPLITS", bound):
+    with mock.patch.object(parser, "GROUP_SPLITS", bound), mock.patch.object(parser, "SLICE", slice_size):
         for beam_k in (1, 3, 10):
             assert_each_equals_reference(matrices, beam_k)
 
@@ -473,11 +477,11 @@ def test_each_block_is_scored_once_per_level():
     score_blocks = parser._score_blocks
     calls = []
 
-    def record(prefix, blocks, sizes):
+    def record(prefix, blocks, sizes, logf, term):
         # A block is named by the flat positions of its two prefix corners,
         # (row0 + i0, row1 + i1).
         calls.append(list(zip((blocks[0] + blocks[3]).tolist(), (blocks[1] + blocks[4]).tolist())))
-        return score_blocks(prefix, blocks, sizes)
+        score_blocks(prefix, blocks, sizes, logf, term)
 
     with mock.patch.object(parser, "_score_blocks", record):
         assert_each_equals_reference(matrices, 10)
@@ -492,6 +496,53 @@ def test_each_block_is_scored_once_per_level():
 
     assert (0, twin.n * (twin.m + 1) + twin.m) in blocks_of(0)
     assert blocks_of(0) == blocks_of(3)
+
+
+def test_sliced_scores_equal_one_gather():
+    # Slices of 1, 5 and 64 splits cut through blocks, and blocks of up to
+    # 64 splits span several slices; every score is the one-gather score.
+    rng = np.random.default_rng(107)
+    matrices = [random_matrix(rng, 9, 9), random_matrix(rng, 7, 6), SoftMatrix(tied_weights(TIED_CASES[3][0])),
+                random_matrix(rng, 5, 8)]
+    search = parser._Lockstep(matrices, 3)
+    for level in range(4):
+        live = search.depth.nonzero()[0]
+        pair, top = search.pair[live], search.stack[live, search.depth[live] - 1]
+        with mock.patch.object(parser, "SLICE", 1 << 30):
+            want = search._scores(pair, top)
+        if level == 0:
+            assert want[0].size > 2 * 64
+        for slice_size in (1, 5, 64):
+            with mock.patch.object(parser, "SLICE", slice_size):
+                got = search._scores(pair, top)
+            assert all(np.array_equal(a, b) for a, b in zip(got, want))
+        search._level(level, live)
+
+
+def test_lockstep_memory_per_pool_entry():
+    # A group of long-corpus shapes: the parse's traced peak stays within
+    # a fixed cost per entry of its largest level's pool. It is about 20
+    # bytes per entry; building the pool's score positions and its cut
+    # mask whole, not a slice at a time, takes it over 40.
+    rng = np.random.default_rng(109)
+    matrices = [random_matrix(rng, *rng.integers(20, 41, size=2)) for _ in range(60)]
+    assert len(lockstep_groups([(mat.n, mat.m) for mat in matrices], 10)) == 1
+    pools = []
+    scores = parser._Lockstep._scores
+
+    def record(self, pair, top):
+        found = scores(self, pair, top)
+        pools.append(2 * int(found[3].sum()))
+        return found
+
+    with mock.patch.object(parser._Lockstep, "_scores", record):
+        tracemalloc.start()
+        try:
+            list(parse_matrices(matrices, 10))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+    assert peak < 32 * max(pools) + (1 << 20)
 
 
 def test_lockstep_groups_are_consecutive_runs_within_the_bound():

@@ -7,7 +7,8 @@ import oracles
 from hieralign.corpus import SentencePair
 from hieralign.lexicon import FORWARD, REVERSE, TTable
 from hieralign.pipeline import AlignerConfig
-from hieralign.softmatrix import SoftMatrix, build_soft_matrices, build_soft_matrix, distortion
+from hieralign.softmatrix import SoftMatrix, build_soft_matrices, build_soft_matrix
+from oracles import distortion
 
 FALLBACK = AlignerConfig().fallback
 
