@@ -92,7 +92,7 @@ def _halves(block, j, i, gamma):
     return (j0, j, i, i1), (j, j1, i0, i)
 
 
-def _score_blocks(prefix, blocks, sizes, logf, term):
+def _score_blocks(prefix, blocks, sizes, first, logf, term):
     """Log F_avg and terminal flags of interior splits of each block, into logf and term.
 
     blocks is an int array with one column per block and the rows
@@ -100,15 +100,14 @@ def _score_blocks(prefix, blocks, sizes, logf, term):
     ([j0, j1), [i0, i1)) of a matrix whose prefix table rows j0 and j1
     begin at row0 and row1 of the flat array prefix, rows stride apart.
     width = i1 - i0 - 1, last = j1 - j0 - 2, and start is the position of
-    the block's first split among the splits scored, which may be negative:
-    sizes holds the count of each block's splits scored, from split -start
-    on if so. The blocks are scored together in one flattened gather, into
-    the float and bool arrays logf and term, indexed [split, gamma], the
-    splits laid out block by block, each block's in (j, i) order. term
-    marks the splits whose two aligned sub-blocks are both terminal.
+    the block's first split among all the splits laid out block by block,
+    each block's in (j, i) order. The splits at positions first, first + 1,
+    ... are scored, sizes[k] of them in block k, in one flattened gather
+    into the float and bool arrays logf and term, indexed [split, gamma].
+    term marks the splits whose two aligned sub-blocks are both terminal.
     """
     row0, row1, stride, i0, i1, width, start, last = np.repeat(blocks, sizes, axis=1)
-    jj, ii = np.divmod(np.arange(row0.size, dtype=blocks.dtype) - start, width)
+    jj, ii = np.divmod(np.arange(first, first + row0.size, dtype=blocks.dtype) - start, width)
     # A split is terminal when both of its aligned sub-blocks have one
     # source or one target word: x, xb, y or yb of length 1.
     y = np.array([ii == 0, ii == width - 1])
@@ -140,10 +139,6 @@ def _slices(start, end, step):
     end: (a, b, lo, hi, counts) for positions [a, b), which fall in ranges
     lo:hi, counts of them in each."""
     total = int(end[-1])
-    if total <= step:
-        # Most levels fit one slice; this skips the searches.
-        yield 0, total, 0, end.size, end - start
-        return
     for a in range(0, total, step):
         b = min(a + step, total)
         lo, hi = end.searchsorted(a, side="right"), start.searchsorted(b)
@@ -250,9 +245,7 @@ class _Lockstep:
         logf = np.empty((end[-1], 2))
         term = np.empty((end[-1], 2), dtype=bool)
         for a, b, lo, hi, counts in _slices(start, end, SLICE):
-            part = blocks[:, lo:hi].copy()
-            part[6] -= a
-            _score_blocks(self.prefix, part, counts, logf[a:b], term[a:b])
+            _score_blocks(self.prefix, blocks[:, lo:hi], counts, a, logf[a:b], term[a:b])
         return logf.ravel(), term.ravel(), start[inverse], size
 
     def _level(self, level, live):

@@ -445,9 +445,12 @@ def test_parse_matrices_splits_at_the_real_bound():
     rng = np.random.default_rng(97)
     kinds = ["random", "planted", "quarters", "uniform"]
     matrices = [SoftMatrix(MATRIX_KINDS[kinds[k % 4]](rng, 12, 12)) for k in range(40)]
-    # The smallest square matrix that needs more than GROUP_SPLITS candidates at beam 10.
-    side = next(n for n in range(2, 1000) if 10 * (n - 1) ** 2 > GROUP_SPLITS)
-    matrices.insert(17, SoftMatrix(MATRIX_KINDS["planted"](rng, side, side)))
+    # The narrowest 12-row matrix that needs more than GROUP_SPLITS candidates
+    # at beam 10. Its largest pools hold over a million entries, many slices
+    # each; the smallest square one (325 x 325) passes too, but its reference
+    # parse takes a second longer.
+    width = next(m for m in range(2, 1 << 24) if 10 * 11 * (m - 1) > GROUP_SPLITS)
+    matrices.insert(17, SoftMatrix(MATRIX_KINDS["planted"](rng, 12, width)))
     groups = lockstep_groups([(mat.n, mat.m) for mat in matrices], 10)
     assert [17] in groups and len(groups) >= 3
     assert_each_equals_reference(matrices, 10)
@@ -477,11 +480,11 @@ def test_each_block_is_scored_once_per_level():
     score_blocks = parser._score_blocks
     calls = []
 
-    def record(prefix, blocks, sizes, logf, term):
+    def record(prefix, blocks, sizes, first, logf, term):
         # A block is named by the flat positions of its two prefix corners,
         # (row0 + i0, row1 + i1).
         calls.append(list(zip((blocks[0] + blocks[3]).tolist(), (blocks[1] + blocks[4]).tolist())))
-        score_blocks(prefix, blocks, sizes, logf, term)
+        score_blocks(prefix, blocks, sizes, first, logf, term)
 
     with mock.patch.object(parser, "_score_blocks", record):
         assert_each_equals_reference(matrices, 10)
