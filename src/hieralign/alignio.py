@@ -12,7 +12,7 @@ def parse_alignment_line(line, lineno=None):
     links = set()
     for token in line.split():
         a, sep, b = token.partition("-")
-        if not sep or not a.isdigit() or not b.isdigit():
+        if not sep or not a.isdecimal() or not b.isdecimal():
             where = f"line {lineno}: " if lineno is not None else ""
             raise AlignmentFormatError(f"{where}bad link token {token!r}")
         links.add((int(a), int(b)))

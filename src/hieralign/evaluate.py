@@ -29,7 +29,7 @@ class GoldAlignment:
 
 def _parse_int_pair(token, sep):
     a, _, b = token.partition(sep)
-    if not a.isdigit() or not b.isdigit():
+    if not a.isdecimal() or not b.isdecimal():
         return None
     return int(a), int(b)
 

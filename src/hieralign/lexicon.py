@@ -236,7 +236,7 @@ class TTable:
         with open(path, "r", encoding="utf-8") as fh:
             header = fh.readline().split()
             body = fh.read()
-        if len(header) != 3 or header[0] != "#ttable" or not header[2].isdigit():
+        if len(header) != 3 or header[0] != "#ttable" or not header[2].isdecimal():
             raise ValueError(f"{path}:1: not a ttable file")
         if header[1] not in (FORWARD, REVERSE):
             raise ValueError(f"{path}:1: unknown direction {header[1]!r}")

@@ -17,7 +17,9 @@ smallest step sequence by (j, i, straight < inverted)).
 
 Several matrices are searched in lockstep, level by level as arrays, with
 each matrix's candidates cut to its own beam; the result for a matrix is
-the same as when it is searched alone.
+the same as when it is searched alone. The search keeps every step it
+takes, block and split, so each winner's steps and leaves are read back
+as plain ints; top_down_parse alone turns them into objects.
 """
 
 from __future__ import annotations
@@ -145,14 +147,21 @@ def _slices(start, end, step):
         yield a, b, lo, hi, np.minimum(end[lo:hi], b) - np.maximum(start[lo:hi], a)
 
 
-def _is_terminal(block):
-    return block[1] - block[0] == 1 or block[3] - block[2] == 1
-
-
-# Columns of (j0, j1, i0, i1, j, i) that make a split's (right, left)
+# Columns of (j0, j1, i0, i1, j, i) that make a split's (left, right)
 # sub-blocks, per gamma: _halves applied to the column numbers.
-_HALF_COLUMNS = np.array([[c for half in _halves((0, 1, 2, 3), 4, 5, gamma)[::-1] for c in half]
+_HALF_COLUMNS = np.array([[c for half in _halves((0, 1, 2, 3), 4, 5, gamma) for c in half]
                           for gamma in (STRAIGHT, INVERTED)])
+
+
+def _split_halves(rows):
+    """(left, right) sub-blocks of the step rows (j0, j1, i0, i1, j, i, gamma)
+    of an array [..., column], as an array [..., half, 4], and which of them
+    are terminal."""
+    straight, inverted = _HALF_COLUMNS
+    halves = np.where(rows[..., 6:] == STRAIGHT, rows[..., straight], rows[..., inverted])
+    halves = halves.reshape(*rows.shape[:-1], 2, 4)
+    terminal = np.minimum(halves[..., 1] - halves[..., 0], halves[..., 3] - halves[..., 2]) == 1
+    return halves, terminal
 
 
 class _Lockstep:
@@ -161,18 +170,20 @@ class _Lockstep:
     The beam states of all the matrices (pairs) are rows of arrays, sorted
     by pair: pair, score v, and a fixed-depth stack of unparsed
     (j0, j1, i0, i1) blocks with its depth. trail keeps, per level, each
-    state's parent and last step (j, i, gamma), from which its step
-    sequence is read. Each level scores the splits of its distinct top
-    blocks, one per pair and block, SLICE splits per gather, into one
-    array; nothing scored is kept for later levels. A level's pool holds
-    each pair's candidates contiguously, parent by parent, then split
-    (j, i), then gamma. It is gathered from the scores and cut to the beam
-    SLICE entries at a time, so the pool and the level's scores are its
-    only arrays of their size, and the scores are dropped once the pool is
-    gathered. States keep their pool order, so within a pair pool
-    position is step-sequence order, and ties go to the lowest position.
+    state's parent and last step row (j0, j1, i0, i1, j, i, gamma), from
+    which its steps and leaves are read. Each level scores the splits of
+    its distinct top blocks, one per pair and block, SLICE splits per
+    gather, into one array; nothing scored is kept for later levels. A
+    level's pool holds each pair's candidates contiguously, parent by
+    parent, then split (j, i), then gamma. It is gathered from the scores
+    and cut to the beam SLICE entries at a time, so the pool and the
+    level's scores are its only arrays of their size, and the scores are
+    dropped once the pool is gathered. States keep their pool order, so
+    within a pair pool position is step-sequence order, and ties go to
+    the lowest position.
     Step sequences are compared only when a terminal ties the best one of
-    an earlier level.
+    an earlier level. Two sequences of a pair first differ at a step whose
+    block is the same in both, so their rows compare as (j, i, gamma) do.
     """
 
     def __init__(self, matrices, beam_k):
@@ -192,11 +203,11 @@ class _Lockstep:
         self.depth = np.ones(self.pairs, dtype=np.int64)
         self.trail = []
         self.best_v = np.full(self.pairs, -np.inf)
-        # (level, parent state, j, i, gamma) of each pair's best terminal; level -1 before one is found
-        self.best = np.full((self.pairs, 5), -1)
+        # (level, parent state, step row) of each pair's best terminal; level -1 before one is found
+        self.best = np.full((self.pairs, 9), -1)
 
     def run(self):
-        """Search every level; then yield each pair's best (score, step sequence)."""
+        """Search every level; then yield each pair's best (score, step rows, leaves)."""
         level = 0
         live = self.pair
         while live.size:
@@ -205,20 +216,30 @@ class _Lockstep:
             live = self.depth.nonzero()[0]
         if (self.best[:, 0] < 0).any():
             raise RuntimeError("beam search ended without a terminal state")
-        yield from zip(self.best_v.tolist(), self._sequences(self.best))
+        yield from zip(self.best_v.tolist(), *self._sequences(self.best))
 
     def _sequences(self, ends):
-        """Step sequences of the rows (level, state, j, i, gamma) of ends: the
-        state's steps, read back through the trail, then (j, i, gamma)."""
+        """Step rows and leaves of the rows (level, state, step row) of ends.
+
+        An end's step rows (j0, j1, i0, i1, j, i, gamma) are its state's,
+        read back through the trail, then its own; its leaves are the
+        terminal halves of those steps, left first. Both are lists of lists
+        of ints, one per end.
+        """
         level, state = ends[:, 0], ends[:, 1].copy()
-        seqs = np.empty((len(ends), level.max() + 1, 3), dtype=np.int64)
-        seqs[np.arange(len(ends)), level] = ends[:, 2:]
+        # Rows past an end's level stay zero: their halves are empty, not terminal.
+        rows = np.zeros((len(ends), level.max() + 1, 7), dtype=np.int64)
+        rows[np.arange(len(ends)), level] = ends[:, 2:]
         for back in reversed(range(level.max())):
             at = (level > back).nonzero()[0]
             parent, step = self.trail[back]
-            seqs[at, back] = step[state[at]]
+            rows[at, back] = step[state[at]]
             state[at] = parent[state[at]]
-        return [tuple(map(tuple, rows[:n + 1])) for rows, n in zip(seqs.tolist(), level.tolist())]
+        halves, terminal = _split_halves(rows)
+        leaves = halves[terminal].tolist()
+        edges = [0, *accumulate(terminal.sum(axis=(1, 2)).tolist())]
+        return ([steps[:n + 1] for steps, n in zip(rows.tolist(), level.tolist())],
+                [leaves[a:b] for a, b in zip(edges, edges[1:])])
 
     def _scores(self, pair, top):
         """Scores of the distinct blocks of top, and each state's first row and split count.
@@ -297,10 +318,10 @@ class _Lockstep:
             maxima = np.where(value == peak.repeat(np.diff(heads, append=hits.size)), hits, pool.size)
             winner = np.minimum.reduceat(maxima, heads)
             s, block = steps(winner)
-            ends = np.column_stack((np.full(winner.size, level), live[s], block[:, 4:]))
+            ends = np.column_stack((np.full(winner.size, level), live[s], block))
             better = peak > self.best_v[g]
             for q in (peak == self.best_v[g]).nonzero()[0].tolist():
-                mine, held = self._sequences(np.stack((ends[q], self.best[g[q]])))
+                mine, held = self._sequences(np.stack((ends[q], self.best[g[q]])))[0]
                 better[q] = mine < held
             self.best_v[g[better]] = peak[better]
             self.best[g[better]] = ends[better]
@@ -333,16 +354,14 @@ class _Lockstep:
         # top block, then the split's non-terminal halves, right first.
         s, block = steps(kept)
         index = np.arange(kept.size)
-        straight, inverted = _HALF_COLUMNS
-        halves = np.where(block[:, 6:] == STRAIGHT, block[:, straight], block[:, inverted]).reshape(-1, 2, 4)
-        pushed = np.minimum(halves[:, :, 1] - halves[:, :, 0], halves[:, :, 3] - halves[:, :, 2]) > 1
+        halves, terminal = _split_halves(block)
         parent = live[s]
         stack = self.stack[parent]
         height = depth[s] - 1
-        for h in (0, 1):
+        for h in (1, 0):
             stack[index, height] = halves[:, h]
-            height += pushed[:, h]
-        self.trail.append((parent, block[:, 4:]))
+            height += ~terminal[:, h]
+        self.trail.append((parent, block))
         self.pair = pair[s]
         self.v = pool[kept]
         self.stack = stack
@@ -371,11 +390,12 @@ def lockstep_groups(shapes, beam_k):
 def parse_matrices(matrices, beam_k):
     """Best derivation of each matrix found by beam search; see the module docstring.
 
-    Yields the derivations in order, each replayed only when it is taken,
-    so a caller that consumes them one by one holds one at a time. The
-    matrices of each lockstep group are parsed together. A 1 x m or n x 1
-    matrix is already terminal and yields the empty derivation whose
-    single leaf is the root block.
+    Yields (score, step rows, leaves) per matrix, in order, all in plain
+    ints: the step rows (j0, j1, i0, i1, j, i, gamma) of the split block and
+    the split, in order, and the terminal (j0, j1, i0, i1) blocks, each
+    step's left first. The matrices of each lockstep group are parsed
+    together. A 1 x m or n x 1 matrix is already terminal and yields no
+    steps and the root block as its one leaf.
     """
     if beam_k < 1:
         raise ValueError("beam_k must be >= 1")
@@ -387,54 +407,26 @@ def _derivations(matrices, beam_k):
         group = [matrices[k] for k in group]
         split = [mat for mat in group if mat.n > 1 and mat.m > 1]
         found = _Lockstep(split, beam_k).run() if split else None
-        # Blocks and steps recur across a group's derivations; frozen, they can be shared.
-        blocks, steps = _Interned(Block), _Interned(SplitStep)
         for mat in group:
-            if mat.n > 1 and mat.m > 1:
-                yield _replay(mat.n, mat.m, *next(found), blocks, steps)
-            else:
-                yield Derivation((), (Block(0, mat.n, 0, mat.m),), mat.n, mat.m, 0.0)
-
-
-class _Interned(dict):
-    """Instances of a frozen class by their field values, each made once."""
-
-    def __init__(self, cls):
-        self.cls = cls
-
-    def __missing__(self, values):
-        self[values] = made = self.cls(*values)
-        return made
-
-
-def _replay(n, m, v, seq, blocks, steps):
-    """Derivation of score v whose steps are seq, rebuilt from the root.
-
-    Non-terminal sub-blocks go on the stack right first, so the left one is
-    split next; terminal ones become leaves, left first.
-    """
-    stack = [(0, n, 0, m)]
-    splits = []
-    leaves = []
-    for step in seq:
-        block = stack.pop()
-        splits.append((blocks[block], steps[step]))
-        left, right = _halves(block, *step)
-        stack += [half for half in (right, left) if not _is_terminal(half)]
-        leaves += [blocks[half] for half in (left, right) if _is_terminal(half)]
-    return Derivation(tuple(splits), tuple(leaves), n, m, v)
+            yield next(found) if mat.n > 1 and mat.m > 1 else (0.0, [], [[0, mat.n, 0, mat.m]])
 
 
 def top_down_parse(matrix, beam_k):
-    """Best derivation of one matrix: parse_matrices of [matrix]."""
-    return next(parse_matrices([matrix], beam_k))
+    """Best derivation of one matrix: parse_matrices of [matrix], as a Derivation."""
+    score, steps, leaves = next(parse_matrices([matrix], beam_k))
+    return Derivation(tuple((Block(*row[:4]), SplitStep(*row[4:])) for row in steps),
+                      tuple(Block(*leaf) for leaf in leaves), matrix.n, matrix.m, score)
+
+
+def leaf_links(leaves):
+    """Links of (j0, j1, i0, i1) leaves, in Pharaoh order: by source, then target.
+
+    Leaves share no source word, so their cross products, taken by j0 and
+    row by row, come out sorted.
+    """
+    return [(j, i) for j0, j1, i0, i1 in sorted(leaves) for j in range(j0, j1) for i in range(i0, i1)]
 
 
 def project(derivation):
     """Alignment links of a derivation: cross products of its leaf blocks."""
-    links = set()
-    for leaf in derivation.leaves:
-        for j in range(leaf.j0, leaf.j1):
-            for i in range(leaf.i0, leaf.i1):
-                links.add((j, i))
-    return links
+    return set(leaf_links((leaf.j0, leaf.j1, leaf.i0, leaf.i1) for leaf in derivation.leaves))

@@ -16,7 +16,7 @@ from dataclasses import dataclass, field, fields
 from . import lexicon, softmatrix, workers
 from .alignio import format_alignment
 from .corpus import Vocabulary, drop_empty, encode_pairs
-from .parser import lockstep_groups, parse_matrices, project
+from .parser import leaf_links, lockstep_groups, parse_matrices
 from .softmatrix import MatrixParams, build_soft_matrices
 
 
@@ -218,7 +218,7 @@ def _align_chunk(chunk, t_fwd, t_rev, params, beam, dump_fh=None):
         if dump_fh is not None:
             for matrix in matrices:
                 softmatrix.dump_matrix(matrix, dump_fh)
-        lines += [format_alignment(project(d)) for d in parse_matrices(matrices, beam)]
+        lines += [format_alignment(leaf_links(leaves)) for _, _, leaves in parse_matrices(matrices, beam)]
     lines = iter(lines)
     return ["" if pair is None else next(lines) for pair in chunk]
 

@@ -26,6 +26,9 @@ def test_bad_token_raises_with_line():
         parse_alignment_line("0-0 nope", lineno=3)
     with pytest.raises(AlignmentFormatError):
         parse_alignment_line("1-")
+    # A superscript is a digit to str.isdigit but not to int().
+    with pytest.raises(AlignmentFormatError, match="line 4"):
+        parse_alignment_line("0-0 \u00b2-1", lineno=4)
 
 
 def test_file_roundtrip(tmp_path):

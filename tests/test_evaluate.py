@@ -30,6 +30,9 @@ def test_load_gold_duplicates_collapse(tmp_path):
 def test_load_gold_malformed_token(tmp_path):
     with pytest.raises(GoldFormatError, match=r"line 2, column 5"):
         load_gold(write_gold(tmp_path, "0-0\n1-1 x+2\n"))
+    # A superscript is a digit to str.isdigit but not to int().
+    with pytest.raises(GoldFormatError, match=r"line 1, column 5"):
+        load_gold(write_gold(tmp_path, "0-0 \u00b2?1\n"))
 
 
 def test_sure_links_are_possible():

@@ -424,6 +424,20 @@ def test_ttable_load_rejects_malformed_row(tmp_path, row, message):
     assert str(err.value) == f"{path}:3: {message}"
 
 
+@pytest.mark.parametrize("header", ["#ttable fwd", "#ttable fwd 1 1", "#table fwd 1", "#ttable fwd x",
+                                    # A superscript is a digit to str.isdigit but not to int().
+                                    "#ttable fwd \u00b2"])
+def test_ttable_load_rejects_malformed_header(tmp_path, header):
+    vsrc, vtgt = Vocabulary(), Vocabulary()
+    vsrc.add("a")
+    vtgt.add("x")
+    path = tmp_path / "ttable.fwd"
+    path.write_text(f"{header}\na\tx\t0.5\n", encoding="utf-8")
+    with pytest.raises(ValueError) as err:
+        TTable.load(path, vsrc, vtgt, FALLBACK)
+    assert str(err.value) == f"{path}:1: not a ttable file"
+
+
 def draw_vocabulary(data):
     vocab = Vocabulary()
     for token in data.draw(st.lists(TOKENS, min_size=1, max_size=5, unique=True)):

@@ -9,6 +9,7 @@ from hypothesis import strategies as st
 
 import oracles
 from hieralign import parser
+from hieralign.alignio import format_alignment
 from hieralign.parser import (
     GROUP_SPLITS,
     INVERTED,
@@ -16,6 +17,7 @@ from hieralign.parser import (
     STRAIGHT,
     Block,
     SplitStep,
+    leaf_links,
     lockstep_groups,
     parse_matrices,
     project,
@@ -412,11 +414,18 @@ CHUNK_KINDS = {
 
 
 def assert_each_equals_reference(matrices, beam_k):
+    # Each matrix's step rows, leaves, score and Pharaoh line, as the
+    # reference derivation gives them.
     got = list(parse_matrices(matrices, beam_k))
     assert len(got) == len(matrices)
-    for matrix, derivation in zip(matrices, got):
+    for matrix, (score, steps, leaves) in zip(matrices, got):
         want = oracles.reference_top_down_parse(matrix, beam_k)
-        assert (derivation.steps, derivation.leaves, derivation.score) == (want.steps, want.leaves, want.score)
+        want_steps = [[b.j0, b.j1, b.i0, b.i1, step.j, step.i, step.gamma] for b, step in want.steps]
+        want_leaves = [[b.j0, b.j1, b.i0, b.i1] for b in want.leaves]
+        assert (steps, leaves, score) == (want_steps, want_leaves, want.score)
+        # The links come out in Pharaoh order, so the line needs no sort.
+        assert leaf_links(leaves) == sorted(project(want))
+        assert format_alignment(leaf_links(leaves)) == format_alignment(project(want))
 
 
 @settings(max_examples=25, deadline=None)
