@@ -26,7 +26,6 @@ from .lexicon import (
     symmetric_lexical_score,
     train_ibm1,
     vbh_reestimate,
-    viterbi_alignment,
 )
 from .parser import (
     INVERTED,
@@ -81,5 +80,4 @@ __all__ = [
     "train_model",
     "union_links",
     "vbh_reestimate",
-    "viterbi_alignment",
 ]

@@ -13,14 +13,18 @@ A table is two flat arrays: sorted int64 keys packing (conditioning id,
 conditioned id), so that the entries of one conditioning word are
 contiguous, and the float64 values in the same order. EM, lookups and
 model files work on whole arrays.
+
+EM runs on a direction's corpus links, every conditioned word occurrence
+joined to each word of the other side of its pair. VBH reads the Viterbi
+link of every occurrence off the same links in a few array passes, then
+symmetrizes the two directions pair by pair with grow-diag-final-and.
 """
 
 from __future__ import annotations
 
 from collections.abc import Mapping
 from dataclasses import dataclass
-from functools import cached_property
-from itertools import chain, repeat
+from itertools import chain, islice, repeat
 from operator import ne
 
 import numpy as np
@@ -310,6 +314,7 @@ class _Links:
         cond = np.fromiter(chain.from_iterable(c for c, _ in sides), np.int64, int(n.sum()))
         cing = np.fromiter(chain.from_iterable(e + null for _, e in sides), np.int64, int(m.sum()))
         pair_of_occ = np.repeat(np.arange(len(sides)), n)
+        self.null = len(null)
         self.slots = m[pair_of_occ]
         self.occ = np.repeat(np.arange(len(cond)), self.slots)
         first = np.cumsum(self.slots) - self.slots
@@ -319,8 +324,7 @@ class _Links:
         self.keys, self.key_of_link = np.unique(link_keys, return_inverse=True)
         self.chunk_of_link = pair_of_occ[self.occ] // CHUNK_SIZE
 
-    @cached_property
-    def _chunk_groups(self):
+    def chunk_groups(self):
         """(group of each link, key of each group) for groups of one key in one
         chunk, numbered chunk by chunk."""
         groups, group_of_link = np.unique(
@@ -335,11 +339,12 @@ class _Links:
         uniform = 1.0 / np.bincount(group)[group]
         return TTable(direction, PairMap(self.keys, uniform), cond_vocab_size, config.fallback)
 
-    def expected_counts(self, table):
+    def expected_counts(self, table, chunk_groups):
         """E-step counts, summed in the order of a chunked corpus loop.
 
         Within a chunk of CHUNK_SIZE pairs, np.bincount adds link by link in
         corpus order; the chunk sums are then added in chunk order.
+        chunk_groups is what self.chunk_groups() returns.
         """
         where = table.probs.find(self.keys)
         if (where < 0).any():
@@ -347,9 +352,29 @@ class _Links:
             raise KeyError((int(self.keys[k] & _LOW), int(self.keys[k] >> _SHIFT)))
         p = table.probs.data[where][self.key_of_link]
         share = p / np.bincount(self.occ, weights=p)[self.occ]
-        group_of_link, key_of_group = self._chunk_groups
+        group_of_link, key_of_group = chunk_groups
         partial = np.bincount(group_of_link, weights=share)
         return PairMap(self.keys, np.bincount(key_of_group, weights=partial, minlength=len(self.keys)))
+
+    def viterbi(self, table):
+        """Per occurrence, the index of its best conditioning word, -1 where NULL wins.
+
+        Ties go to the lowest index. NULL, each occurrence's last slot when
+        enabled, wins only when strictly better than the best word.
+        """
+        p = table.probs.get_packed(self.keys, table.fallback)[self.key_of_link]
+        first = np.cumsum(self.slots) - self.slots
+        if self.null:
+            last = first + self.slots - 1
+            p_null = p[last]
+            p[last] = -np.inf
+        peak = np.maximum.reduceat(p, first)
+        at = np.arange(len(p))
+        at[p != peak.repeat(self.slots)] = len(p)
+        best = np.minimum.reduceat(at, first) - first
+        if self.null:
+            best[p_null > peak] = -1
+        return best
 
     def log_likelihood(self, table):
         p = table.probs.get_packed(self.keys, table.fallback)[self.key_of_link]
@@ -364,7 +389,8 @@ def expected_counts(pairs, table, config, threads=1):
     processes, so it runs in this process and threads is ignored.
     Summation order is fixed by the corpus alone.
     """
-    return _Links(pairs, table.direction, config.use_null).expected_counts(table)
+    links = _Links(pairs, table.direction, config.use_null)
+    return links.expected_counts(table, links.chunk_groups())
 
 
 def normalize_plain(counts):
@@ -390,18 +416,29 @@ def normalize_vb(counts, alpha, vocab_size):
     return PairMap(counts.packed, np.maximum(probs, TINY_PROB))
 
 
-def _em_round(links, table, config):
-    counts = links.expected_counts(table)
-    if config.vb:
-        probs = normalize_vb(counts, config.alpha, table.cond_vocab_size)
-    else:
-        probs = normalize_plain(counts)
-    return TTable(table.direction, probs, table.cond_vocab_size, table.fallback)
-
-
 def uniform_init(pairs, direction, config, cond_vocab_size=None):
     """Uniform table over co-occurring pairs (plus NULL when enabled)."""
     return _Links(pairs, direction, config.use_null).uniform(direction, config, cond_vocab_size)
+
+
+def _trained(pairs, direction, config, progress=None):
+    """The corpus links of one direction and the table after config.iterations
+    E+M rounds on them from the uniform initialization."""
+    if not pairs:
+        raise ValueError("cannot train on an empty corpus")
+    links = _Links(pairs, direction, config.use_null)
+    chunk_groups = links.chunk_groups()
+    table = links.uniform(direction, config)
+    for it in range(config.iterations):
+        counts = links.expected_counts(table, chunk_groups)
+        if config.vb:
+            probs = normalize_vb(counts, config.alpha, table.cond_vocab_size)
+        else:
+            probs = normalize_plain(counts)
+        table = TTable(direction, probs, table.cond_vocab_size, table.fallback)
+        if progress is not None:
+            progress(it + 1, config.iterations)
+    return links, table
 
 
 def train_ibm1(pairs, direction, config, threads=1, progress=None):
@@ -409,15 +446,30 @@ def train_ibm1(pairs, direction, config, threads=1, progress=None):
 
     threads is ignored, as in expected_counts.
     """
-    if not pairs:
-        raise ValueError("cannot train on an empty corpus")
-    links = _Links(pairs, direction, config.use_null)
-    table = links.uniform(direction, config)
-    for it in range(config.iterations):
-        table = _em_round(links, table, config)
-        if progress is not None:
-            progress(it + 1, config.iterations)
-    return table
+    return _trained(pairs, direction, config, progress)[1]
+
+
+def train_tables(pairs, config, vbh, log=None):
+    """The forward and reverse tables of train_ibm1, re-estimated by VBH when vbh is set.
+
+    Under VBH each direction's Viterbi links are read from the links its
+    EM ran on, which are then dropped: one direction's links are alive at
+    a time, and only the per-word Viterbi arrays cross to the other. log,
+    when given, receives a line per EM iteration and one before VBH.
+    """
+    tables, best = [], []
+    for direction in (FORWARD, REVERSE):
+        progress = None if log is None else lambda it, total: log(f"em {direction} iteration {it}/{total}")
+        links, table = _trained(pairs, direction, config, progress)
+        tables.append(table)
+        if vbh:
+            best.append(links.viterbi(table))
+        del links
+    if not vbh:
+        return tuple(tables)
+    if log is not None:
+        log("vbh re-estimation from symmetrized Viterbi links")
+    return _reestimate(pairs, *tables, *best)
 
 
 def corpus_log_likelihood(pairs, table, config):
@@ -433,24 +485,23 @@ def symmetric_lexical_score(t_fwd, t_rev, f, e):
     return 0.5 * (np.log(t_fwd.lookup(f, e)) + np.log(t_rev.lookup(e, f)))
 
 
-def viterbi_alignment(pair, table, use_null):
-    """Per-word argmax links under one directional table.
+def viterbi_links(pairs, table, use_null):
+    """Per-word argmax links of a corpus under one directional table.
 
-    Each conditioned word links to its best conditioning word; ties go to
-    the lowest index. NULL wins only when strictly better, and produces no
-    link. Links are always (source index, target index).
+    One int per conditioned word, in corpus order: the index of its best
+    conditioning word in its pair, or -1 where NULL is strictly better and
+    the word stays unlinked. Ties go to the lowest index.
     """
-    cond_seq, cing_seq = oriented(pair, table.direction)
-    cond = np.asarray(cond_seq)
-    probs = table.lookup(cond[:, None], np.asarray(cing_seq)[None, :])
-    best = probs.argmax(axis=1)
-    linked = np.arange(len(cond))
-    if use_null:
-        linked = linked[table.lookup(cond, NULL_ID) <= probs[linked, best]]
-    pairs = zip(linked.tolist(), best[linked].tolist())
-    if table.direction == FORWARD:
-        return set(pairs)
-    return {(b, a) for a, b in pairs}
+    return _Links(pairs, table.direction, use_null).viterbi(table)
+
+
+def _link_sets(pairs, best, direction):
+    """Each pair's links (source index, target index) from a viterbi_links array."""
+    best = iter(best.tolist())
+    for pair in pairs:
+        words = pair.n if direction == FORWARD else pair.m
+        links = [(a, b) for a, b in enumerate(islice(best, words)) if b >= 0]
+        yield set(links) if direction == FORWARD else {(b, a) for a, b in links}
 
 
 def _link_counts(conditioned, conditioning):
@@ -458,17 +509,10 @@ def _link_counts(conditioned, conditioning):
     return PairMap(packed, counts.astype(np.float64))
 
 
-def vbh_reestimate(pairs, t_fwd, t_rev, use_null):
-    """Rebuild both tables from gdfa-symmetrized Viterbi links.
-
-    Every symmetrized link contributes one count in each direction; counts
-    are normalized per conditioning word. Fallbacks and vocabulary sizes
-    are carried over unchanged.
-    """
+def _reestimate(pairs, t_fwd, t_rev, best_fwd, best_rev):
     src_ids, tgt_ids = [], []
-    for pair in pairs:
-        a_fwd = viterbi_alignment(pair, t_fwd, use_null)
-        a_rev = viterbi_alignment(pair, t_rev, use_null)
+    a_fwds, a_revs = _link_sets(pairs, best_fwd, FORWARD), _link_sets(pairs, best_rev, REVERSE)
+    for pair, a_fwd, a_rev in zip(pairs, a_fwds, a_revs):
         for (j, i) in grow_diag_final_and(a_fwd, a_rev, pair.n, pair.m):
             src_ids.append(pair.source[j])
             tgt_ids.append(pair.target[i])
@@ -477,3 +521,17 @@ def vbh_reestimate(pairs, t_fwd, t_rev, use_null):
     new_rev = TTable(REVERSE, normalize_plain(_link_counts(tgt_ids, src_ids)),
                      t_rev.cond_vocab_size, t_rev.fallback)
     return new_fwd, new_rev
+
+
+def vbh_reestimate(pairs, t_fwd, t_rev, use_null):
+    """Rebuild both tables from gdfa-symmetrized Viterbi links.
+
+    The Viterbi links of all pairs come from viterbi_links, one direction
+    at a time; grow-diag-final-and then runs pair by pair. Every
+    symmetrized link contributes one count in each direction; counts are
+    normalized per conditioning word. Fallbacks and vocabulary sizes are
+    carried over unchanged.
+    """
+    best_fwd = viterbi_links(pairs, t_fwd, use_null)
+    best_rev = viterbi_links(pairs, t_rev, use_null)
+    return _reestimate(pairs, t_fwd, t_rev, best_fwd, best_rev)

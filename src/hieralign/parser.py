@@ -19,7 +19,8 @@ Several matrices are searched in lockstep, level by level as arrays, with
 each matrix's candidates cut to its own beam; the result for a matrix is
 the same as when it is searched alone. The search keeps every step it
 takes, block and split, so each winner's steps and leaves are read back
-as plain ints; top_down_parse alone turns them into objects.
+from it: leaves as plain ints, steps as an int array that only
+top_down_parse turns into objects.
 """
 
 from __future__ import annotations
@@ -223,8 +224,8 @@ class _Lockstep:
 
         An end's step rows (j0, j1, i0, i1, j, i, gamma) are its state's,
         read back through the trail, then its own; its leaves are the
-        terminal halves of those steps, left first. Both are lists of lists
-        of ints, one per end.
+        terminal halves of those steps, left first. Per end, the step rows
+        are an int array (steps, 7) and the leaves a list of lists of ints.
         """
         level, state = ends[:, 0], ends[:, 1].copy()
         # Rows past an end's level stay zero: their halves are empty, not terminal.
@@ -238,7 +239,7 @@ class _Lockstep:
         halves, terminal = _split_halves(rows)
         leaves = halves[terminal].tolist()
         edges = [0, *accumulate(terminal.sum(axis=(1, 2)).tolist())]
-        return ([steps[:n + 1] for steps, n in zip(rows.tolist(), level.tolist())],
+        return ([steps[:n + 1] for steps, n in zip(rows, level.tolist())],
                 [leaves[a:b] for a, b in zip(edges, edges[1:])])
 
     def _scores(self, pair, top):
@@ -321,7 +322,8 @@ class _Lockstep:
             ends = np.column_stack((np.full(winner.size, level), live[s], block))
             better = peak > self.best_v[g]
             for q in (peak == self.best_v[g]).nonzero()[0].tolist():
-                mine, held = self._sequences(np.stack((ends[q], self.best[g[q]])))[0]
+                tied, _ = self._sequences(np.stack((ends[q], self.best[g[q]])))
+                mine, held = (rows.tolist() for rows in tied)
                 better[q] = mine < held
             self.best_v[g[better]] = peak[better]
             self.best[g[better]] = ends[better]
@@ -390,12 +392,13 @@ def lockstep_groups(shapes, beam_k):
 def parse_matrices(matrices, beam_k):
     """Best derivation of each matrix found by beam search; see the module docstring.
 
-    Yields (score, step rows, leaves) per matrix, in order, all in plain
-    ints: the step rows (j0, j1, i0, i1, j, i, gamma) of the split block and
-    the split, in order, and the terminal (j0, j1, i0, i1) blocks, each
-    step's left first. The matrices of each lockstep group are parsed
-    together. A 1 x m or n x 1 matrix is already terminal and yields no
-    steps and the root block as its one leaf.
+    Yields (score, step rows, leaves) per matrix, in order: the step rows
+    (j0, j1, i0, i1, j, i, gamma) of the split block and the split, in
+    order, as an int array (steps, 7), and the terminal (j0, j1, i0, i1)
+    blocks, each step's left first, as lists of plain ints. The matrices
+    of each lockstep group are parsed together. A 1 x m or n x 1 matrix is
+    already terminal and yields no steps and the root block as its one
+    leaf.
     """
     if beam_k < 1:
         raise ValueError("beam_k must be >= 1")
@@ -408,13 +411,13 @@ def _derivations(matrices, beam_k):
         split = [mat for mat in group if mat.n > 1 and mat.m > 1]
         found = _Lockstep(split, beam_k).run() if split else None
         for mat in group:
-            yield next(found) if mat.n > 1 and mat.m > 1 else (0.0, [], [[0, mat.n, 0, mat.m]])
+            yield next(found) if mat.n > 1 and mat.m > 1 else (0.0, np.empty((0, 7), np.int64), [[0, mat.n, 0, mat.m]])
 
 
 def top_down_parse(matrix, beam_k):
     """Best derivation of one matrix: parse_matrices of [matrix], as a Derivation."""
     score, steps, leaves = next(parse_matrices([matrix], beam_k))
-    return Derivation(tuple((Block(*row[:4]), SplitStep(*row[4:])) for row in steps),
+    return Derivation(tuple((Block(*row[:4]), SplitStep(*row[4:])) for row in steps.tolist()),
                       tuple(Block(*leaf) for leaf in leaves), matrix.n, matrix.m, score)
 
 

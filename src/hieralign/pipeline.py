@@ -146,19 +146,7 @@ class Model:
 
 def train_model(pairs, vocab_src, vocab_tgt, config, log=None):
     """Train both directional tables; apply the VBH re-estimation if enabled."""
-    em = config.em_config()
-
-    def progress(tag):
-        if log is None:
-            return None
-        return lambda it, total: log(f"em {tag} iteration {it}/{total}")
-
-    t_fwd = lexicon.train_ibm1(pairs, lexicon.FORWARD, em, progress=progress("fwd"))
-    t_rev = lexicon.train_ibm1(pairs, lexicon.REVERSE, em, progress=progress("rev"))
-    if config.vbh:
-        if log is not None:
-            log("vbh re-estimation from symmetrized Viterbi links")
-        t_fwd, t_rev = lexicon.vbh_reestimate(pairs, t_fwd, t_rev, config.use_null)
+    t_fwd, t_rev = lexicon.train_tables(pairs, config.em_config(), config.vbh, log)
     return Model(vocab_src, vocab_tgt, t_fwd, t_rev, config)
 
 

@@ -8,9 +8,11 @@ f_avg) reads one block sum at a time from a matrix's prefix table. The
 per-pair matrix build and the reference beam parser are plain loops over
 one pair or one state at a time with the package's own lexicon lookups,
 blocks and split arithmetic, so that the package's batched output can be
-required to equal them exactly, ties included. em_step and
-write_alignment_file are test helpers built on the package's public API,
-and reference_ttable_text writes a ttable one row at a time, the byte
+required to equal them exactly, ties included. viterbi_alignment is the
+per-pair reference for the package's corpus-wide Viterbi links, one
+pair's lookups at a time. em_step and write_alignment_file
+are test helpers built on the package's public API, and
+reference_ttable_text writes a ttable one row at a time, the byte
 reference for TTable.save.
 """
 
@@ -22,11 +24,13 @@ from scipy.special import digamma as scipy_digamma
 from hieralign.alignio import format_alignment
 from hieralign.corpus import NULL_ID
 from hieralign.lexicon import (
+    FORWARD,
     NULL_FIELD,
     TTable,
     expected_counts,
     normalize_plain,
     normalize_vb,
+    oriented,
     symmetric_lexical_score,
 )
 from hieralign.parser import (
@@ -554,6 +558,26 @@ def reference_top_down_parse(matrix, beam_k):
     if best_state is None:
         raise RuntimeError("beam search ended without a terminal state")
     return Derivation(best_state.splits, best_state.leaves, n, m, best_state.v)
+
+
+def viterbi_alignment(pair, table, use_null):
+    """Per-word argmax links of one pair under one directional table.
+
+    Each conditioned word links to its best conditioning word; ties go to
+    the lowest index. NULL wins only when strictly better, and produces no
+    link. Links are always (source index, target index).
+    """
+    cond_seq, cing_seq = oriented(pair, table.direction)
+    cond = np.asarray(cond_seq)
+    probs = table.lookup(cond[:, None], np.asarray(cing_seq)[None, :])
+    best = probs.argmax(axis=1)
+    linked = np.arange(len(cond))
+    if use_null:
+        linked = linked[table.lookup(cond, NULL_ID) <= probs[linked, best]]
+    pairs = zip(linked.tolist(), best[linked].tolist())
+    if table.direction == FORWARD:
+        return set(pairs)
+    return {(b, a) for a, b in pairs}
 
 
 def em_step(pairs, table, config):

@@ -1,6 +1,9 @@
 import math
 import os
 import tempfile
+import tracemalloc
+from collections import Counter
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -35,12 +38,14 @@ from hieralign.lexicon import (
     train_ibm1,
     uniform_init,
     vbh_reestimate,
-    viterbi_alignment,
+    viterbi_links,
 )
 from hieralign.pipeline import AlignerConfig, load_model, save_model, train_model
+from hieralign.symmetrize import grow_diag_final_and
 
 EULER_GAMMA = 0.5772156649015329
 FALLBACK = AlignerConfig().fallback
+PERFBENCH = Path(__file__).resolve().parent.parent / "perfbench"
 
 
 def corpus_from_tokens(token_pairs):
@@ -296,27 +301,85 @@ def test_symmetric_score_fallback():
 
 # --- Viterbi ---
 
+def viterbi_sets(pairs, table, use_null):
+    """Each pair's links (source index, target index) from viterbi_links."""
+    best = viterbi_links(pairs, table, use_null).tolist()
+    sets, k = [], 0
+    for pair in pairs:
+        words = pair.n if table.direction == FORWARD else pair.m
+        links = {(a, b) for a, b in enumerate(best[k:k + words]) if b >= 0}
+        sets.append(links if table.direction == FORWARD else {(b, a) for a, b in links})
+        k += words
+    assert k == len(best)
+    return sets
+
+
 def test_viterbi_uniform_ties_to_lowest_index():
     pair = SentencePair((1, 2), (1, 2), 0)
     table = make_table(FORWARD, {(f, e): 0.5 for f in (1, 2) for e in (1, 2)})
-    assert viterbi_alignment(pair, table, use_null=False) == {(0, 0), (1, 0)}
+    assert viterbi_sets([pair], table, use_null=False) == [{(0, 0), (1, 0)}]
 
 
 def test_viterbi_diagonal():
     pair = SentencePair((1, 2), (1, 2), 0)
     probs = {(1, 1): 0.9, (1, 2): 0.1, (2, 1): 0.1, (2, 2): 0.9}
     table = make_table(FORWARD, probs)
-    assert viterbi_alignment(pair, table, use_null=False) == {(0, 0), (1, 1)}
+    assert viterbi_sets([pair], table, use_null=False) == [{(0, 0), (1, 1)}]
     rev = make_table(REVERSE, dict(probs))
-    assert viterbi_alignment(pair, rev, use_null=False) == {(0, 0), (1, 1)}
+    assert viterbi_sets([pair], rev, use_null=False) == [{(0, 0), (1, 1)}]
 
 
 def test_viterbi_null_must_win_strictly():
     pair = SentencePair((1,), (1, 2), 0)
     dominated = make_table(FORWARD, {(1, 1): 0.4, (1, 2): 0.1, (1, NULL_ID): 0.5})
-    assert viterbi_alignment(pair, dominated, use_null=True) == set()
+    assert viterbi_sets([pair], dominated, use_null=True) == [set()]
     tied = make_table(FORWARD, {(1, 1): 0.5, (1, 2): 0.1, (1, NULL_ID): 0.5})
-    assert viterbi_alignment(pair, tied, use_null=True) == {(0, 0)}
+    assert viterbi_sets([pair], tied, use_null=True) == [{(0, 0)}]
+
+
+# Probability levels few enough that words tie often, the fallback among them.
+LEVELS = (0.1, 0.25, 0.5)
+
+
+def random_viterbi_case(rng, direction, kind, use_null):
+    """(pairs, table) of a seeded random corpus over a 4-word vocabulary.
+
+    kind "levels" draws every entry from LEVELS; "uniform" gives all of
+    them one value, NULL too; "null_tied" sets each word's NULL entry to its
+    best entry, so NULL ties the best word wherever that word is present;
+    "missing" drops about half the entries, which then read the fallback;
+    "one_word" makes every side a single word; "trained" is the EM table.
+    """
+    max_len = 1 if kind == "one_word" else 6
+    pairs = [
+        SentencePair(tuple(rng.integers(1, 5, size=rng.integers(1, max_len + 1)).tolist()),
+                     tuple(rng.integers(1, 5, size=rng.integers(1, max_len + 1)).tolist()), k)
+        for k in range(int(rng.integers(1, 12)))
+    ]
+    if kind == "trained":
+        config = AlignerConfig(em_iters=2, use_null=use_null).em_config()
+        return pairs, train_ibm1(pairs, direction, config)
+    keys = sorted({(f, e) for pair in pairs for cond, cing in [oriented(pair, direction)]
+                   for f in cond for e in cing + (NULL_ID,)})
+    probs = {key: float(rng.choice(LEVELS)) for key in keys}
+    if kind == "uniform":
+        probs = dict.fromkeys(keys, 0.5)
+    elif kind == "null_tied":
+        for f, e in keys:
+            probs[(f, NULL_ID)] = max(probs[(f, NULL_ID)], probs[(f, e)])
+    elif kind == "missing":
+        probs = {key: p for key, p in probs.items() if rng.random() < 0.5}
+    return pairs, TTable(direction, probs, 4, LEVELS[0])
+
+
+@pytest.mark.parametrize("kind", ["levels", "uniform", "null_tied", "missing", "one_word", "trained"])
+@pytest.mark.parametrize("use_null", [True, False])
+@pytest.mark.parametrize("direction", [FORWARD, REVERSE])
+def test_viterbi_links_equal_per_pair_oracle(direction, use_null, kind):
+    for seed in range(40):
+        pairs, table = random_viterbi_case(np.random.default_rng(seed), direction, kind, use_null)
+        want = [oracles.viterbi_alignment(pair, table, use_null) for pair in pairs]
+        assert viterbi_sets(pairs, table, use_null) == want, f"seed {seed}"
 
 
 # --- VBH ---
@@ -355,6 +418,56 @@ def test_vbh_idempotent_when_viterbi_stable():
     twice_fwd, twice_rev = vbh_reestimate(pairs, once_fwd, once_rev, config.use_null)
     assert once_fwd.probs == twice_fwd.probs
     assert once_rev.probs == twice_rev.probs
+
+
+def zipf_corpus(monkeypatch, seed):
+    """perfbench's zipf corpus at seed, encoded."""
+    monkeypatch.syspath_prepend(str(PERFBENCH))
+    import corpora
+
+    src, tgt, _ = corpora.generate(corpora.WORKLOADS["zipf"], seed)
+    return corpus_from_tokens(list(zip(src, tgt)))
+
+
+@pytest.mark.parametrize("use_null", [True, False])
+@pytest.mark.parametrize("seed", [1000, 7])
+def test_vbh_tables_equal_per_pair_composition(monkeypatch, seed, use_null):
+    # Per-pair Viterbi on the EM tables, gdfa, and plain counts normalized
+    # per conditioning word, through both train_model and vbh_reestimate.
+    pairs, vsrc, vtgt = zipf_corpus(monkeypatch, seed)
+    config = AlignerConfig(vbh=True, use_null=use_null)
+    em = config.em_config()
+    t_fwd, t_rev = train_ibm1(pairs, FORWARD, em), train_ibm1(pairs, REVERSE, em)
+    counts_fwd, counts_rev = Counter(), Counter()
+    for pair in pairs:
+        a_fwd = oracles.viterbi_alignment(pair, t_fwd, use_null)
+        a_rev = oracles.viterbi_alignment(pair, t_rev, use_null)
+        for j, i in grow_diag_final_and(a_fwd, a_rev, pair.n, pair.m):
+            counts_fwd[(pair.source[j], pair.target[i])] += 1.0
+            counts_rev[(pair.target[i], pair.source[j])] += 1.0
+    want_fwd = oracles.dict_normalize_plain(counts_fwd)
+    want_rev = oracles.dict_normalize_plain(counts_rev)
+    model = train_model(pairs, vsrc, vtgt, config)
+    assert model.t_fwd.probs == want_fwd and model.t_rev.probs == want_rev
+    new_fwd, new_rev = vbh_reestimate(pairs, t_fwd, t_rev, use_null)
+    assert new_fwd.probs == model.t_fwd.probs and new_rev.probs == model.t_rev.probs
+
+
+def test_vbh_training_peak_memory_stays_within_em_training(monkeypatch):
+    # VBH reads each direction's Viterbi links from the links its EM ran
+    # on, one direction's links alive at a time, so it adds next to nothing
+    # to the peak of training without it.
+    pairs, vsrc, vtgt = zipf_corpus(monkeypatch, 1000)
+    train_model(pairs, vsrc, vtgt, AlignerConfig(vbh=True))  # first-call allocations
+    peaks = {}
+    for vbh in (False, True):
+        tracemalloc.start()
+        try:
+            train_model(pairs, vsrc, vtgt, AlignerConfig(vbh=vbh))
+            peaks[vbh] = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+    assert peaks[True] <= 1.05 * peaks[False]
 
 
 # --- persistence ---

@@ -422,7 +422,7 @@ def assert_each_equals_reference(matrices, beam_k):
         want = oracles.reference_top_down_parse(matrix, beam_k)
         want_steps = [[b.j0, b.j1, b.i0, b.i1, step.j, step.i, step.gamma] for b, step in want.steps]
         want_leaves = [[b.j0, b.j1, b.i0, b.i1] for b in want.leaves]
-        assert (steps, leaves, score) == (want_steps, want_leaves, want.score)
+        assert (steps.tolist(), leaves, score) == (want_steps, want_leaves, want.score)
         # The links come out in Pharaoh order, so the line needs no sort.
         assert leaf_links(leaves) == sorted(project(want))
         assert format_alignment(leaf_links(leaves)) == format_alignment(project(want))
