@@ -268,25 +268,28 @@ class TTable:
 def digamma(x):
     """Digamma psi(x) for x > 0, a number or an array, accurate to better than 1e-10.
 
-    Uses psi(x) = psi(x+1) - 1/x to lift the argument to >= 6, then the
-    asymptotic series in 1/x^2.
+    Lifts the entries below 6 in place by psi(x) = psi(x+1) - 1/x, then sums
+    the asymptotic series in 1/x^2 in place by Horner's rule.
     """
     x = np.array(x, dtype=np.float64)
     if np.any(x <= 0):
         raise ValueError(f"digamma requires x > 0, got {x[x <= 0].flat[0]}")
     result = np.zeros_like(x)
-    low = x < 6.0
+    step = np.empty_like(x)
+    low = np.less(x, 6.0, out=np.empty(x.shape, bool))
     while low.any():
-        result -= np.where(low, 1.0 / x, 0.0)
-        x += low
-        low = x < 6.0
-    inv = 1.0 / x
+        np.divide(1.0, x, out=step, where=low)
+        np.subtract(result, step, out=result, where=low)
+        np.add(x, 1.0, out=x, where=low)
+        np.less(x, 6.0, out=low)
+    inv = np.divide(1.0, x, out=step)
     inv2 = inv * inv
     result += np.log(x) - 0.5 * inv
-    result -= inv2 * (
-        1.0 / 12
-        - inv2 * (1.0 / 120 - inv2 * (1.0 / 252 - inv2 * (1.0 / 240 - inv2 * (1.0 / 132 - inv2 * (691.0 / 32760)))))
-    )
+    series = np.multiply(inv2, 691.0 / 32760, out=inv)
+    for c in (1.0 / 132, 1.0 / 240, 1.0 / 252, 1.0 / 120, 1.0 / 12):
+        np.subtract(c, series, out=series)
+        series *= inv2
+    result -= series
     return result if result.ndim else float(result)
 
 
@@ -313,56 +316,48 @@ class _Links:
         m = np.fromiter((len(e) + len(null) for _, e in sides), np.int64, len(sides))
         cond = np.fromiter(chain.from_iterable(c for c, _ in sides), np.int64, int(n.sum()))
         cing = np.fromiter(chain.from_iterable(e + null for _, e in sides), np.int64, int(m.sum()))
-        pair_of_occ = np.repeat(np.arange(len(sides)), n)
+        self.pair_of_occ = np.repeat(np.arange(len(sides)), n)
         self.null = len(null)
-        self.slots = m[pair_of_occ]
+        self.slots = m[self.pair_of_occ]
         self.occ = np.repeat(np.arange(len(cond)), self.slots)
         first = np.cumsum(self.slots) - self.slots
         offset = np.arange(len(self.occ)) - first[self.occ]
-        cing_start = (np.cumsum(m) - m)[pair_of_occ]
+        cing_start = (np.cumsum(m) - m)[self.pair_of_occ]
         link_keys = pack(cond[self.occ], cing[cing_start[self.occ] + offset])
         self.keys, self.key_of_link = np.unique(link_keys, return_inverse=True)
-        self.chunk_of_link = pair_of_occ[self.occ] // CHUNK_SIZE
 
     def chunk_groups(self):
         """(group of each link, key of each group) for groups of one key in one
-        chunk, numbered chunk by chunk."""
+        chunk of CHUNK_SIZE pairs, numbered chunk by chunk."""
+        chunk_of_link = (self.pair_of_occ // CHUNK_SIZE)[self.occ]
         groups, group_of_link = np.unique(
-            self.chunk_of_link * len(self.keys) + self.key_of_link, return_inverse=True
+            chunk_of_link * len(self.keys) + self.key_of_link, return_inverse=True
         )
         return group_of_link, groups % max(len(self.keys), 1)
 
-    def uniform(self, direction, config, cond_vocab_size=None):
-        if cond_vocab_size is None:
-            cond_vocab_size = len(np.unique(self.keys & _LOW))
-        group = _conditioning_groups(self.keys)
-        uniform = 1.0 / np.bincount(group)[group]
-        return TTable(direction, PairMap(self.keys, uniform), cond_vocab_size, config.fallback)
+    def cond_vocab_size(self):
+        return int(np.count_nonzero(np.bincount(self.keys & _LOW)))
 
-    def expected_counts(self, table, chunk_groups):
-        """E-step counts, summed in the order of a chunked corpus loop.
+    def expected_counts(self, p, chunk_groups):
+        """E-step counts under probabilities p, summed in the order of a chunked corpus loop.
 
         Within a chunk of CHUNK_SIZE pairs, np.bincount adds link by link in
         corpus order; the chunk sums are then added in chunk order.
         chunk_groups is what self.chunk_groups() returns.
         """
-        where = table.probs.find(self.keys)
-        if (where < 0).any():
-            k = int(np.flatnonzero(where < 0)[0])
-            raise KeyError((int(self.keys[k] & _LOW), int(self.keys[k] >> _SHIFT)))
-        p = table.probs.data[where][self.key_of_link]
-        share = p / np.bincount(self.occ, weights=p)[self.occ]
+        share = p[self.key_of_link]
+        share /= np.bincount(self.occ, weights=share)[self.occ]
         group_of_link, key_of_group = chunk_groups
         partial = np.bincount(group_of_link, weights=share)
-        return PairMap(self.keys, np.bincount(key_of_group, weights=partial, minlength=len(self.keys)))
+        return np.bincount(key_of_group, weights=partial, minlength=len(self.keys))
 
-    def viterbi(self, table):
-        """Per occurrence, the index of its best conditioning word, -1 where NULL wins.
+    def viterbi(self, p):
+        """Per occurrence, the index of its best conditioning word under p, -1 where NULL wins.
 
         Ties go to the lowest index. NULL, each occurrence's last slot when
         enabled, wins only when strictly better than the best word.
         """
-        p = table.probs.get_packed(self.keys, table.fallback)[self.key_of_link]
+        p = p[self.key_of_link]
         first = np.cumsum(self.slots) - self.slots
         if self.null:
             last = first + self.slots - 1
@@ -376,10 +371,15 @@ class _Links:
             best[p_null > peak] = -1
         return best
 
-    def log_likelihood(self, table):
-        p = table.probs.get_packed(self.keys, table.fallback)[self.key_of_link]
-        rows = np.bincount(self.occ, weights=p, minlength=len(self.slots))
-        return float(np.log(rows / self.slots).sum())
+
+def _normalized(counts, group, alpha=None, vocab_size=None):
+    """M-step on counts in conditioning groups group: plain, or variational Bayes given alpha."""
+    totals = np.bincount(group, weights=counts)
+    if alpha is None:
+        probs = counts / totals[group]
+    else:
+        probs = np.exp(digamma(counts + alpha)) / np.exp(digamma(totals + alpha * vocab_size))[group]
+    return np.maximum(probs, TINY_PROB)
 
 
 def expected_counts(pairs, table, config, threads=1):
@@ -387,18 +387,20 @@ def expected_counts(pairs, table, config, threads=1):
 
     The E-step is a few array passes, cheaper than starting worker
     processes, so it runs in this process and threads is ignored.
-    Summation order is fixed by the corpus alone.
+    Summation order is fixed by the corpus alone; a pair missing from table raises KeyError.
     """
     links = _Links(pairs, table.direction, config.use_null)
-    return links.expected_counts(table, links.chunk_groups())
+    where = table.probs.find(links.keys)
+    if (where < 0).any():
+        k = int(np.flatnonzero(where < 0)[0])
+        raise KeyError((int(links.keys[k] & _LOW), int(links.keys[k] >> _SHIFT)))
+    return PairMap(links.keys, links.expected_counts(table.probs.data[where], links.chunk_groups()))
 
 
 def normalize_plain(counts):
     """Plain M-step: per conditioning word, counts normalized to sum 1."""
     counts = PairMap.of(counts)
-    group = _conditioning_groups(counts.packed)
-    totals = np.bincount(group, weights=counts.data)
-    return PairMap(counts.packed, np.maximum(counts.data / totals[group], TINY_PROB))
+    return PairMap(counts.packed, _normalized(counts.data, _conditioning_groups(counts.packed)))
 
 
 def normalize_vb(counts, alpha, vocab_size):
@@ -410,35 +412,33 @@ def normalize_vb(counts, alpha, vocab_size):
     """
     counts = PairMap.of(counts)
     group = _conditioning_groups(counts.packed)
-    totals = np.bincount(group, weights=counts.data)
-    denom = np.exp(digamma(totals + alpha * vocab_size))
-    probs = np.exp(digamma(counts.data + alpha)) / denom[group]
-    return PairMap(counts.packed, np.maximum(probs, TINY_PROB))
+    return PairMap(counts.packed, _normalized(counts.data, group, alpha, vocab_size))
 
 
-def uniform_init(pairs, direction, config, cond_vocab_size=None):
+def uniform_init(pairs, direction, config):
     """Uniform table over co-occurring pairs (plus NULL when enabled)."""
-    return _Links(pairs, direction, config.use_null).uniform(direction, config, cond_vocab_size)
+    links = _Links(pairs, direction, config.use_null)
+    group = _conditioning_groups(links.keys)
+    probs = 1.0 / np.bincount(group)[group]
+    return TTable(direction, PairMap(links.keys, probs), links.cond_vocab_size(), config.fallback)
 
 
 def _trained(pairs, direction, config, progress=None):
     """The corpus links of one direction and the table after config.iterations
-    E+M rounds on them from the uniform initialization."""
+    E+M rounds from the uniform initialization, on arrays aligned with their keys."""
     if not pairs:
         raise ValueError("cannot train on an empty corpus")
     links = _Links(pairs, direction, config.use_null)
     chunk_groups = links.chunk_groups()
-    table = links.uniform(direction, config)
+    group = _conditioning_groups(links.keys)
+    vocab_size = links.cond_vocab_size()
+    probs = 1.0 / np.bincount(group)[group]
     for it in range(config.iterations):
-        counts = links.expected_counts(table, chunk_groups)
-        if config.vb:
-            probs = normalize_vb(counts, config.alpha, table.cond_vocab_size)
-        else:
-            probs = normalize_plain(counts)
-        table = TTable(direction, probs, table.cond_vocab_size, table.fallback)
+        counts = links.expected_counts(probs, chunk_groups)
+        probs = _normalized(counts, group, config.alpha if config.vb else None, vocab_size)
         if progress is not None:
             progress(it + 1, config.iterations)
-    return links, table
+    return links, TTable(direction, PairMap(links.keys, probs), vocab_size, config.fallback)
 
 
 def train_ibm1(pairs, direction, config, threads=1, progress=None):
@@ -463,7 +463,7 @@ def train_tables(pairs, config, vbh, log=None):
         links, table = _trained(pairs, direction, config, progress)
         tables.append(table)
         if vbh:
-            best.append(links.viterbi(table))
+            best.append(links.viterbi(table.probs.data))
         del links
     if not vbh:
         return tuple(tables)
@@ -474,7 +474,10 @@ def train_tables(pairs, config, vbh, log=None):
 
 def corpus_log_likelihood(pairs, table, config):
     """Model 1 log-likelihood of the conditioned side given the other side."""
-    return _Links(pairs, table.direction, config.use_null).log_likelihood(table)
+    links = _Links(pairs, table.direction, config.use_null)
+    p = table.probs.get_packed(links.keys, table.fallback)[links.key_of_link]
+    rows = np.bincount(links.occ, weights=p, minlength=len(links.slots))
+    return float(np.log(rows / links.slots).sum())
 
 
 def symmetric_lexical_score(t_fwd, t_rev, f, e):
@@ -492,7 +495,8 @@ def viterbi_links(pairs, table, use_null):
     conditioning word in its pair, or -1 where NULL is strictly better and
     the word stays unlinked. Ties go to the lowest index.
     """
-    return _Links(pairs, table.direction, use_null).viterbi(table)
+    links = _Links(pairs, table.direction, use_null)
+    return links.viterbi(table.probs.get_packed(links.keys, table.fallback))
 
 
 def _link_sets(pairs, best, direction):
@@ -504,11 +508,6 @@ def _link_sets(pairs, best, direction):
         yield set(links) if direction == FORWARD else {(b, a) for a, b in links}
 
 
-def _link_counts(conditioned, conditioning):
-    packed, counts = np.unique(pack(conditioned, conditioning), return_counts=True)
-    return PairMap(packed, counts.astype(np.float64))
-
-
 def _reestimate(pairs, t_fwd, t_rev, best_fwd, best_rev):
     src_ids, tgt_ids = [], []
     a_fwds, a_revs = _link_sets(pairs, best_fwd, FORWARD), _link_sets(pairs, best_rev, REVERSE)
@@ -516,11 +515,12 @@ def _reestimate(pairs, t_fwd, t_rev, best_fwd, best_rev):
         for (j, i) in grow_diag_final_and(a_fwd, a_rev, pair.n, pair.m):
             src_ids.append(pair.source[j])
             tgt_ids.append(pair.target[i])
-    new_fwd = TTable(FORWARD, normalize_plain(_link_counts(src_ids, tgt_ids)),
-                     t_fwd.cond_vocab_size, t_fwd.fallback)
-    new_rev = TTable(REVERSE, normalize_plain(_link_counts(tgt_ids, src_ids)),
-                     t_rev.cond_vocab_size, t_rev.fallback)
-    return new_fwd, new_rev
+    tables = []
+    for t, cond, cing in ((t_fwd, src_ids, tgt_ids), (t_rev, tgt_ids, src_ids)):
+        packed, counts = np.unique(pack(cond, cing), return_counts=True)
+        probs = normalize_plain(PairMap(packed, counts.astype(np.float64)))
+        tables.append(TTable(t.direction, probs, t.cond_vocab_size, t.fallback))
+    return tuple(tables)
 
 
 def vbh_reestimate(pairs, t_fwd, t_rev, use_null):

@@ -9,8 +9,8 @@ from __future__ import annotations
 
 import multiprocessing as mp
 
-# Fixed chunk size; changing it changes floating-point summation order in
-# reductions, so it is a constant rather than a tuning knob.
+# Fixed, not a tuning knob: the E-step sums its counts chunk by chunk, so this
+# sets EM's summation order. Alignment output does not depend on chunking.
 CHUNK_SIZE = 128
 
 _payload = None

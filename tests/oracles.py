@@ -13,7 +13,8 @@ per-pair reference for the package's corpus-wide Viterbi links, one
 pair's lookups at a time. em_step and write_alignment_file
 are test helpers built on the package's public API, and
 reference_ttable_text writes a ttable one row at a time, the byte
-reference for TTable.save.
+reference for TTable.save. reference_digamma lifts the whole array at
+every step, the bit-exact reference for the package's in-place digamma.
 """
 
 import math
@@ -605,3 +606,24 @@ def reference_ttable_text(table, conditioned_vocab, conditioning_vocab):
                table.probs.data.tolist())
     header = f"#ttable {table.direction} {table.cond_vocab_size}\n"
     return header + "".join(f"{cond_tokens[f]}\t{cing_tokens[e]}\t{p:.17g}\n" for f, e, p in rows)
+
+
+def reference_digamma(x):
+    """Digamma with every entry lifted by np.where at each step of the recurrence."""
+    x = np.array(x, dtype=np.float64)
+    if np.any(x <= 0):
+        raise ValueError(f"digamma requires x > 0, got {x[x <= 0].flat[0]}")
+    result = np.zeros_like(x)
+    low = x < 6.0
+    while low.any():
+        result -= np.where(low, 1.0 / x, 0.0)
+        x += low
+        low = x < 6.0
+    inv = 1.0 / x
+    inv2 = inv * inv
+    result += np.log(x) - 0.5 * inv
+    result -= inv2 * (
+        1.0 / 12
+        - inv2 * (1.0 / 120 - inv2 * (1.0 / 252 - inv2 * (1.0 / 240 - inv2 * (1.0 / 132 - inv2 * (691.0 / 32760)))))
+    )
+    return result if result.ndim else float(result)

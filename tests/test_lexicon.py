@@ -1,5 +1,6 @@
 import math
 import os
+import random
 import tempfile
 import tracemalloc
 from collections import Counter
@@ -13,6 +14,7 @@ from scipy.special import digamma as scipy_digamma
 
 import oracles
 from conftest import TOKENS
+from hieralign import workers
 from hieralign.corpus import (
     NULL_ID,
     NULL_TOKEN,
@@ -86,6 +88,41 @@ def test_digamma_domain_error():
         digamma(0.0)
     with pytest.raises(ValueError):
         digamma(-2.5)
+    with pytest.raises(ValueError):
+        digamma(np.array([[1.0, 2.0], [3.0, -0.0]]))
+
+
+def digamma_grid():
+    """Tiny x, x just around 6 (the lift's end), and large x."""
+    six = np.array([6.0])
+    return np.concatenate([
+        [np.finfo(np.float64).smallest_subnormal, np.finfo(np.float64).tiny],
+        np.geomspace(1e-300, 1e-2, 31),
+        np.linspace(0.01, 5.9, 41),
+        np.nextafter(six, 0.0), six, np.nextafter(six, 7.0),
+        6.0 + np.linspace(-1e-9, 1e-9, 11),
+        np.linspace(5.0, 7.0, 41),
+        np.geomspace(7.0, 1e300, 31),
+        [np.inf],
+    ])
+
+
+# 1 / smallest_subnormal overflows to inf, so psi there is -inf on both sides.
+@pytest.mark.filterwarnings("ignore:overflow encountered in divide:RuntimeWarning")
+def test_digamma_is_bit_exact_against_the_lift_loop():
+    grid = digamma_grid()
+    arg = grid.copy()
+    got = digamma(arg)
+    assert np.array_equal(arg, grid)  # the argument is not lifted in place
+    assert np.array_equal(got, oracles.reference_digamma(grid))
+    square = grid[:16].reshape(4, 4)
+    assert np.array_equal(digamma(square), oracles.reference_digamma(square))
+    for x in grid[::7].tolist():
+        value = digamma(x)
+        assert type(value) is float
+        assert value == oracles.reference_digamma(x)
+        assert digamma(np.array(x)) == oracles.reference_digamma(np.array(x))
+        assert type(digamma(np.array(x))) is type(oracles.reference_digamma(np.array(x)))
 
 
 # --- EM training ---
@@ -188,6 +225,30 @@ def test_array_em_matches_dict_reference(smoke_corpus, direction, vb):
     assert set(got) == set(ref)
     want = np.array([ref[key] for key in got])
     np.testing.assert_allclose(got.data, want, rtol=1e-12, atol=0.0)
+
+
+@pytest.mark.parametrize("direction", [FORWARD, REVERSE])
+@pytest.mark.parametrize("vb", [True, False])
+@pytest.mark.parametrize("use_null", [True, False])
+def test_train_ibm1_equals_the_public_em_loop(direction, vb, use_null):
+    # Repeated words within and across pairs, over two chunks of the E-step.
+    rng = random.Random(14)
+    token_pairs = [
+        ([f"s{rng.randrange(30)}" for _ in range(rng.randint(1, 9))],
+         [f"t{rng.randrange(25)}" for _ in range(rng.randint(1, 9))])
+        for _ in range(2 * workers.CHUNK_SIZE + 17)
+    ]
+    pairs, _, _ = corpus_from_tokens(token_pairs)
+    config = AlignerConfig(em_iters=3, vb=vb, use_null=use_null).em_config()
+    table = uniform_init(pairs, direction, config)
+    assert table.cond_vocab_size == len({f for f, _ in table.probs})
+    for _ in range(config.iterations):
+        table = oracles.em_step(pairs, table, config)
+    got = train_ibm1(pairs, direction, config)
+    assert np.array_equal(got.probs.packed, table.probs.packed)
+    assert np.array_equal(got.probs.data, table.probs.data)
+    assert (got.direction, got.cond_vocab_size, got.fallback) == (
+        table.direction, table.cond_vocab_size, table.fallback)
 
 
 def test_empty_corpus_rejected():

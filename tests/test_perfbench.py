@@ -1,4 +1,4 @@
-"""The benchmark's traced alignment path, run against the program it measures.
+"""The benchmark's traced training and alignment paths, run against the program it measures.
 
 perfbench/ is not a package; its flow imports its siblings by name, so the
 directory goes on sys.path for the imports.
@@ -7,6 +7,7 @@ directory goes on sys.path for the imports.
 import random
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 from hieralign import workers
@@ -50,3 +51,28 @@ def test_traced_align_chunk_lines_equal_align_lines(bench):
     assert traced_lines == lines
     assert len(spans.durations("parser.parse")) == sum(pair is not None for pair in tasks)
     assert splits == sum(chunk_splits for _, _, chunk_splits in results) > 0
+
+
+@pytest.mark.parametrize("vbh", [False, True])
+def test_train_traced_tables_equal_train_model(bench, vbh):
+    flow, tracer = bench
+    # Repeated words, over two chunks of the E-step.
+    rng = random.Random(14)
+    bitext = [([f"s{rng.randrange(15)}" for _ in range(rng.randint(1, 7))],
+               [f"t{rng.randrange(15)}" for _ in range(rng.randint(1, 7))])
+              for _ in range(workers.CHUNK_SIZE + 40)]
+    raw = drop_empty(bitext)
+    vsrc, vtgt = build_vocabulary(raw)
+    pairs = encode_pairs(raw, vsrc, vtgt)
+    config = AlignerConfig(em_iters=3, vbh=vbh, threads=1)
+    spans = tracer.Tracer()
+    traced, history, _ = flow.train_traced(spans, pairs, vsrc, vtgt, config)
+    model = train_model(pairs, vsrc, vtgt, config)
+    for got, want in ((traced.t_fwd, model.t_fwd), (traced.t_rev, model.t_rev)):
+        assert np.array_equal(got.probs.packed, want.probs.packed)
+        assert np.array_equal(got.probs.data, want.probs.data)
+        assert (got.direction, got.cond_vocab_size, got.fallback) == (
+            want.direction, want.cond_vocab_size, want.fallback)
+    assert len(spans.durations("lexicon.estep")) == 2 * config.em_iters
+    assert len(spans.durations("lexicon.vbh")) == vbh
+    assert all(len(tables) == config.em_iters for tables in history.values())

@@ -1,7 +1,10 @@
 import dataclasses
 import hashlib
+import os
 import random
 import re
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -169,6 +172,39 @@ def write_model(tmp_path):
     _, model = trained_toy_model()
     save_model(model, tmp_path)
     return tmp_path
+
+
+IMPORT_PROBE = """
+import sys
+from hieralign.cli import main
+from hieralign.corpus import build_vocabulary, drop_empty, encode_pairs, read_bitext
+from hieralign.pipeline import AlignerConfig, align_lines, load_model, save_model, train_model
+
+src, tgt, out = sys.argv[1:]
+bitext = read_bitext(src, tgt, False)
+raw = drop_empty(bitext)
+vocab_src, vocab_tgt = build_vocabulary(raw)
+model = train_model(encode_pairs(raw, vocab_src, vocab_tgt), vocab_src, vocab_tgt,
+                    AlignerConfig(vbh=True, threads=1))
+save_model(model, out + ".model")
+align_lines(bitext, load_model(out + ".model"))
+print("numpy.ma" in sys.modules)
+assert main(["pipeline", "-s", src, "-t", tgt, "-o", out, "--threads", "1"]) == 0
+print("numpy.ma" in sys.modules)
+"""
+
+
+def test_training_and_alignment_leave_numpy_ma_unimported(tmp_path):
+    # np.unique without return arrays imports numpy.ma; a fresh process shows it.
+    rng = random.Random(14)
+    src, tgt = tmp_path / "c.src", tmp_path / "c.tgt"
+    lines = [[f"w{rng.randrange(12)}" for _ in range(rng.randint(1, 6))] for _ in range(60)]
+    src.write_text("".join(" ".join(words) + "\n" for words in lines), encoding="utf-8")
+    tgt.write_text("".join(" ".join(words[::-1]) + "\n" for words in lines), encoding="utf-8")
+    env = {**os.environ, "PYTHONPATH": str(Path(__file__).resolve().parent.parent / "src")}
+    run = subprocess.run([sys.executable, "-c", IMPORT_PROBE, str(src), str(tgt), str(tmp_path / "out.align")],
+                         capture_output=True, text=True, env=env, check=True)
+    assert run.stdout.split() == ["False", "False"]
 
 
 def test_load_model_rejects_duplicate_vocabulary_line(tmp_path):
