@@ -22,7 +22,6 @@ symmetrizes the two directions pair by pair with grow-diag-final-and.
 
 from __future__ import annotations
 
-from collections.abc import Mapping
 from dataclasses import dataclass
 from itertools import chain, islice, repeat
 from operator import ne
@@ -70,8 +69,8 @@ def pack(conditioned, conditioning):
     return (cing << _SHIFT) | cond
 
 
-class PairMap(Mapping):
-    """Read-only map (conditioned id, conditioning id) -> float on two arrays.
+class PairMap:
+    """Floats keyed by (conditioned id, conditioning id), read with find and get_packed.
 
     packed holds strictly increasing pack()ed keys, data the values in the
     same order.
@@ -82,17 +81,6 @@ class PairMap(Mapping):
     def __init__(self, packed, data):
         self.packed = packed
         self.data = data
-
-    @classmethod
-    def of(cls, mapping):
-        """mapping itself if it is a PairMap, else a PairMap of its items."""
-        if isinstance(mapping, cls):
-            return mapping
-        ids = np.array(list(mapping), dtype=np.int64).reshape(-1, 2)
-        packed = pack(ids[:, 0], ids[:, 1])
-        data = np.fromiter(mapping.values(), np.float64, len(mapping))
-        order = np.argsort(packed)
-        return cls(packed[order], data[order])
 
     def find(self, query):
         """Index of each packed query key in packed, -1 where absent."""
@@ -118,23 +106,10 @@ class PairMap(Mapping):
     def __len__(self):
         return len(self.packed)
 
-    def __iter__(self):
-        return zip(self.conditioned().tolist(), self.conditioning().tolist())
-
-    def __getitem__(self, key):
-        where = int(self.find(pack(*key)))
-        if where < 0:
-            raise KeyError(key)
-        return float(self.data[where])
-
     def __eq__(self, other):
-        if isinstance(other, PairMap):
-            return np.array_equal(self.packed, other.packed) and np.array_equal(self.data, other.data)
-        if isinstance(other, Mapping):
-            return dict(zip(self, self.data.tolist())) == dict(other.items())
-        return NotImplemented
-
-    __hash__ = None
+        if not isinstance(other, PairMap):
+            return NotImplemented
+        return np.array_equal(self.packed, other.packed) and np.array_equal(self.data, other.data)
 
 
 def _conditioning_groups(packed):
@@ -191,7 +166,7 @@ class TTable:
     """Sparse conditional lexicon for one direction.
 
     probs is a PairMap from (conditioned id, conditioning id) to a
-    probability in (0, 1]; any mapping given is converted to one.
+    probability in (0, 1].
     cond_vocab_size is the number of surface types on the conditioned side,
     used as the dimension of the symmetric Dirichlet prior in VB mode.
     """
@@ -200,7 +175,7 @@ class TTable:
         if direction not in (FORWARD, REVERSE):
             raise ValueError(f"unknown direction {direction!r}")
         self.direction = direction
-        self.probs = PairMap.of(probs)
+        self.probs = probs
         self.cond_vocab_size = cond_vocab_size
         self.fallback = fallback
 
@@ -398,19 +373,17 @@ def expected_counts(pairs, table, config, threads=1):
 
 
 def normalize_plain(counts):
-    """Plain M-step: per conditioning word, counts normalized to sum 1."""
-    counts = PairMap.of(counts)
+    """Plain M-step on a PairMap: per conditioning word, counts normalized to sum 1."""
     return PairMap(counts.packed, _normalized(counts.data, _conditioning_groups(counts.packed)))
 
 
 def normalize_vb(counts, alpha, vocab_size):
-    """Variational-Bayes M-step under a symmetric Dirichlet prior.
+    """Variational-Bayes M-step on a PairMap under a symmetric Dirichlet prior.
 
     theta(f|e) = exp(psi(c(f,e) + alpha)) / exp(psi(sum_f c(f,e) + alpha * V))
     with V the conditioned-side vocabulary size. Per conditioning word the
     resulting probabilities sum to at most 1.
     """
-    counts = PairMap.of(counts)
     group = _conditioning_groups(counts.packed)
     return PairMap(counts.packed, _normalized(counts.data, group, alpha, vocab_size))
 

@@ -17,10 +17,11 @@ smallest step sequence by (j, i, straight < inverted)).
 
 Several matrices are searched in lockstep, level by level as arrays, with
 each matrix's candidates cut to its own beam; the result for a matrix is
-the same as when it is searched alone. The search keeps every step it
-takes, block and split, so each winner's steps and leaves are read back
-from it: leaves as plain ints, steps as an int array that only
-top_down_parse turns into objects.
+the same as when it is searched alone. A group's block sums come from
+integral images of its weights, built once in one flat array. The search
+keeps every step it takes, block and split, so each winner's steps and
+leaves are read back from it: leaves as plain ints, steps as an int
+array that only top_down_parse turns into objects.
 """
 
 from __future__ import annotations
@@ -190,9 +191,14 @@ class _Lockstep:
     def __init__(self, matrices, beam_k):
         self.beam_k = beam_k
         self.pairs = len(matrices)
-        self.prefix = np.concatenate([mat.prefix.ravel() for mat in matrices])
         self.base = np.array([0, *accumulate((mat.n + 1) * (mat.m + 1) for mat in matrices)])
         self.stride = np.array([mat.m + 1 for mat in matrices])
+        # The (n+1) x (m+1) integral images, end to end: table k starts at base[k],
+        # rows stride[k] apart; [a, b] sums weights[:a, :b] along rows, then columns.
+        self.prefix = np.zeros(self.base[-1])
+        for mat, start, end in zip(matrices, self.base.tolist(), self.base[1:].tolist()):
+            table = self.prefix[start:end].reshape(mat.n + 1, mat.m + 1)
+            table[1:, 1:] = mat.weights.cumsum(axis=1).cumsum(axis=0)
         self.edges = np.arange(self.pairs + 1)
         self.pair = self.edges[:-1]
         self.v = np.zeros(self.pairs)

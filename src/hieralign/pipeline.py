@@ -9,6 +9,7 @@ for any worker count.
 
 from __future__ import annotations
 
+import math
 import os
 import sys
 from dataclasses import dataclass, field, fields
@@ -71,6 +72,9 @@ class AlignerConfig:
             raise ValueError("distortion threshold r must be in (0, 1]")
         if not 0 < self.fallback <= 1:
             raise ValueError("fallback probability must be in (0, 1]")
+        for f in fields(self):
+            if f.type != "bool" and not getattr(self, f.name) < math.inf:
+                raise ValueError(f"{f.name} must be finite")
 
     def em_config(self):
         return lexicon.EmConfig(

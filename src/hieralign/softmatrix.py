@@ -1,8 +1,9 @@
-"""Soft association matrices with integral images for block sums.
+"""Soft association matrices: one positive weight per word pair.
 
 Cell (j, i) combines the symmetric lexical score of the two words with a
 positional distortion factor, then is clamped into [p0^2, 1) so every
-block association downstream stays strictly positive.
+block association downstream stays strictly positive. The parser builds
+the integral images it reads block sums from.
 """
 
 from __future__ import annotations
@@ -30,13 +31,12 @@ class MatrixParams:
 
 
 class SoftMatrix:
-    """n x m positive weights plus (n+1) x (m+1) 2-D prefix sums.
+    """n x m positive weights, indexed [source j, target i], with a finite total.
 
-    weights is indexed [source j, target i]. prefix[a, b] is the sum of
-    weights[:a, :b], so any block sum is four lookups.
+    The array is kept, not copied; the parser reads it when it parses.
     """
 
-    __slots__ = ("n", "m", "weights", "prefix")
+    __slots__ = ("n", "m", "weights")
 
     def __init__(self, weights):
         weights = np.asarray(weights, dtype=np.float64)
@@ -44,22 +44,20 @@ class SoftMatrix:
             raise ValueError("weights must be a nonempty 2-D array")
         if not np.all(weights > 0):
             raise ValueError("all weights must be strictly positive")
-        self._fill(weights)
+        # Summed as the parser's integral image is, whose entries are all at most this.
+        with np.errstate(over="ignore"):
+            if not np.isfinite(weights.cumsum(axis=1)[:, -1].cumsum()[-1]):
+                raise ValueError("weights and their total must be finite")
+        self.n, self.m = weights.shape
+        self.weights = weights
 
     @classmethod
     def _of_clamped(cls, weights):
-        """Matrix of weights that build_soft_matrices has clamped positive."""
+        """Matrix of weights that build_soft_matrices has clamped into [p0^2, 1)."""
         matrix = cls.__new__(cls)
-        matrix._fill(weights)
+        matrix.n, matrix.m = weights.shape
+        matrix.weights = weights
         return matrix
-
-    def _fill(self, weights):
-        self.n, self.m = weights.shape
-        self.weights = weights
-        prefix = np.zeros((self.n + 1, self.m + 1))
-        # Row-major accumulation: per-row running sums, then rows stacked.
-        prefix[1:, 1:] = weights.cumsum(axis=1).cumsum(axis=0)
-        self.prefix = prefix
 
 
 def _cells(n, m):

@@ -4,14 +4,15 @@ Everything here is written directly from the definitions with its own data
 structures (token-keyed dicts, direct double-loop sums, full recursive
 enumeration) so that agreement with the package is meaningful. The
 exceptions are at the end. The scalar split scoring (asso, cut, ncut,
-f_avg) reads one block sum at a time from a matrix's prefix table. The
+f_avg) reads one block sum at a time from an integral image of the
+matrix's weights, built here in the parser's summation order. The
 per-pair matrix build and the reference beam parser are plain loops over
 one pair or one state at a time with the package's own lexicon lookups,
 blocks and split arithmetic, so that the package's batched output can be
 required to equal them exactly, ties included. viterbi_alignment is the
 per-pair reference for the package's corpus-wide Viterbi links, one
-pair's lookups at a time. em_step and write_alignment_file
-are test helpers built on the package's public API, and
+pair's lookups at a time. em_step, write_alignment_file, pair_map and
+as_dict are test helpers built on the package's public API, and
 reference_ttable_text writes a ttable one row at a time, the byte
 reference for TTable.save. reference_digamma lifts the whole array at
 every step, the bit-exact reference for the package's in-place digamma.
@@ -27,11 +28,13 @@ from hieralign.corpus import NULL_ID
 from hieralign.lexicon import (
     FORWARD,
     NULL_FIELD,
+    PairMap,
     TTable,
     expected_counts,
     normalize_plain,
     normalize_vb,
     oriented,
+    pack,
     symmetric_lexical_score,
 )
 from hieralign.parser import (
@@ -242,7 +245,7 @@ def distortion(j, i, n, m):
 
 
 def reference_soft_matrix(pair, t_fwd, t_rev, params):
-    """(weights, prefix) of one pair, built on its own with 2-D broadcasting."""
+    """Weights of one pair, built on its own with 2-D broadcasting."""
     n, m = pair.n, pair.m
     theta = symmetric_lexical_score(
         t_fwd, t_rev, np.asarray(pair.source)[:, None], np.asarray(pair.target)[None, :]
@@ -251,10 +254,7 @@ def reference_soft_matrix(pair, t_fwd, t_rev, params):
     if params.distortion_enabled:
         h = np.abs(np.arange(n)[:, None] / n - np.arange(m)[None, :] / m)
         raw *= np.where(h < params.r, np.exp(np.log1p(-h) / params.sigma_delta), params.p0)
-    weights = np.clip(raw, params.p0 * params.p0, 1.0 - 1e-12)
-    prefix = np.zeros((n + 1, m + 1))
-    prefix[1:, 1:] = weights.cumsum(axis=1).cumsum(axis=0)
-    return weights, prefix
+    return np.clip(raw, params.p0 * params.p0, 1.0 - 1e-12)
 
 
 def exact_best_score(weights):
@@ -304,13 +304,22 @@ def exact_best_score(weights):
     return solve(0, n, 0, m)
 
 
-# --- scalar split scoring on a matrix's prefix table ---
+# --- scalar split scoring on an integral image of a matrix's weights ---
+
+def prefix_table(weights):
+    """(n+1) x (m+1) integral image: [a, b] is the sum of weights[:a, :b],
+    accumulated along rows, then down the columns."""
+    n, m = weights.shape
+    prefix = np.zeros((n + 1, m + 1))
+    prefix[1:, 1:] = weights.cumsum(axis=1).cumsum(axis=0)
+    return prefix
+
 
 def asso(matrix, rows, cols):
-    """Total weight of the sub-block rows x cols, O(1) via the prefix sums."""
+    """Total weight of the sub-block rows x cols: four lookups in prefix_table(matrix.weights)."""
     j0, j1 = rows
     i0, i1 = cols
-    p = matrix.prefix
+    p = prefix_table(matrix.weights)
     return float(p[j1, i1] - p[j0, i1] - p[j1, i0] + p[j0, i0])
 
 
@@ -426,7 +435,7 @@ def _expand_block(matrix, block):
     [jj, ii, gamma], the log F_avg of each split and whether both of its
     sub-blocks are terminal.
     """
-    p = matrix.prefix
+    p = prefix_table(matrix.weights)
     j0, j1, i0, i1 = block.j0, block.j1, block.i0, block.i1
     js = np.arange(j0 + 1, j1)
     is_ = np.arange(i0 + 1, i1)
@@ -579,6 +588,21 @@ def viterbi_alignment(pair, table, use_null):
     if table.direction == FORWARD:
         return set(pairs)
     return {(b, a) for a, b in pairs}
+
+
+def pair_map(mapping):
+    """PairMap of a dict {(conditioned id, conditioning id): float}."""
+    ids = np.array(list(mapping), dtype=np.int64).reshape(-1, 2)
+    packed = pack(ids[:, 0], ids[:, 1])
+    data = np.fromiter(mapping.values(), np.float64, len(mapping))
+    order = np.argsort(packed)
+    return PairMap(packed[order], data[order])
+
+
+def as_dict(pairs):
+    """A PairMap as a dict {(conditioned id, conditioning id): float}."""
+    keys = zip(pairs.conditioned().tolist(), pairs.conditioning().tolist())
+    return dict(zip(keys, pairs.data.tolist()))
 
 
 def em_step(pairs, table, config):

@@ -116,7 +116,7 @@ def test_criterion_04_em_correctness():
 
     vb_table = train_ibm1(pairs, FORWARD, AlignerConfig(em_iters=5, vb=True).em_config())
     sums = {}
-    for (f, e), p in vb_table.probs.items():
+    for (f, e), p in oracles.as_dict(vb_table.probs).items():
         sums[e] = sums.get(e, 0.0) + p
     for e, total in sums.items():
         assert 0.0 < total <= 1.0 + 1e-12, f"conditioning word {e} sums to {total}"

@@ -308,6 +308,10 @@ def test_fallback_over_one_rejected_before_training(toy, capsys):
                                     "fallback probability must be in (0, 1]")
 
 
+def test_infinite_alpha_rejected_before_training(toy, capsys):
+    assert_rejected_before_training(toy, capsys, "--alpha", "inf", "inf", "alpha must be finite")
+
+
 def test_bitext_and_split_files_conflict(toy, tmp_path, capsys):
     joined = write(tmp_path / "joined", "a ||| x\n")
     rc = main(["pipeline", "-s", toy["src"], "-t", toy["tgt"], "--bitext", joined,

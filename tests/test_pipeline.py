@@ -48,9 +48,9 @@ def test_snapshot_roundtrip():
     assert dataclasses.asdict(restored) == dataclasses.asdict(config)
 
 
-# Any valid setting: positive numbers, r and fallback in (0, 1].
+# Any valid setting: positive finite numbers, r and fallback in (0, 1].
 SETTING_VALUES = {"bool": st.booleans(), "int": st.integers(min_value=1),
-                  "float": st.floats(min_value=0, exclude_min=True, allow_nan=False)}
+                  "float": st.floats(min_value=0, exclude_min=True, allow_nan=False, allow_infinity=False)}
 
 
 @settings(max_examples=200)
@@ -73,7 +73,12 @@ def test_invalid_config_rejected():
     for name in ("alpha", "sigma_theta", "r", "p0"):
         with pytest.raises(ValueError, match=f"{name} must be positive"):
             AlignerConfig(**{name: float("nan")})
-    for r in (2.0, 1.0 + 1e-9):
+    for name in ("alpha", "sigma_theta", "sigma_delta", "p0"):
+        with pytest.raises(ValueError, match=f"{name} must be finite"):
+            AlignerConfig(**{name: float("inf")})
+    with pytest.raises(ValueError, match="config.txt: sigma_delta must be finite"):
+        AlignerConfig.from_snapshot("sigma_delta=inf\n")
+    for r in (2.0, 1.0 + 1e-9, float("inf")):
         with pytest.raises(ValueError, match=re.escape("distortion threshold r must be in (0, 1]")):
             AlignerConfig(r=r)
     assert AlignerConfig(r=1.0).r == 1.0

@@ -6,6 +6,7 @@ import pytest
 import oracles
 from hieralign.corpus import SentencePair
 from hieralign.lexicon import FORWARD, REVERSE, TTable
+from hieralign.parser import _Lockstep, top_down_parse
 from hieralign.pipeline import AlignerConfig
 from hieralign.softmatrix import SoftMatrix, build_soft_matrices, build_soft_matrix
 from oracles import distortion
@@ -13,10 +14,15 @@ from oracles import distortion
 FALLBACK = AlignerConfig().fallback
 
 
+def tables_of(fwd, rev, n, m):
+    """Forward and reverse tables of dicts {(conditioned id, conditioning id): p}."""
+    return TTable(FORWARD, oracles.pair_map(fwd), n, FALLBACK), TTable(REVERSE, oracles.pair_map(rev), m, FALLBACK)
+
+
 def tables_for(prob_fwd, prob_rev, n, m):
     fwd = {(j + 1, i + 1): prob_fwd for j in range(n) for i in range(m)}
     rev = {(i + 1, j + 1): prob_rev for j in range(n) for i in range(m)}
-    return TTable(FORWARD, fwd, n, FALLBACK), TTable(REVERSE, rev, m, FALLBACK)
+    return tables_of(fwd, rev, n, m)
 
 
 def pair_of(n, m):
@@ -75,8 +81,7 @@ def test_build_fallback_cell_value():
     # Unseen pair both ways: theta = log 1e-10; with sigma_theta = 3 and the
     # flat penalty, the raw value (1e-10)^(1/3) * 1e-4 ~ 4.64e-8 stays above
     # the p0^2 floor.
-    t_fwd = TTable(FORWARD, {}, 1, FALLBACK)
-    t_rev = TTable(REVERSE, {}, 2, FALLBACK)
+    t_fwd, t_rev = tables_of({}, {}, 1, 2)
     matrix = build_soft_matrix(pair_of(1, 2), t_fwd, t_rev, AlignerConfig(sigma_theta=3.0).matrix_params())
     want = (1e-10) ** (1.0 / 3.0) * 1e-4
     assert matrix.weights[0, 1] == pytest.approx(want, rel=1e-9)
@@ -89,10 +94,7 @@ def test_weights_clamped_into_range():
         n, m = rng.integers(1, 9, size=2)
         fwd = {(j + 1, i + 1): float(rng.uniform(1e-12, 1.0)) for j in range(n) for i in range(m)}
         rev = {(i + 1, j + 1): float(rng.uniform(1e-12, 1.0)) for j in range(n) for i in range(m)}
-        matrix = build_soft_matrix(
-            pair_of(n, m), TTable(FORWARD, fwd, n, FALLBACK), TTable(REVERSE, rev, m, FALLBACK),
-            AlignerConfig().matrix_params(),
-        )
+        matrix = build_soft_matrix(pair_of(n, m), *tables_of(fwd, rev, n, m), AlignerConfig().matrix_params())
         assert np.all(matrix.weights >= 1e-8)
         assert np.all(matrix.weights < 1.0)
 
@@ -113,55 +115,73 @@ def test_neutral_configuration_is_clamped_geometric_mean():
     fwd = {(j + 1, i + 1): float(rng.uniform(1e-12, 1.0)) for j in range(n) for i in range(m)}
     rev = {(i + 1, j + 1): float(rng.uniform(1e-12, 1.0)) for j in range(n) for i in range(m)}
     params = AlignerConfig(sigma_theta=1.0, distortion=False).matrix_params()
-    matrix = build_soft_matrix(
-        pair_of(n, m), TTable(FORWARD, fwd, n, FALLBACK), TTable(REVERSE, rev, m, FALLBACK), params
-    )
+    matrix = build_soft_matrix(pair_of(n, m), *tables_of(fwd, rev, n, m), params)
     for j in range(n):
         for i in range(m):
             mean = math.sqrt(fwd[(j + 1, i + 1)] * rev[(i + 1, j + 1)])
             assert matrix.weights[j, i] == pytest.approx(min(max(mean, 1e-8), 1.0 - 1e-12))
 
 
+def integral_images(matrices):
+    """Each matrix's table in the flat integral-image array of one lockstep group."""
+    group = _Lockstep(matrices, 10)
+    return [group.prefix[a:b].reshape(mat.n + 1, mat.m + 1)
+            for mat, a, b in zip(matrices, group.base.tolist(), group.base[1:].tolist())]
+
+
+SHAPES = [(2, 2), (3, 40), (40, 3), (12, 12)]
+
+
 def test_prefix_sums_match_direct_summation():
     rng = np.random.default_rng(5)
-    for _ in range(100):
-        n, m = rng.integers(1, 13, size=2)
-        weights = oracles.random_soft_weights(rng, int(n), int(m))
-        matrix = SoftMatrix(weights)
-        for _ in range(5):
+    weights = [oracles.random_soft_weights(rng, n, m) for n, m in SHAPES * 3]
+    for w, p in zip(weights, integral_images([SoftMatrix(w) for w in weights])):
+        assert np.array_equal(p, oracles.prefix_table(w))
+        n, m = w.shape
+        for _ in range(20):
             j0, j1 = sorted(rng.integers(0, n + 1, size=2))
             i0, i1 = sorted(rng.integers(0, m + 1, size=2))
-            p = matrix.prefix
             got = p[j1, i1] - p[j0, i1] - p[j1, i0] + p[j0, i0]
-            want = oracles.direct_asso(weights, j0, j1, i0, i1)
+            want = oracles.direct_asso(w, j0, j1, i0, i1)
             assert got == pytest.approx(want, abs=1e-12)
 
 
 def test_nonpositive_weights_rejected():
-    with pytest.raises(ValueError):
-        SoftMatrix(np.array([[0.5, 0.0], [0.1, 0.2]]))
-    with pytest.raises(ValueError):
-        SoftMatrix(np.zeros((0, 3)))
+    for weights in ([[0.5, 0.0], [0.1, 0.2]], np.zeros((0, 3)), [[math.nan, 1.0], [1.0, 1.0]],
+                    [[math.inf, 1.0], [1.0, 1.0]], np.full((2, 2), 1e308)):
+        with pytest.raises(ValueError):
+            SoftMatrix(weights)
+
+
+def test_parse_reads_weights_changed_after_construction():
+    # The matrix keeps the caller's array, so a parse sees later changes.
+    diagonal = np.full((3, 3), 0.01) + np.eye(3)
+    anti = diagonal[:, ::-1].copy()
+    matrix = SoftMatrix(diagonal.copy())
+    assert top_down_parse(matrix, 10) != top_down_parse(SoftMatrix(anti), 10)
+    matrix.weights[:] = anti
+    assert top_down_parse(matrix, 10) == top_down_parse(SoftMatrix(anti), 10)
 
 
 def test_batch_build_equals_per_pair_reference_exactly():
-    # One lexicon gather and one prefix pass for many pairs of mixed shapes
-    # must give every pair the same weights and prefix table, to the bit,
-    # as building it alone.
+    # One lexicon gather for many pairs of mixed shapes must give every
+    # pair the same weights, to the bit, as building it alone; and one
+    # lockstep group the same integral image of them as the oracle's.
     rng = np.random.default_rng(17)
     vocab = 12
     fwd = {(f, e): float(rng.uniform(1e-6, 1.0)) for f in range(1, vocab) for e in range(vocab) if rng.random() < 0.6}
     rev = {(e, f): float(rng.uniform(1e-6, 1.0)) for f in range(vocab) for e in range(1, vocab) if rng.random() < 0.6}
-    t_fwd, t_rev = TTable(FORWARD, fwd, vocab - 1, FALLBACK), TTable(REVERSE, rev, vocab - 1, FALLBACK)
-    shapes = [(1, 1), (1, 7), (6, 1), (3, 9), (9, 3), (12, 12), (2, 5), (40, 3), (3, 40)]
+    t_fwd, t_rev = tables_of(fwd, rev, vocab - 1, vocab - 1)
+    shapes = [(1, 1), (1, 7), (6, 1), (3, 9), (9, 3), *SHAPES, (2, 5)]
     pairs = [SentencePair(tuple(int(x) for x in rng.integers(-1, vocab, size=n)),
                           tuple(int(x) for x in rng.integers(-1, vocab, size=m)), k)
              for k, (n, m) in enumerate(shapes)]
     for config in (AlignerConfig(), AlignerConfig(sigma_theta=1.0, distortion=False)):
         params = config.matrix_params()
-        for pair, matrix in zip(pairs, build_soft_matrices(pairs, t_fwd, t_rev, params)):
-            weights, prefix = oracles.reference_soft_matrix(pair, t_fwd, t_rev, params)
-            assert np.array_equal(matrix.weights, weights)
-            assert np.array_equal(matrix.prefix, prefix)
-            assert np.array_equal(SoftMatrix(weights).prefix, prefix)
+        matrices = build_soft_matrices(pairs, t_fwd, t_rev, params)
+        for pair, matrix in zip(pairs, matrices):
+            assert np.array_equal(matrix.weights, oracles.reference_soft_matrix(pair, t_fwd, t_rev, params))
+        split = [mat for mat in matrices if mat.n > 1 and mat.m > 1]
+        for matrix, p in zip(split, integral_images(split)):
+            assert np.array_equal(p, oracles.prefix_table(matrix.weights))
     assert build_soft_matrices([], t_fwd, t_rev, params) == []
