@@ -20,12 +20,9 @@ from .evaluate import GoldAlignment, aer, load_gold
 from .lexicon import (
     FORWARD,
     REVERSE,
-    EmConfig,
     TTable,
     digamma,
     symmetric_lexical_score,
-    train_ibm1,
-    vbh_reestimate,
 )
 from .parser import (
     INVERTED,
@@ -37,7 +34,7 @@ from .parser import (
     top_down_parse,
 )
 from .pipeline import AlignerConfig, Model, align_lines, load_model, save_model, train_model
-from .softmatrix import MatrixParams, SoftMatrix, build_soft_matrix
+from .softmatrix import SoftMatrix, build_soft_matrix
 from .symmetrize import grow_diag_final_and, intersect, union_links
 
 __version__ = "0.1.0"
@@ -47,11 +44,9 @@ __all__ = [
     "Block",
     "CorpusError",
     "Derivation",
-    "EmConfig",
     "FORWARD",
     "GoldAlignment",
     "INVERTED",
-    "MatrixParams",
     "Model",
     "NULL_ID",
     "NULL_TOKEN",
@@ -76,8 +71,6 @@ __all__ = [
     "save_model",
     "symmetric_lexical_score",
     "top_down_parse",
-    "train_ibm1",
     "train_model",
     "union_links",
-    "vbh_reestimate",
 ]

@@ -24,9 +24,9 @@ class CorpusError(Exception):
 class LoadStats:
     """Counters reported after reading a corpus."""
 
-    kept: int = 0
-    skipped_empty: int = 0
-    skipped_long: int = 0
+    kept: int
+    skipped_empty: int
+    skipped_long: int
 
 
 @dataclass(frozen=True)
@@ -55,9 +55,6 @@ class Vocabulary:
 
     def __len__(self):
         return len(self._id_to_token)
-
-    def __contains__(self, token):
-        return token in self._token_to_id
 
     def add(self, token):
         """Return the id of token, assigning the next free id if unseen."""
@@ -96,11 +93,15 @@ class Vocabulary:
 
     @classmethod
     def load(cls, path):
-        """Read a file written by save; a repeated token raises ValueError("path:line: ...")."""
+        """Read a file written by save; a malformed or repeated token raises ValueError("path:line: ...")."""
         with open(path, "r", encoding="utf-8") as fh:
-            tokens = fh.read().split("\n")
-        if tokens[-1] == "":
-            tokens.pop()
+            text = fh.read()
+        tokens = text.split()
+        # Lines holding one whitespace-free token each, and only those, join back into the text.
+        if "\n".join(tokens) != text.removesuffix("\n") or text == "\n":
+            lines = text.removesuffix("\n").split("\n")
+            lineno = next(k for k, line in enumerate(lines, start=1) if line.split() != [line])
+            raise ValueError(f"{path}:{lineno}: not a whitespace-free token: {lines[lineno - 1]!r}")
         vocab = cls()
         vocab._token_to_id = {token: idx for idx, token in enumerate(tokens, start=1)}
         if len(vocab._token_to_id) < len(tokens):
@@ -166,15 +167,12 @@ def read_bitext_joined(path, separator=DEFAULT_SEPARATOR, lowercase=False):
     return out
 
 
-def drop_empty(bitext, stats=None):
+def drop_empty(bitext):
     """Keep pairs with both sides nonempty; returns (index, src, tgt) triples."""
     kept = []
     for index, (src, tgt) in enumerate(bitext):
-        if not src or not tgt:
-            if stats is not None:
-                stats.skipped_empty += 1
-            continue
-        kept.append((index, src, tgt))
+        if src and tgt:
+            kept.append((index, src, tgt))
     return kept
 
 
@@ -193,13 +191,11 @@ def build_vocabulary(raw_pairs):
     return vsrc, vtgt
 
 
-def encode_pairs(raw_pairs, vocab_src, vocab_tgt, max_len=None, stats=None):
+def encode_pairs(raw_pairs, vocab_src, vocab_tgt, max_len=None):
     """Encode token pairs to id pairs, dropping pairs over the length guard."""
     pairs = []
     for index, src, tgt in raw_pairs:
         if max_len is not None and (len(src) > max_len or len(tgt) > max_len):
-            if stats is not None:
-                stats.skipped_long += 1
             continue
         pairs.append(
             SentencePair(
@@ -208,8 +204,6 @@ def encode_pairs(raw_pairs, vocab_src, vocab_tgt, max_len=None, stats=None):
                 index,
             )
         )
-        if stats is not None:
-            stats.kept += 1
     return pairs
 
 
@@ -220,10 +214,10 @@ def encode_corpus(bitext, max_len=None):
     assigned in first-occurrence order, so encoding the same bitext twice
     yields identical results.
     """
-    stats = LoadStats()
-    raw = drop_empty(bitext, stats)
+    raw = drop_empty(bitext)
     vsrc, vtgt = build_vocabulary(raw)
-    pairs = encode_pairs(raw, vsrc, vtgt, max_len=max_len, stats=stats)
+    pairs = encode_pairs(raw, vsrc, vtgt, max_len=max_len)
+    stats = LoadStats(kept=len(pairs), skipped_empty=len(bitext) - len(raw), skipped_long=len(raw) - len(pairs))
     return pairs, vsrc, vtgt, stats
 
 

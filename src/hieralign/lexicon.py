@@ -17,7 +17,7 @@ model files work on whole arrays.
 EM runs on a direction's corpus links, every conditioned word occurrence
 joined to each word of the other side of its pair. VBH reads the Viterbi
 link of every occurrence off the same links in a few array passes, then
-symmetrizes the two directions pair by pair with grow-diag-final-and.
+symmetrizes the two directions pair by pair with grow-diag (no final pass).
 """
 
 from __future__ import annotations
@@ -49,7 +49,7 @@ _LOW = (1 << _SHIFT) - 1
 
 @dataclass(frozen=True)
 class EmConfig:
-    """EM settings, a view of pipeline.AlignerConfig that declares and checks them."""
+    """EM settings copied from pipeline.AlignerConfig, which checks them."""
 
     iterations: int
     vb: bool
@@ -396,7 +396,7 @@ def uniform_init(pairs, direction, config):
     return TTable(direction, PairMap(links.keys, probs), links.cond_vocab_size(), config.fallback)
 
 
-def _trained(pairs, direction, config, progress=None):
+def _trained(pairs, direction, config, log=None):
     """The corpus links of one direction and the table after config.iterations
     E+M rounds from the uniform initialization, on arrays aligned with their keys."""
     if not pairs:
@@ -409,17 +409,17 @@ def _trained(pairs, direction, config, progress=None):
     for it in range(config.iterations):
         counts = links.expected_counts(probs, chunk_groups)
         probs = _normalized(counts, group, config.alpha if config.vb else None, vocab_size)
-        if progress is not None:
-            progress(it + 1, config.iterations)
+        if log is not None:
+            log(f"em {direction} iteration {it + 1}/{config.iterations}")
     return links, TTable(direction, PairMap(links.keys, probs), vocab_size, config.fallback)
 
 
-def train_ibm1(pairs, direction, config, threads=1, progress=None):
+def train_ibm1(pairs, direction, config, threads=1):
     """Exactly config.iterations E+M rounds from the uniform initialization.
 
     threads is ignored, as in expected_counts.
     """
-    return _trained(pairs, direction, config, progress)[1]
+    return _trained(pairs, direction, config)[1]
 
 
 def train_tables(pairs, config, vbh, log=None):
@@ -432,8 +432,7 @@ def train_tables(pairs, config, vbh, log=None):
     """
     tables, best = [], []
     for direction in (FORWARD, REVERSE):
-        progress = None if log is None else lambda it, total: log(f"em {direction} iteration {it}/{total}")
-        links, table = _trained(pairs, direction, config, progress)
+        links, table = _trained(pairs, direction, config, log)
         tables.append(table)
         if vbh:
             best.append(links.viterbi(table.probs.data))

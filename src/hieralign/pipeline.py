@@ -113,6 +113,8 @@ class AlignerConfig:
                 continue
             if not sep or name not in kinds:
                 raise ValueError(f"{path}:{lineno}: unknown setting {line!r}")
+            if name in kwargs:
+                raise ValueError(f"{path}:{lineno}: duplicate setting {name}")
             try:
                 kwargs[name] = _parse_setting(kinds[name], value)
             except ValueError:
@@ -134,9 +136,7 @@ def _parse_setting(kind, value):
         return value == "True"
     if kind == "int":
         return int(value)
-    if kind == "float":
-        return float(value)
-    return value
+    return float(value)
 
 
 @dataclass
@@ -196,13 +196,14 @@ def align_tasks(bitext, model):
     return tasks
 
 
-def _align_chunk(chunk, t_fwd, t_rev, params, beam, dump_fh=None):
+def _align_chunk(chunk):
     """Pharaoh lines of a chunk of tasks; a None placeholder gives the empty line.
 
     The matrices of each lockstep group of the chunk are built together
-    and parsed together. dump_fh, when given, receives each pair's weight
-    matrix as a TSV block.
+    and parsed together. The payload's dump_fh, when given, receives each
+    pair's weight matrix as a TSV block.
     """
+    t_fwd, t_rev, params, beam, dump_fh = workers.payload()
     pairs = [pair for pair in chunk if pair is not None]
     lines = []
     for group in lockstep_groups([(pair.n, pair.m) for pair in pairs], beam):
@@ -215,10 +216,6 @@ def _align_chunk(chunk, t_fwd, t_rev, params, beam, dump_fh=None):
     return ["" if pair is None else next(lines) for pair in chunk]
 
 
-def _align_worker(chunk):
-    return _align_chunk(chunk, *workers.payload())
-
-
 def align_lines(bitext, model, dump_fh=None):
     """Pharaoh lines for a raw bitext, in input order.
 
@@ -226,12 +223,9 @@ def align_lines(bitext, model, dump_fh=None):
     blocks; dumping forces single-process operation.
     """
     chunks = workers.chunked(align_tasks(bitext, model))
-    payload = (model.t_fwd, model.t_rev, model.config.matrix_params(), model.config.beam)
-    if dump_fh is not None:
-        results = [_align_chunk(chunk, *payload, dump_fh) for chunk in chunks]
-    else:
-        results = workers.map_chunks(_align_worker, payload, chunks, model.config.threads)
-    return [line for lines in results for line in lines]
+    payload = (model.t_fwd, model.t_rev, model.config.matrix_params(), model.config.beam, dump_fh)
+    threads = 1 if dump_fh is not None else model.config.threads
+    return [line for lines in workers.map_chunks(_align_chunk, payload, chunks, threads) for line in lines]
 
 
 def stderr_log(message):

@@ -21,7 +21,7 @@ UPPER_MARGIN = 1e-12
 
 @dataclass(frozen=True)
 class MatrixParams:
-    """Matrix settings, a view of pipeline.AlignerConfig that declares and checks them."""
+    """Matrix settings copied from pipeline.AlignerConfig, which checks them."""
 
     sigma_theta: float
     sigma_delta: float

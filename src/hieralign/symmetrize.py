@@ -1,9 +1,9 @@
 """Combine two directional alignments into one symmetric alignment.
 
-All scan orders are pinned so the output is a pure function of the input
-link sets: grow-diag scans current links in (j, i) order with a fixed
-neighbor order, iterating to a fixpoint; the final step scans forward then
-reverse input links in (j, i) order.
+The gdfa heuristic is grow-diag alone: no final pass adds the links of one
+input that growth left out. Its scan order is pinned so the output is a
+pure function of the input link sets: current links in (j, i) order with a
+fixed neighbor order, iterating to a fixpoint.
 """
 
 from __future__ import annotations
@@ -29,15 +29,12 @@ def _check_bounds(links, n, m, label):
 
 
 def grow_diag_final_and(a_fwd, a_rev, n, m):
-    """Grow the intersection toward the union, then the final-and pass.
+    """Grow the intersection toward the union (grow-diag).
 
-    GROW-DIAG: repeatedly add union links 8-adjacent to a current link
-    whose source or target word is still unaligned, scanning current links
-    in (j, i) order until a whole pass adds nothing.
-
-    FINAL-AND: add remaining links that appear in both directional inputs
-    and whose source and target words are both still unaligned, scanning
-    the forward then the reverse input in (j, i) order.
+    Repeatedly add union links 8-adjacent to a current link whose source
+    or target word is still unaligned, scanning current links in (j, i)
+    order until a whole pass adds nothing. No final-and pass follows: a
+    link only one input holds is added by growth or not at all.
     """
     a_fwd = set(a_fwd)
     a_rev = set(a_rev)
@@ -61,15 +58,6 @@ def grow_diag_final_and(a_fwd, a_rev, n, m):
                     src_aligned.add(cand[0])
                     tgt_aligned.add(cand[1])
                     changed = True
-
-    for side in (sorted(a_fwd), sorted(a_rev)):
-        for (j, i) in side:
-            if (j, i) in links or (j, i) not in a_fwd or (j, i) not in a_rev:
-                continue
-            if j not in src_aligned and i not in tgt_aligned:
-                links.add((j, i))
-                src_aligned.add(j)
-                tgt_aligned.add(i)
     return links
 
 

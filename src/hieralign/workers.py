@@ -35,10 +35,11 @@ def map_chunks(func, shared, chunks, threads=1):
     """Yield func(chunk) for every chunk, in order.
 
     `shared` is installed once per worker and read through payload().
-    threads <= 1 runs inline in this process, and the payload is released
-    when the run ends.
+    The pool starts no more workers than there are chunks; one worker runs
+    inline in this process, and the payload is released when the run ends.
     """
-    if threads is None or threads <= 1 or len(chunks) <= 1:
+    processes = min(threads, len(chunks))
+    if processes <= 1:
         _init_worker(shared)
         try:
             for chunk in chunks:
@@ -46,5 +47,5 @@ def map_chunks(func, shared, chunks, threads=1):
         finally:
             _init_worker(None)
         return
-    with mp.Pool(threads, initializer=_init_worker, initargs=(shared,)) as pool:
+    with mp.Pool(processes, initializer=_init_worker, initargs=(shared,)) as pool:
         yield from pool.imap(func, chunks, chunksize=1)

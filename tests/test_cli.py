@@ -3,6 +3,7 @@ import random
 
 import pytest
 
+from hieralign import workers
 from hieralign.cli import build_arg_parser, config_from_args, main, resolve_threads
 from hieralign.pipeline import AlignerConfig
 
@@ -102,6 +103,36 @@ def test_align_dump_matrix(toy, tmp_path, capsys):
     assert len(dumped.splitlines()) == 3
     assert main(["align", "-s", toy["src"], "-t", toy["tgt"], "-m", str(model)]) == 0
     assert capsys.readouterr().out == dumped
+
+
+def test_align_dump_matrix_over_many_chunks(tmp_path, capsys, monkeypatch):
+    # More pairs than one worker chunk, with empty-side lines among them.
+    rng = random.Random(5)
+    src_lines, tgt_lines = [], []
+    for k in range(2 * workers.CHUNK_SIZE + 40):
+        words = [f"w{rng.randrange(9)}" for _ in range(rng.randint(1, 4))]
+        src_lines.append("" if k % 50 == 7 else " ".join(words))
+        tgt_lines.append(" ".join(f"v{w[1:]}" for w in reversed(words)))
+    src = write(tmp_path / "c.src", "\n".join(src_lines) + "\n")
+    tgt = write(tmp_path / "c.tgt", "\n".join(tgt_lines) + "\n")
+    model, dump = tmp_path / "model", tmp_path / "m.tsv"
+    monkeypatch.delenv("HIERALIGN_THREADS", raising=False)
+    assert main(["train", "-s", src, "-t", tgt, "-o", str(model)]) == 0
+    assert main(["align", "-s", src, "-t", tgt, "-m", str(model), "--threads", "1"]) == 0
+    serial = capsys.readouterr().out
+
+    def no_pool(*args, **kwargs):
+        raise AssertionError("dumping must align in this process")
+
+    monkeypatch.setattr(workers.mp, "Pool", no_pool)
+    assert main(["align", "-s", src, "-t", tgt, "-m", str(model), "--threads", "2", "--dump-matrix", str(dump)]) == 0
+    assert capsys.readouterr().out == serial
+    blocks = dump.read_text().rstrip("\n").split("\n\n")
+    shapes = [(len(s.split()), len(t.split())) for s, t in zip(src_lines, tgt_lines) if s and t]
+    assert len(blocks) == len(shapes)
+    for block, (n, m) in zip(blocks, shapes):
+        rows = [row.split("\t") for row in block.splitlines()]
+        assert [(int(j), int(i)) for j, i, _ in rows] == [(j, i) for j in range(n) for i in range(m)]
 
 
 def test_align_rejects_training_options(toy, capsys):

@@ -129,6 +129,13 @@ def test_vocabulary_roundtrip_any_tokens(tokens):
     assert reloaded.ids() == vocab.ids()
 
 
+def test_vocabulary_load_reads_crlf_lines_as_lines(tmp_path):
+    # Text mode reads \r\n as \n, as it does for the ttable files of a model.
+    path = tmp_path / "vocab"
+    path.write_bytes(b"uno\r\ndos\r\n")
+    assert Vocabulary.load(path).tokens() == [NULL_TOKEN, "uno", "dos"]
+
+
 def test_streaming_twice_identical(tmp_path):
     src = write(tmp_path / "s", "a b\nc\n")
     tgt = write(tmp_path / "t", "x\ny z\n")
@@ -138,12 +145,9 @@ def test_streaming_twice_identical(tmp_path):
 
 
 def test_max_len_guard():
-    raw = drop_empty([(["a"] * 5, ["x"]), (["b"], ["y"])])
-    vsrc, vtgt = build_vocabulary(raw)
-    stats = LoadStats()
-    pairs = encode_pairs(raw, vsrc, vtgt, max_len=4, stats=stats)
-    assert stats.skipped_long == 1
-    assert len(pairs) == 1 and pairs[0].index == 1
+    pairs, _, _, stats = encode_corpus([(["a"] * 5, ["x"]), ([], ["y"]), (["b"], ["y"])], max_len=4)
+    assert stats == LoadStats(kept=1, skipped_empty=1, skipped_long=1)
+    assert len(pairs) == 1 and pairs[0].index == 2
 
 
 def test_lowercase_flag(tmp_path):

@@ -271,6 +271,25 @@ def test_load_model_rejects_unknown_setting(tmp_path):
         load_model(model_dir)
 
 
+def test_load_model_rejects_duplicate_setting(tmp_path):
+    model_dir = write_model(tmp_path)
+    path = model_dir / "config.txt"
+    path.write_text(path.read_text() + "beam=3\n")
+    line = len(path.read_text().splitlines())
+    with pytest.raises(ValueError, match=rf"{re.escape(str(path))}:{line}: duplicate setting beam$"):
+        load_model(model_dir)
+
+
+@pytest.mark.parametrize("text, line", [("the\n\nhouse\n", 2), ("the\nthe house\n", 2), ("the\thouse\n", 1),
+                                        ("the\n\n", 2), ("the\nhouse\u2028\n", 2)])
+def test_load_model_rejects_vocabulary_line_that_is_not_a_token(tmp_path, text, line):
+    model_dir = write_model(tmp_path)
+    path = model_dir / "vocab.tgt"
+    path.write_text(text, encoding="utf-8")
+    with pytest.raises(ValueError, match=rf"{re.escape(str(path))}:{line}: not a whitespace-free token"):
+        load_model(model_dir)
+
+
 # sha256 of the Pharaoh output of the default-settings smoke pipeline. A
 # speedup must leave it unchanged; an approved change of output, such as a
 # new beam default, updates it.
