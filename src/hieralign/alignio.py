@@ -7,15 +7,23 @@ class AlignmentFormatError(Exception):
     """Malformed link token in an alignment file."""
 
 
+def parse_link(token, sep):
+    """(j, i) of a `j<sep>i` token of two decimal indices, None for any other token."""
+    a, found, b = token.partition(sep)
+    if not found or not a.isdecimal() or not b.isdecimal():
+        return None
+    return int(a), int(b)
+
+
 def parse_alignment_line(line, lineno=None):
     """Parse one Pharaoh line into a set of (source, target) links."""
     links = set()
     for token in line.split():
-        a, sep, b = token.partition("-")
-        if not sep or not a.isdecimal() or not b.isdecimal():
+        link = parse_link(token, "-")
+        if link is None:
             where = f"line {lineno}: " if lineno is not None else ""
             raise AlignmentFormatError(f"{where}bad link token {token!r}")
-        links.add((int(a), int(b)))
+        links.add(link)
     return links
 
 

@@ -26,11 +26,13 @@ from .pipeline import (
     TRAINING,
     AlignerConfig,
     align_lines,
+    align_tasks,
     load_model,
     save_model,
     stderr_log,
     train_model,
 )
+from .softmatrix import build_soft_matrix, dump_matrix
 
 
 def _add_input_options(p, joined=True):
@@ -48,8 +50,8 @@ ALIGN_SETTINGS = tuple(f.name for f in dataclasses.fields(AlignerConfig)
                        if f.metadata["group"] != TRAINING and f.name not in ("threads", "lowercase"))
 
 
-def _add_config_options(p, from_model=False):
-    """One option per AlignerConfig field, in its group and with its default.
+def _add_config_options(p, from_model=False, omit=()):
+    """One option per AlignerConfig field but those named in omit, in its group and with its default.
 
     from_model (align) leaves out the training options and leaves
     ALIGN_SETTINGS unset unless given, so that they default to the model's
@@ -58,7 +60,7 @@ def _add_config_options(p, from_model=False):
     groups = {}
     for f in dataclasses.fields(AlignerConfig):
         meta = f.metadata
-        if from_model and meta["group"] == TRAINING:
+        if from_model and meta["group"] == TRAINING or f.name in omit:
             continue
         if meta["group"] not in groups:
             groups[meta["group"]] = p.add_argument_group(meta["group"])
@@ -81,7 +83,8 @@ def resolve_threads(value):
 
 
 def config_from_args(args):
-    settings = {f.name: getattr(args, f.name) for f in dataclasses.fields(AlignerConfig)}
+    """The config of the options given; a setting the command does not offer keeps its default."""
+    settings = {f.name: getattr(args, f.name) for f in dataclasses.fields(AlignerConfig) if hasattr(args, f.name)}
     return AlignerConfig(**{**settings, "threads": resolve_threads(args.threads)})
 
 
@@ -129,12 +132,13 @@ def cmd_align(args):
     model.config = dataclasses.replace(model.config, threads=resolve_threads(args.threads), **overrides)
     bitext = read_input(args, model.config.lowercase)
     started = time.perf_counter()
-    dump_fh = open(args.dump_matrix, "w", encoding="utf-8") if args.dump_matrix else None
-    try:
-        lines = align_lines(bitext, model, dump_fh=dump_fh)
-    finally:
-        if dump_fh:
-            dump_fh.close()
+    if args.dump_matrix:
+        params = model.config.matrix_params()
+        with open(args.dump_matrix, "w", encoding="utf-8") as fh:
+            for pair in align_tasks(bitext, model):
+                if pair is not None:
+                    dump_matrix(build_soft_matrix(pair, model.t_fwd, model.t_rev, params), fh)
+    lines = align_lines(bitext, model)
     for line in lines:
         sys.stdout.write(line + "\n")
     if args.stats:
@@ -199,6 +203,13 @@ def cmd_extract(args):
     alignments = read_alignment_file(args.align)
     if len(bitext) != len(alignments):
         raise CorpusError(f"corpus has {len(bitext)} lines, alignment has {len(alignments)} lines")
+    if args.max_len < 1:
+        raise ValueError(f"--max-len must be positive, got {args.max_len}")
+    for lineno, ((src, tgt), links) in enumerate(zip(bitext, alignments), start=1):
+        for j, i in sorted(links):
+            if j >= len(src) or i >= len(tgt):
+                raise CorpusError(f"{args.align}:{lineno}: link {j}-{i} outside a {len(src)}-word source "
+                                  f"and {len(tgt)}-word target")
     table = phrase.phrase_table(bitext, alignments, args.max_len, not args.no_unaligned_extension)
     if args.dump:
         with open(args.dump, "w", encoding="utf-8") as fh:
@@ -277,7 +288,7 @@ def build_arg_parser():
     p.add_argument("--gold", required=True)
     p.add_argument("--theta-grid", default="1,2,3,4")
     p.add_argument("--delta-grid", default="1,2,5,10")
-    _add_config_options(p)
+    _add_config_options(p, omit=("sigma_theta", "sigma_delta"))
     p.set_defaults(func=cmd_sweep)
     return top
 

@@ -13,6 +13,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
+from .alignio import parse_link
+
 
 class GoldFormatError(Exception):
     """Malformed token in a gold alignment file."""
@@ -27,13 +29,6 @@ class GoldAlignment:
         self.possible |= self.sure
 
 
-def _parse_int_pair(token, sep):
-    a, _, b = token.partition(sep)
-    if not a.isdecimal() or not b.isdecimal():
-        return None
-    return int(a), int(b)
-
-
 def load_gold(path):
     """One GoldAlignment per line; raises with line and column on bad tokens."""
     golds = []
@@ -44,20 +39,13 @@ def load_gold(path):
             col = 0
             for token in line.split():
                 col = line.index(token, col)
-                if "-" in token:
-                    link = _parse_int_pair(token, "-")
-                    target = sure
-                elif "?" in token:
-                    link = _parse_int_pair(token, "?")
-                    target = possible
-                else:
-                    link = None
-                    target = None
+                sep = "-" if "-" in token else "?"
+                link = parse_link(token, sep)
                 if link is None:
                     raise GoldFormatError(
                         f"{path}: line {lineno}, column {col + 1}: bad gold token {token!r}"
                     )
-                target.add(link)
+                (sure if sep == "-" else possible).add(link)
                 col += len(token)
             golds.append(GoldAlignment(sure, possible))
     return golds

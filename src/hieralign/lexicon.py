@@ -69,6 +69,22 @@ def pack(conditioned, conditioning):
     return (cing << _SHIFT) | cond
 
 
+def product_cells(n, m):
+    """(pair, j, i, row, col) of every cell of each pair's n x m product.
+
+    n and m are int arrays of side lengths, one entry per pair. Cells run
+    row-major, pair after pair; row and col number the rows and the columns
+    of all the pairs in turn.
+    """
+    pair_of_row = np.repeat(np.arange(len(n)), n)
+    width = m[pair_of_row]
+    row = np.repeat(np.arange(len(width)), width)
+    i = np.arange(len(row)) - np.repeat(np.cumsum(width) - width, width)
+    j = np.repeat(np.arange(len(width)) - (np.cumsum(n) - n)[pair_of_row], width)
+    col = np.repeat((np.cumsum(m) - m)[pair_of_row], width) + i
+    return np.repeat(pair_of_row, width), j, i, row, col
+
+
 class PairMap:
     """Floats keyed by (conditioned id, conditioning id), read with find and get_packed.
 
@@ -279,9 +295,11 @@ class _Links:
     """Every link of a corpus in one direction, in corpus order.
 
     A link joins one occurrence of a conditioned word to one word of the
-    other side of its pair, NULL last when enabled; the links of one
-    occurrence are consecutive. keys are the distinct co-occurring pairs,
-    packed and sorted: the key set of every EM table on this corpus.
+    other side of its pair, NULL last when enabled: the product_cells of
+    the pairs, with the conditioned words as rows and NULL as a last
+    column. The links of one occurrence are consecutive. keys are the
+    distinct co-occurring pairs, packed and sorted: the key set of every EM
+    table on this corpus.
     """
 
     def __init__(self, pairs, direction, use_null):
@@ -291,22 +309,16 @@ class _Links:
         m = np.fromiter((len(e) + len(null) for _, e in sides), np.int64, len(sides))
         cond = np.fromiter(chain.from_iterable(c for c, _ in sides), np.int64, int(n.sum()))
         cing = np.fromiter(chain.from_iterable(e + null for _, e in sides), np.int64, int(m.sum()))
-        self.pair_of_occ = np.repeat(np.arange(len(sides)), n)
+        self.pair, _, _, self.occ, col = product_cells(n, m)
         self.null = len(null)
-        self.slots = m[self.pair_of_occ]
-        self.occ = np.repeat(np.arange(len(cond)), self.slots)
-        first = np.cumsum(self.slots) - self.slots
-        offset = np.arange(len(self.occ)) - first[self.occ]
-        cing_start = (np.cumsum(m) - m)[self.pair_of_occ]
-        link_keys = pack(cond[self.occ], cing[cing_start[self.occ] + offset])
-        self.keys, self.key_of_link = np.unique(link_keys, return_inverse=True)
+        self.slots = np.repeat(m, n)
+        self.keys, self.key_of_link = np.unique(pack(cond[self.occ], cing[col]), return_inverse=True)
 
     def chunk_groups(self):
         """(group of each link, key of each group) for groups of one key in one
         chunk of CHUNK_SIZE pairs, numbered chunk by chunk."""
-        chunk_of_link = (self.pair_of_occ // CHUNK_SIZE)[self.occ]
         groups, group_of_link = np.unique(
-            chunk_of_link * len(self.keys) + self.key_of_link, return_inverse=True
+            self.pair // CHUNK_SIZE * len(self.keys) + self.key_of_link, return_inverse=True
         )
         return group_of_link, groups % max(len(self.keys), 1)
 

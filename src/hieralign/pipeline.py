@@ -14,7 +14,7 @@ import os
 import sys
 from dataclasses import dataclass, field, fields
 
-from . import lexicon, softmatrix, workers
+from . import lexicon, workers
 from .alignio import format_alignment
 from .corpus import Vocabulary, drop_empty, encode_pairs
 from .parser import leaf_links, lockstep_groups, parse_matrices
@@ -63,8 +63,6 @@ class AlignerConfig:
     lowercase: bool = _setting(False, "--lowercase", MISC, "lowercase input text (align follows the model's setting)")
 
     def __post_init__(self):
-        if self.beam < 1:
-            raise ValueError("beam must be >= 1")
         for f in fields(self):
             if f.type != "bool" and not getattr(self, f.name) > 0:  # "not > 0" rejects NaN too
                 raise ValueError(f"{f.name} must be positive")
@@ -200,32 +198,23 @@ def _align_chunk(chunk):
     """Pharaoh lines of a chunk of tasks; a None placeholder gives the empty line.
 
     The matrices of each lockstep group of the chunk are built together
-    and parsed together. The payload's dump_fh, when given, receives each
-    pair's weight matrix as a TSV block.
+    and parsed together.
     """
-    t_fwd, t_rev, params, beam, dump_fh = workers.payload()
+    t_fwd, t_rev, params, beam = workers.payload()
     pairs = [pair for pair in chunk if pair is not None]
     lines = []
     for group in lockstep_groups([(pair.n, pair.m) for pair in pairs], beam):
         matrices = build_soft_matrices([pairs[k] for k in group], t_fwd, t_rev, params)
-        if dump_fh is not None:
-            for matrix in matrices:
-                softmatrix.dump_matrix(matrix, dump_fh)
         lines += [format_alignment(leaf_links(leaves)) for _, _, leaves in parse_matrices(matrices, beam)]
     lines = iter(lines)
     return ["" if pair is None else next(lines) for pair in chunk]
 
 
-def align_lines(bitext, model, dump_fh=None):
-    """Pharaoh lines for a raw bitext, in input order.
-
-    dump_fh, when given, receives the per-pair weight matrices as TSV
-    blocks; dumping forces single-process operation.
-    """
+def align_lines(bitext, model):
+    """Pharaoh lines for a raw bitext, in input order."""
     chunks = workers.chunked(align_tasks(bitext, model))
-    payload = (model.t_fwd, model.t_rev, model.config.matrix_params(), model.config.beam, dump_fh)
-    threads = 1 if dump_fh is not None else model.config.threads
-    return [line for lines in workers.map_chunks(_align_chunk, payload, chunks, threads) for line in lines]
+    payload = (model.t_fwd, model.t_rev, model.config.matrix_params(), model.config.beam)
+    return [line for lines in workers.map_chunks(_align_chunk, payload, chunks, model.config.threads) for line in lines]
 
 
 def stderr_log(message):

@@ -2,8 +2,9 @@
 
 Cell (j, i) combines the symmetric lexical score of the two words with a
 positional distortion factor, then is clamped into [p0^2, 1) so every
-block association downstream stays strictly positive. The parser builds
-the integral images it reads block sums from.
+block association downstream stays strictly positive. A batch of
+matrices is laid out by lexicon.product_cells, as EM's corpus links are.
+The parser builds the integral images it reads block sums from.
 """
 
 from __future__ import annotations
@@ -13,7 +14,7 @@ from itertools import chain
 
 import numpy as np
 
-from .lexicon import symmetric_lexical_score
+from .lexicon import product_cells, symmetric_lexical_score
 
 # Keeps the upper clamp strictly below 1.
 UPPER_MARGIN = 1e-12
@@ -60,34 +61,21 @@ class SoftMatrix:
         return matrix
 
 
-def _cells(n, m):
-    """(pair, j, i, row, col) of every cell of matrices with side lengths n, m.
-
-    n and m are int arrays. The matrices' cells are laid out row-major, one
-    matrix after another; row and col number the rows and the columns of
-    all the matrices in turn.
-    """
-    cells = n * m
-    pair = np.repeat(np.arange(n.size), cells)
-    local = np.arange(cells.sum()) - np.repeat(np.cumsum(cells) - cells, cells)
-    j, i = np.divmod(local, m[pair])
-    return pair, j, i, np.repeat(np.cumsum(n) - n, cells) + j, np.repeat(np.cumsum(m) - m, cells) + i
-
-
 def build_soft_matrices(pairs, t_fwd, t_rev, params):
     """Weight matrices of sentence pairs, all from one lexicon gather.
 
     raw(j, i) = exp(theta(f_j, e_i) / sigma_theta) times the distortion
     factor: exp(delta / sigma_delta) when h < r, a flat p0 otherwise.
-    Weights are clamped into [p0^2, 1). Every cell goes through the same
-    operations in any batch, so a matrix does not depend on the pairs built
-    with it. The matrices' weights are views into one flat array.
+    Weights are clamped into [p0^2, 1). The cells are those of
+    product_cells, and every cell goes through the same operations in any
+    batch, so a matrix does not depend on the pairs built with it. The
+    matrices' weights are views into one flat array, in that order.
     """
     if not pairs:
         return []
     n = np.array([pair.n for pair in pairs])
     m = np.array([pair.m for pair in pairs])
-    pair_of, j, i, row, col = _cells(n, m)
+    pair_of, j, i, row, col = product_cells(n, m)
     source = np.fromiter(chain.from_iterable(pair.source for pair in pairs), np.int64, n.sum())
     target = np.fromiter(chain.from_iterable(pair.target for pair in pairs), np.int64, m.sum())
     theta = symmetric_lexical_score(t_fwd, t_rev, source[row], target[col])

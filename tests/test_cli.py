@@ -1,3 +1,4 @@
+import io
 import os
 import random
 
@@ -5,7 +6,9 @@ import pytest
 
 from hieralign import workers
 from hieralign.cli import build_arg_parser, config_from_args, main, resolve_threads
-from hieralign.pipeline import AlignerConfig
+from hieralign.corpus import read_bitext
+from hieralign.pipeline import AlignerConfig, align_tasks, load_model
+from hieralign.softmatrix import build_soft_matrix, dump_matrix
 
 
 def write(path, text):
@@ -120,13 +123,15 @@ def test_align_dump_matrix_over_many_chunks(tmp_path, capsys, monkeypatch):
     assert main(["train", "-s", src, "-t", tgt, "-o", str(model)]) == 0
     assert main(["align", "-s", src, "-t", tgt, "-m", str(model), "--threads", "1"]) == 0
     serial = capsys.readouterr().out
-
-    def no_pool(*args, **kwargs):
-        raise AssertionError("dumping must align in this process")
-
-    monkeypatch.setattr(workers.mp, "Pool", no_pool)
     assert main(["align", "-s", src, "-t", tgt, "-m", str(model), "--threads", "2", "--dump-matrix", str(dump)]) == 0
     assert capsys.readouterr().out == serial
+    loaded = load_model(str(model))
+    params = loaded.config.matrix_params()
+    want = io.StringIO()
+    for pair in align_tasks(read_bitext(src, tgt), loaded):
+        if pair is not None:
+            dump_matrix(build_soft_matrix(pair, loaded.t_fwd, loaded.t_rev, params), want)
+    assert dump.read_text() == want.getvalue()
     blocks = dump.read_text().rstrip("\n").split("\n\n")
     shapes = [(len(s.split()), len(t.split())) for s, t in zip(src_lines, tgt_lines) if s and t]
     assert len(blocks) == len(shapes)
@@ -266,6 +271,34 @@ def test_extract_cli(tmp_path, capsys):
                  "--max-len", "2", "--dump", str(dump)]) == 0
     assert capsys.readouterr().out == "entries=3\n"
     assert sorted(dump.read_text().splitlines()) == ["a\tx", "a b\tx y", "b\ty"]
+
+
+def test_extract_rejects_a_link_outside_its_sentence(tmp_path, capsys):
+    src = write(tmp_path / "s", "a b\nc\n")
+    tgt = write(tmp_path / "t", "x y\nz\n")
+    align = write(tmp_path / "a", "0-0\n0-0 1-5\n")
+    assert main(["extract", "-s", src, "-t", tgt, "--align", align]) == 1
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert f"error: {align}:2: link 1-5 outside a 1-word source and 1-word target" in err
+
+
+def test_extract_rejects_max_len_zero(tmp_path, capsys):
+    src = write(tmp_path / "s", "a b\n")
+    tgt = write(tmp_path / "t", "x y\n")
+    align = write(tmp_path / "a", "0-0 1-1\n")
+    assert main(["extract", "-s", src, "-t", tgt, "--align", align, "--max-len", "0"]) == 1
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert "error: --max-len must be positive, got 0" in err
+
+
+@pytest.mark.parametrize("option", ["--sigma-theta", "--sigma-delta"])
+def test_sweep_does_not_offer_the_settings_its_grid_sets(toy, tmp_path, option):
+    gold = write(tmp_path / "g", "0-0 1-1\n0-0\n0-0 1-1 2-2\n")
+    with pytest.raises(SystemExit) as exc:
+        main(["sweep", "-s", toy["src"], "-t", toy["tgt"], "--gold", gold, option, "1"])
+    assert exc.value.code == 2
 
 
 def test_sweep_cli(toy, tmp_path, capsys):

@@ -30,12 +30,15 @@ from hieralign.lexicon import (
     REVERSE,
     TINY_PROB,
     TTable,
+    _Links,
     corpus_log_likelihood,
     digamma,
     expected_counts,
     normalize_plain,
     normalize_vb,
     oriented,
+    pack,
+    product_cells,
     symmetric_lexical_score,
     train_ibm1,
     uniform_init,
@@ -123,6 +126,35 @@ def test_digamma_is_bit_exact_against_the_lift_loop():
         assert value == oracles.reference_digamma(x)
         assert digamma(np.array(x)) == oracles.reference_digamma(np.array(x))
         assert type(digamma(np.array(x))) is type(oracles.reference_digamma(np.array(x)))
+
+
+# --- cell layout ---
+
+
+@pytest.mark.parametrize("use_null", [False, True])
+def test_product_cells_and_links_equal_nested_loops(use_null):
+    # Ragged batches, one-word sides and the empty batch among them; with
+    # NULL, each conditioned word's links end in one more column.
+    rng = random.Random(31)
+    for count in [0, 1, *(rng.randint(2, 40) for _ in range(15))]:
+        token_pairs = [([f"s{rng.randrange(12)}" for _ in range(rng.choice([1, rng.randint(1, 9)]))],
+                        [f"t{rng.randrange(12)}" for _ in range(rng.choice([1, rng.randint(1, 9)]))])
+                       for _ in range(count)]
+        pairs = corpus_from_tokens(token_pairs)[0] if count else []
+        n = np.array([pair.n for pair in pairs], dtype=np.int64)
+        m = np.array([pair.m + use_null for pair in pairs], dtype=np.int64)
+        want, row0, col0 = [], 0, 0
+        for k, (a, b) in enumerate(zip(n.tolist(), m.tolist())):
+            want += [(k, j, i, row0 + j, col0 + i) for j in range(a) for i in range(b)]
+            row0, col0 = row0 + a, col0 + b
+        assert list(zip(*(column.tolist() for column in product_cells(n, m)))) == want
+        if not pairs:
+            continue
+        links = _Links(pairs, FORWARD, use_null)
+        null = (NULL_ID,) if use_null else ()
+        want_keys = [int(pack(pair.source[j], (pair.target + null)[i]))
+                     for pair in pairs for j in range(pair.n) for i in range(pair.m + use_null)]
+        assert links.keys[links.key_of_link].tolist() == want_keys
 
 
 # --- EM training ---

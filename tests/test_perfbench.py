@@ -10,7 +10,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from hieralign import workers
+from hieralign import pipeline, workers
 from hieralign.corpus import build_vocabulary, drop_empty, encode_pairs
 from hieralign.pipeline import AlignerConfig, align_lines, align_tasks, train_model
 
@@ -51,6 +51,30 @@ def test_traced_align_chunk_lines_equal_align_lines(bench):
     assert traced_lines == lines
     assert len(spans.durations("parser.parse")) == sum(pair is not None for pair in tasks)
     assert splits == sum(chunk_splits for _, _, chunk_splits in results) > 0
+
+
+def traced_lines(chunk):
+    """The lines of perfbench's chunk function; the bench fixture puts its module on sys.path."""
+    import tracer
+
+    return tracer.traced_align_chunk(chunk)[0]
+
+
+@pytest.mark.parametrize("threads", [1, 2])
+def test_traced_align_chunk_reads_the_payload_align_lines_installs(bench, monkeypatch, threads):
+    # With perfbench's chunk function in place of hieralign's, align_lines
+    # gives the same lines only while the two read the same payload.
+    rng = random.Random(115)
+    bitext = [([f"s{rng.randrange(12)}" for _ in range(rng.randint(0, 6))],
+               [f"t{rng.randrange(12)}" for _ in range(rng.randint(1, 6))])
+              for _ in range(workers.CHUNK_SIZE + 30)]
+    raw = drop_empty(bitext)
+    vsrc, vtgt = build_vocabulary(raw)
+    config = AlignerConfig(em_iters=2, threads=threads)
+    model = train_model(encode_pairs(raw, vsrc, vtgt), vsrc, vtgt, config)
+    want = align_lines(bitext, model)
+    monkeypatch.setattr(pipeline, "_align_chunk", traced_lines)
+    assert align_lines(bitext, model) == want
 
 
 @pytest.mark.parametrize("vbh", [False, True])

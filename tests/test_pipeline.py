@@ -64,7 +64,7 @@ def test_any_config_survives_its_snapshot(values):
 
 
 def test_invalid_config_rejected():
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="beam must be positive"):
         AlignerConfig(beam=0)
     with pytest.raises(ValueError):
         AlignerConfig(alpha=-1.0)
