@@ -15,14 +15,13 @@ def parse_link(token, sep):
     return int(a), int(b)
 
 
-def parse_alignment_line(line, lineno=None):
+def parse_alignment_line(line):
     """Parse one Pharaoh line into a set of (source, target) links."""
     links = set()
     for token in line.split():
         link = parse_link(token, "-")
         if link is None:
-            where = f"line {lineno}: " if lineno is not None else ""
-            raise AlignmentFormatError(f"{where}bad link token {token!r}")
+            raise AlignmentFormatError(f"bad link token {token!r}")
         links.add(link)
     return links
 
@@ -33,8 +32,12 @@ def format_alignment(links):
 
 
 def read_alignment_file(path):
+    """Links of every line of a Pharaoh file; a bad token raises AlignmentFormatError("path:line: ...")."""
     out = []
     with open(path, "r", encoding="utf-8") as fh:
         for lineno, line in enumerate(fh, start=1):
-            out.append(parse_alignment_line(line, lineno))
+            try:
+                out.append(parse_alignment_line(line))
+            except AlignmentFormatError as exc:
+                raise AlignmentFormatError(f"{path}:{lineno}: {exc}") from None
     return out

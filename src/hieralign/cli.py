@@ -1,15 +1,13 @@
 """Command-line interface: train, align, pipeline, symmetrize, eval, extract, sweep.
 
 Standard output carries data only; progress, warnings and timings go to
-standard error. The HIERALIGN_THREADS environment variable overrides the
---threads flag.
+standard error.
 """
 
 from __future__ import annotations
 
 import argparse
 import dataclasses
-import os
 import sys
 import time
 
@@ -20,7 +18,7 @@ from .alignio import (
     parse_alignment_line,
     read_alignment_file,
 )
-from .corpus import CorpusError, encode_corpus, read_bitext, read_bitext_joined
+from .corpus import DEFAULT_SEPARATOR, CorpusError, encode_corpus, read_bitext, read_bitext_joined
 from .evaluate import GoldFormatError
 from .pipeline import (
     TRAINING,
@@ -35,16 +33,15 @@ from .pipeline import (
 from .softmatrix import build_soft_matrix, dump_matrix
 
 
-def _add_input_options(p, joined=True):
+def _add_input_options(p):
     p.add_argument("-s", "--source", help="source text, one sentence per line")
     p.add_argument("-t", "--target", help="target text, one sentence per line")
-    if joined:
-        p.add_argument("--bitext", help="joined corpus with a ' ||| ' separator")
-        p.add_argument("--separator", default="|||", help="separator token for --bitext")
+    p.add_argument("--bitext", help="joined corpus with a ' ||| ' separator")
+    p.add_argument("--separator", default=DEFAULT_SEPARATOR, help="separator token for --bitext")
 
 
 # Settings that align takes from the model unless a flag overrides them:
-# all it offers but threads, resolved on each run, and lowercase, which
+# all it offers but threads, 'auto' unless given, and lowercase, which
 # must agree with the model.
 ALIGN_SETTINGS = tuple(f.name for f in dataclasses.fields(AlignerConfig)
                        if f.metadata["group"] != TRAINING and f.name not in ("threads", "lowercase"))
@@ -73,24 +70,15 @@ def _add_config_options(p, from_model=False, omit=()):
                                            **{**options, **meta["argparse"]})
 
 
-def resolve_threads(value):
-    env = os.environ.get("HIERALIGN_THREADS")
-    if env is not None:
-        return max(1, int(env))
-    if value == "auto":
-        return os.cpu_count() or 1
-    return max(1, int(value))
-
-
 def config_from_args(args):
     """The config of the options given; a setting the command does not offer keeps its default."""
-    settings = {f.name: getattr(args, f.name) for f in dataclasses.fields(AlignerConfig) if hasattr(args, f.name)}
-    return AlignerConfig(**{**settings, "threads": resolve_threads(args.threads)})
+    return AlignerConfig(**{f.name: getattr(args, f.name) for f in dataclasses.fields(AlignerConfig)
+                            if hasattr(args, f.name)})
 
 
 def read_input(args, lowercase):
     """Raw bitext from -s/-t or --bitext, per the flags given."""
-    if getattr(args, "bitext", None):
+    if args.bitext:
         if args.source or args.target:
             raise CorpusError("give either --bitext or -s/-t, not both")
         return read_bitext_joined(args.bitext, args.separator, lowercase)
@@ -129,7 +117,7 @@ def cmd_align(args):
     if args.lowercase and not model.config.lowercase:
         raise ValueError(f"--lowercase contradicts the model in {args.model}, trained without it")
     overrides = {name: getattr(args, name) for name in ALIGN_SETTINGS if hasattr(args, name)}
-    model.config = dataclasses.replace(model.config, threads=resolve_threads(args.threads), **overrides)
+    model.config = dataclasses.replace(model.config, threads=args.threads, **overrides)
     bitext = read_input(args, model.config.lowercase)
     started = time.perf_counter()
     if args.dump_matrix:

@@ -37,15 +37,20 @@ INVERTED = 1
 # Scores are accumulated as sums of logs; F_avg is floored before the log.
 F_AVG_FLOOR = 1e-300
 
-# Matrices parsed together in lockstep expand at most this many splits per
-# level, beam_k * sum((n - 1) * (m - 1)), each in two orientations, and a
-# matrix over the bound is parsed alone. It bounds a level's pool (8 bytes
-# per candidate) and block scores; all else is built SLICE positions at a
+# A lockstep group of matrices expands at most this many splits per level,
+# beam_k * sum((n - 1) * (m - 1)), each in two orientations, and a matrix
+# over the bound is parsed alone. It bounds a level's pool (8 bytes per
+# candidate) and block scores; all else is built SLICE positions at a
 # time. At 1 << 20 the 60 pairs of 20-40 words of perfbench's long corpus
 # run as one group of 39 levels, not 5 groups of 193 at 131072, and the
 # benchmark's peak RSS moves by under 0.1%. A matrix's result does not
-# depend on its group, so this is a constant rather than a tuning knob.
+# depend on its group, so these are constants rather than tuning knobs.
 GROUP_SPLITS = 1 << 20
+
+# A lockstep group also holds at most this many matrices. Parsing all 800
+# pairs of perfbench's short corpus as one group, not 7, raised its peak
+# RSS from 36.6 to 41.7-42.1 MB in every run measured.
+GROUP_PAIRS = 128
 
 # Positions per slice of a level's block scoring (about 150 bytes of
 # temporaries per split) and of the passes over its pool. No value depends
@@ -379,14 +384,15 @@ class _Lockstep:
 def lockstep_groups(shapes, beam_k):
     """Runs of consecutive (n, m) shapes to parse together, as lists of indices.
 
-    A run expands at most beam_k * sum((n - 1) * (m - 1)) <= GROUP_SPLITS
-    splits per level; a shape over the bound runs alone.
+    This is the one cut of alignment work. A run holds at most GROUP_PAIRS
+    shapes and expands at most beam_k * sum((n - 1) * (m - 1)) <=
+    GROUP_SPLITS splits per level; a shape over the split bound runs alone.
     """
     groups = []
     load = 0
     for k, (n, m) in enumerate(shapes):
         cost = beam_k * (n - 1) * (m - 1)
-        if groups and load + cost <= GROUP_SPLITS:
+        if groups and len(groups[-1]) < GROUP_PAIRS and load + cost <= GROUP_SPLITS:
             groups[-1].append(k)
             load += cost
         else:
@@ -402,9 +408,9 @@ def parse_matrices(matrices, beam_k):
     (j0, j1, i0, i1, j, i, gamma) of the split block and the split, in
     order, as an int array (steps, 7), and the terminal (j0, j1, i0, i1)
     blocks, each step's left first, as lists of plain ints. The matrices
-    of each lockstep group are parsed together. A 1 x m or n x 1 matrix is
-    already terminal and yields no steps and the root block as its one
-    leaf.
+    are parsed together as one lockstep group, so the caller bounds the
+    group, with lockstep_groups. A 1 x m or n x 1 matrix is already
+    terminal and yields no steps and the root block as its one leaf.
     """
     if beam_k < 1:
         raise ValueError("beam_k must be >= 1")
@@ -412,12 +418,10 @@ def parse_matrices(matrices, beam_k):
 
 
 def _derivations(matrices, beam_k):
-    for group in lockstep_groups([(mat.n, mat.m) for mat in matrices], beam_k):
-        group = [matrices[k] for k in group]
-        split = [mat for mat in group if mat.n > 1 and mat.m > 1]
-        found = _Lockstep(split, beam_k).run() if split else None
-        for mat in group:
-            yield next(found) if mat.n > 1 and mat.m > 1 else (0.0, np.empty((0, 7), np.int64), [[0, mat.n, 0, mat.m]])
+    split = [mat for mat in matrices if mat.n > 1 and mat.m > 1]
+    found = _Lockstep(split, beam_k).run() if split else None
+    for mat in matrices:
+        yield next(found) if mat.n > 1 and mat.m > 1 else (0.0, np.empty((0, 7), np.int64), [[0, mat.n, 0, mat.m]])
 
 
 def top_down_parse(matrix, beam_k):

@@ -2,9 +2,9 @@
 
 A model directory holds `ttable.fwd`, `ttable.rev`, `vocab.src`,
 `vocab.tgt` and a `config.txt` snapshot of every setting that produced it.
-Alignment work is cut into fixed-size chunks handed to a worker pool;
-output order always follows input order, so results are byte-identical
-for any worker count.
+Alignment work is cut once, into the parser's lockstep groups, and each
+group is one unit of the worker pool; every line is written at its input
+position, so output is byte-identical for any worker count.
 """
 
 from __future__ import annotations
@@ -36,6 +36,11 @@ def _setting(default, flag, group, help, /, **argparse_options):
     return field(default=default, metadata={"flag": flag, "group": group, "help": help, "argparse": argparse_options})
 
 
+def worker_count(value):
+    """The --threads value: an int as given, or every core for 'auto'."""
+    return os.cpu_count() or 1 if value == "auto" else int(value)
+
+
 @dataclass
 class AlignerConfig:
     """Every setting of the toolkit, declared once with its default and its option.
@@ -56,9 +61,9 @@ class AlignerConfig:
     r: float = _setting(0.5, "--distortion-threshold", MATRIX, "relative-position threshold for the distortion bonus")
     p0: float = _setting(1e-4, "--p0", MATRIX, "flat distortion penalty and floor base")
     beam: int = _setting(10, "--beam", MATRIX, "beam width of the parser")
-    # The command line takes a count or 'auto', resolved when it is read.
+    # argparse converts the command line's 'auto' default with worker_count too.
     threads: int = _setting(1, "--threads", MISC, "alignment worker processes ('auto' = all cores)",
-                            type=str, default="auto")
+                            type=worker_count, default="auto")
     max_sentence_len: int = _setting(200, "--max-sentence-len", MISC, "skip pairs with a longer side")
     lowercase: bool = _setting(False, "--lowercase", MISC, "lowercase input text (align follows the model's setting)")
 
@@ -194,27 +199,24 @@ def align_tasks(bitext, model):
     return tasks
 
 
-def _align_chunk(chunk):
-    """Pharaoh lines of a chunk of tasks; a None placeholder gives the empty line.
-
-    The matrices of each lockstep group of the chunk are built together
-    and parsed together.
-    """
+def _align_chunk(pairs):
+    """Pharaoh lines of one lockstep group of pairs, whose matrices are built and parsed together."""
     t_fwd, t_rev, params, beam = workers.payload()
-    pairs = [pair for pair in chunk if pair is not None]
-    lines = []
-    for group in lockstep_groups([(pair.n, pair.m) for pair in pairs], beam):
-        matrices = build_soft_matrices([pairs[k] for k in group], t_fwd, t_rev, params)
-        lines += [format_alignment(leaf_links(leaves)) for _, _, leaves in parse_matrices(matrices, beam)]
-    lines = iter(lines)
-    return ["" if pair is None else next(lines) for pair in chunk]
+    matrices = build_soft_matrices(pairs, t_fwd, t_rev, params)
+    return [format_alignment(leaf_links(leaves)) for _, _, leaves in parse_matrices(matrices, beam)]
 
 
 def align_lines(bitext, model):
-    """Pharaoh lines for a raw bitext, in input order."""
-    chunks = workers.chunked(align_tasks(bitext, model))
+    """Pharaoh lines for a raw bitext, in input order; a skipped pair gives the empty line."""
+    pairs = [pair for pair in align_tasks(bitext, model) if pair is not None]
+    groups = [[pairs[k] for k in group]
+              for group in lockstep_groups([(pair.n, pair.m) for pair in pairs], model.config.beam)]
     payload = (model.t_fwd, model.t_rev, model.config.matrix_params(), model.config.beam)
-    return [line for lines in workers.map_chunks(_align_chunk, payload, chunks, model.config.threads) for line in lines]
+    lines = [""] * len(bitext)
+    for group_lines, group in zip(workers.map_chunks(_align_chunk, payload, groups, model.config.threads), groups):
+        for line, pair in zip(group_lines, group):
+            lines[pair.index] = line
+    return lines
 
 
 def stderr_log(message):

@@ -1,16 +1,17 @@
-"""Chunked worker-pool helpers with order-preserving reduction.
+"""Worker-pool helpers with order-preserving reduction.
 
-Work is cut into chunks of a fixed size that does not depend on the worker
-count, and results come back in chunk order, so any reduction over them is
-bit-identical whether 1 or N processes ran.
+map_chunks runs a function over chunks the caller cut, independently of
+the worker count, and returns the results in chunk order, so any
+reduction over them is bit-identical whether 1 or N processes ran.
+Alignment maps over the parser's lockstep groups.
 """
 
 from __future__ import annotations
 
 import multiprocessing as mp
 
-# Fixed, not a tuning knob: the E-step sums its counts chunk by chunk, so this
-# sets EM's summation order. Alignment output does not depend on chunking.
+# Fixed, not a tuning knob: the E-step sums its counts in chunks of this many
+# pairs, so this sets EM's summation order. Alignment does not read it.
 CHUNK_SIZE = 128
 
 _payload = None

@@ -1,3 +1,5 @@
+import re
+
 import pytest
 
 from hieralign.alignio import (
@@ -21,14 +23,17 @@ def test_empty_line_is_empty_set():
     assert format_alignment(set()) == ""
 
 
-def test_bad_token_raises_with_line():
-    with pytest.raises(AlignmentFormatError, match="line 3"):
-        parse_alignment_line("0-0 nope", lineno=3)
-    with pytest.raises(AlignmentFormatError):
+def test_bad_token_raises_with_line(tmp_path):
+    path = tmp_path / "a.align"
+    path.write_text("0-0\n\n0-1\n0-0 nope\n", encoding="utf-8")
+    with pytest.raises(AlignmentFormatError, match=f"^{re.escape(str(path))}:4: bad link token 'nope'$"):
+        read_alignment_file(path)
+    with pytest.raises(AlignmentFormatError, match="^bad link token '1-'$"):
         parse_alignment_line("1-")
     # A superscript is a digit to str.isdigit but not to int().
-    with pytest.raises(AlignmentFormatError, match="line 4"):
-        parse_alignment_line("0-0 \u00b2-1", lineno=4)
+    path.write_text("0-0\n0-0 \u00b2-1\n", encoding="utf-8")
+    with pytest.raises(AlignmentFormatError, match=f"^{re.escape(str(path))}:2: "):
+        read_alignment_file(path)
 
 
 def test_file_roundtrip(tmp_path):

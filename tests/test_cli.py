@@ -4,9 +4,9 @@ import random
 
 import pytest
 
-from hieralign import workers
-from hieralign.cli import build_arg_parser, config_from_args, main, resolve_threads
+from hieralign.cli import build_arg_parser, config_from_args, main
 from hieralign.corpus import read_bitext
+from hieralign.parser import GROUP_PAIRS
 from hieralign.pipeline import AlignerConfig, align_tasks, load_model
 from hieralign.softmatrix import build_soft_matrix, dump_matrix
 
@@ -108,18 +108,17 @@ def test_align_dump_matrix(toy, tmp_path, capsys):
     assert capsys.readouterr().out == dumped
 
 
-def test_align_dump_matrix_over_many_chunks(tmp_path, capsys, monkeypatch):
-    # More pairs than one worker chunk, with empty-side lines among them.
+def test_align_dump_matrix_over_many_chunks(tmp_path, capsys):
+    # More pairs than two lockstep groups hold, with empty-side lines among them.
     rng = random.Random(5)
     src_lines, tgt_lines = [], []
-    for k in range(2 * workers.CHUNK_SIZE + 40):
+    for k in range(2 * GROUP_PAIRS + 40):
         words = [f"w{rng.randrange(9)}" for _ in range(rng.randint(1, 4))]
         src_lines.append("" if k % 50 == 7 else " ".join(words))
         tgt_lines.append(" ".join(f"v{w[1:]}" for w in reversed(words)))
     src = write(tmp_path / "c.src", "\n".join(src_lines) + "\n")
     tgt = write(tmp_path / "c.tgt", "\n".join(tgt_lines) + "\n")
     model, dump = tmp_path / "model", tmp_path / "m.tsv"
-    monkeypatch.delenv("HIERALIGN_THREADS", raising=False)
     assert main(["train", "-s", src, "-t", tgt, "-o", str(model)]) == 0
     assert main(["align", "-s", src, "-t", tgt, "-m", str(model), "--threads", "1"]) == 0
     serial = capsys.readouterr().out
@@ -246,6 +245,18 @@ def test_symmetrize_cli(tmp_path, capsys):
     assert capsys.readouterr().out == "0-0\n0-0\n"
 
 
+def test_alignment_file_errors_name_the_file(tmp_path, toy, capsys):
+    good = write(tmp_path / "good", "0-0\n0-0\n")
+    bad = write(tmp_path / "bad", "0-0\nzz\n")
+    commands = [["symmetrize", "--fwd", good, "--rev", bad], ["eval", "--gold", good, "--hyp", bad],
+                ["extract", "-s", toy["src"], "-t", toy["tgt"], "--align", bad]]
+    for command in commands:
+        assert main(command) == 1
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert f"error: {bad}:2: bad link token 'zz'" in err
+
+
 def test_eval_cli(tmp_path, capsys):
     gold = write(tmp_path / "g", "0-0 1?1\n0-0\n")
     hyp = write(tmp_path / "h", "0-0 1-1\n0-0\n")
@@ -328,10 +339,9 @@ def test_sweep_checks_its_settings_and_gold_before_training(toy, tmp_path, capsy
 
 
 @pytest.mark.parametrize("command", [["train", "-o", "m"], ["pipeline", "-o", "out"], ["sweep", "--gold", "g"]])
-def test_no_setting_flags_give_the_default_config(command, monkeypatch):
-    monkeypatch.delenv("HIERALIGN_THREADS", raising=False)
+def test_no_setting_flags_give_the_default_config(command):
     args = build_arg_parser().parse_args([*command, "-s", "s", "-t", "t"])
-    assert config_from_args(args) == AlignerConfig(threads=resolve_threads("auto"))
+    assert config_from_args(args) == AlignerConfig(threads=os.cpu_count() or 1)
 
 
 def test_align_offers_only_the_run_settings():
@@ -384,12 +394,17 @@ def test_bitext_and_split_files_conflict(toy, tmp_path, capsys):
     assert "not both" in capsys.readouterr().err
 
 
-def test_threads_env_override(monkeypatch):
-    monkeypatch.setenv("HIERALIGN_THREADS", "3")
-    assert resolve_threads("8") == 3
-    monkeypatch.delenv("HIERALIGN_THREADS")
-    assert resolve_threads("8") == 8
-    assert resolve_threads("auto") == (os.cpu_count() or 1)
+def test_threads_must_be_a_positive_count(toy, capsys):
+    # --threads goes to the config as given, which rejects a count below one;
+    # a value that is neither a count nor 'auto' fails in argparse.
+    for value in ("0", "-2"):
+        assert_rejected_before_training(toy, capsys, "--threads", value, value, "threads must be positive")
+    with pytest.raises(SystemExit) as exc:
+        main(["train", "-s", toy["src"], "-t", toy["tgt"], "-o", str(toy["dir"] / "model"), "--threads", "abc"])
+    assert exc.value.code == 2
+    assert "argument --threads: invalid" in capsys.readouterr().err
+    args = build_arg_parser().parse_args(["align", "-s", "s", "-t", "t", "-m", "m", "--threads", "3"])
+    assert args.threads == 3
 
 
 def test_align_missing_model_fails(toy, capsys):

@@ -11,6 +11,7 @@ import oracles
 from hieralign import parser
 from hieralign.alignio import format_alignment
 from hieralign.parser import (
+    GROUP_PAIRS,
     GROUP_SPLITS,
     INVERTED,
     SLICE,
@@ -415,7 +416,7 @@ CHUNK_KINDS = {
 
 def assert_each_equals_reference(matrices, beam_k):
     # Each matrix's step rows, leaves, score and Pharaoh line, as the
-    # reference derivation gives them.
+    # reference derivation gives them; the matrices are one lockstep group.
     got = list(parse_matrices(matrices, beam_k))
     assert len(got) == len(matrices)
     for matrix, (score, steps, leaves) in zip(matrices, got):
@@ -447,7 +448,8 @@ def test_parse_matrices_equals_reference_per_matrix(specs, bound, slice_size):
     matrices = [SoftMatrix(CHUNK_KINDS[kind](np.random.default_rng(seed), n, m)) for kind, n, m, seed in specs]
     with mock.patch.object(parser, "GROUP_SPLITS", bound), mock.patch.object(parser, "SLICE", slice_size):
         for beam_k in (1, 3, 10):
-            assert_each_equals_reference(matrices, beam_k)
+            for group in lockstep_groups([(mat.n, mat.m) for mat in matrices], beam_k):
+                assert_each_equals_reference([matrices[k] for k in group], beam_k)
 
 
 def test_parse_matrices_splits_at_the_real_bound():
@@ -462,12 +464,13 @@ def test_parse_matrices_splits_at_the_real_bound():
     matrices.insert(17, SoftMatrix(MATRIX_KINDS["planted"](rng, 12, width)))
     groups = lockstep_groups([(mat.n, mat.m) for mat in matrices], 10)
     assert [17] in groups and len(groups) >= 3
-    assert_each_equals_reference(matrices, 10)
+    for group in groups:
+        assert_each_equals_reference([matrices[k] for k in group], 10)
 
 
 def test_tied_matrices_parsed_together():
-    # The tie cases above, many times over in one group, between matrices
-    # that have no ties.
+    # The tie cases above, many times over in full groups, between
+    # matrices that have no ties.
     rng = np.random.default_rng(101)
     tied = [SoftMatrix(tied_weights(rows)) for rows, _ in TIED_CASES] + [SoftMatrix(LATER_TERMINAL_TIE)]
     matrices = []
@@ -475,8 +478,10 @@ def test_tied_matrices_parsed_together():
         matrices += [random_matrix(rng, *rng.integers(2, 7, size=2)), *tied]
     assert len(matrices) - 24 > 100
     for beam_k in (1, 2, 3, 10):
-        assert len(lockstep_groups([(mat.n, mat.m) for mat in matrices], beam_k)) == 1
-        assert_each_equals_reference(matrices, beam_k)
+        groups = lockstep_groups([(mat.n, mat.m) for mat in matrices], beam_k)
+        assert [len(group) for group in groups[:-1]] == [GROUP_PAIRS] * (len(matrices) // GROUP_PAIRS)
+        for group in groups:
+            assert_each_equals_reference([matrices[k] for k in group], beam_k)
 
 
 def test_each_block_is_scored_once_per_level():
@@ -558,17 +563,20 @@ def test_lockstep_memory_per_pool_entry():
 
 
 def test_lockstep_groups_are_consecutive_runs_within_the_bound():
-    shapes = [(3, 4), (1, 9), (8, 1), (30, 30), (5, 5), (2, 2), (60, 60), (4, 4)]
+    # A run of small shapes longer than GROUP_PAIRS sits among shapes that
+    # overflow GROUP_SPLITS alone or together at the larger beams.
+    shapes = [(3, 4), (1, 9), (8, 1), (30, 30), *[(2, 3)] * (2 * GROUP_PAIRS + 5), (5, 5), (2, 2), (60, 60), (4, 4)]
     for beam_k in (1, 10, 200):
         groups = lockstep_groups(shapes, beam_k)
         assert [k for group in groups for k in group] == list(range(len(shapes)))
+        assert max(len(group) for group in groups) == GROUP_PAIRS
         for group in groups:
             load = sum(beam_k * (shapes[k][0] - 1) * (shapes[k][1] - 1) for k in group)
             assert load <= GROUP_SPLITS or len(group) == 1
         for left, right in zip(groups, groups[1:]):
-            # Each run stops only where the next shape would overflow it.
+            # Each run stops only where it is full or the next shape would overflow it.
             load = sum(beam_k * (shapes[k][0] - 1) * (shapes[k][1] - 1) for k in left + right[:1])
-            assert load > GROUP_SPLITS
+            assert len(left) == GROUP_PAIRS or load > GROUP_SPLITS
 
 
 def test_parse_matrices_of_nothing():

@@ -12,11 +12,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import oracles
-from hieralign import workers
 from hieralign.alignio import format_alignment
 from hieralign.cli import main as cli_main
 from hieralign.corpus import build_vocabulary, drop_empty, encode_pairs
-from hieralign.parser import project
+from hieralign.parser import GROUP_PAIRS, project
 from hieralign.pipeline import (
     AlignerConfig,
     align_lines,
@@ -152,10 +151,11 @@ def test_reversed_order_corpus_recovered_by_nested_inversions():
 
 def test_align_lines_equals_per_pair_reference():
     # Placeholders (empty sides, over-length pairs) sit between the pairs,
-    # one-word sides among them, and the corpus spans several chunks.
+    # one-word sides among them, and the real pairs fill more than two
+    # lockstep groups, run by one worker and by two.
     rng = random.Random(61)
     bitext = []
-    for _ in range(workers.CHUNK_SIZE + 40):
+    for _ in range(5 * GROUP_PAIRS):
         n, m = rng.choice([(rng.randint(1, 9), rng.randint(1, 9)), (1, rng.randint(1, 6)), (0, 3), (11, 4)])
         bitext.append(([f"s{rng.randrange(25)}" for _ in range(n)], [f"t{rng.randrange(25)}" for _ in range(m)]))
     raw = drop_empty(bitext)
@@ -170,7 +170,10 @@ def test_align_lines_equals_per_pair_reference():
         matrix = build_soft_matrix(pair, model.t_fwd, model.t_rev, params)
         want.append(format_alignment(project(oracles.reference_top_down_parse(matrix, model.config.beam))))
     assert "" in want
-    assert align_lines(bitext, model) == want
+    assert sum(pair is not None for pair in align_tasks(bitext, model)) > 2 * GROUP_PAIRS
+    for threads in (1, 2):
+        config = dataclasses.replace(model.config, threads=threads)
+        assert align_lines(bitext, dataclasses.replace(model, config=config)) == want
 
 
 def write_model(tmp_path):
