@@ -111,12 +111,15 @@ def cmd_train(args):
 
 
 def cmd_align(args):
+    overrides = {name: getattr(args, name) for name in ALIGN_SETTINGS if hasattr(args, name)}
+    # AlignerConfig checks each setting on its own, so a bad flag fails here,
+    # against the defaults, before the model is read.
+    AlignerConfig(threads=args.threads, **overrides)
     model = load_model(args.model)
     # Input must be read as the model's vocabulary was: lowercasing comes
     # from the snapshot, and --lowercase may not contradict it.
     if args.lowercase and not model.config.lowercase:
         raise ValueError(f"--lowercase contradicts the model in {args.model}, trained without it")
-    overrides = {name: getattr(args, name) for name in ALIGN_SETTINGS if hasattr(args, name)}
     model.config = dataclasses.replace(model.config, threads=args.threads, **overrides)
     bitext = read_input(args, model.config.lowercase)
     started = time.perf_counter()

@@ -8,6 +8,7 @@ side and never appears in surface text.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import chain, repeat
 
 NULL_ID = 0
 NULL_TOKEN = "<NULL>"
@@ -102,14 +103,20 @@ class Vocabulary:
             lines = text.removesuffix("\n").split("\n")
             lineno = next(k for k, line in enumerate(lines, start=1) if line.split() != [line])
             raise ValueError(f"{path}:{lineno}: not a whitespace-free token: {lines[lineno - 1]!r}")
-        vocab = cls()
-        vocab._token_to_id = {token: idx for idx, token in enumerate(tokens, start=1)}
+        vocab = cls.of_tokens(tokens)
         if len(vocab._token_to_id) < len(tokens):
             seen = set()
             for lineno, token in enumerate(tokens, start=1):
                 if token in seen:
                     raise ValueError(f"{path}:{lineno}: duplicate token {token!r}")
                 seen.add(token)
+        return vocab
+
+    @classmethod
+    def of_tokens(cls, tokens):
+        """The vocabulary giving ids 1, 2, ... to a list of distinct tokens, in order."""
+        vocab = cls()
+        vocab._token_to_id = dict(zip(tokens, range(1, len(tokens) + 1)))
         vocab._id_to_token += tokens
         return vocab
 
@@ -177,33 +184,25 @@ def drop_empty(bitext):
 
 
 def build_vocabulary(raw_pairs):
-    """Assign ids in first-occurrence order over the streamed pairs.
+    """Assign ids in first-occurrence order over a list of (index, source, target) pairs.
 
     Returns one vocabulary per side; both reserve id 0 for NULL.
     """
-    vsrc = Vocabulary()
-    vtgt = Vocabulary()
-    for _, src, tgt in raw_pairs:
-        for tok in src:
-            vsrc.add(tok)
-        for tok in tgt:
-            vtgt.add(tok)
+    # dict.fromkeys keeps each side's distinct tokens in first-occurrence order.
+    vsrc = Vocabulary.of_tokens(list(dict.fromkeys(chain.from_iterable(src for _, src, _ in raw_pairs))))
+    vtgt = Vocabulary.of_tokens(list(dict.fromkeys(chain.from_iterable(tgt for _, _, tgt in raw_pairs))))
     return vsrc, vtgt
 
 
 def encode_pairs(raw_pairs, vocab_src, vocab_tgt, max_len=None):
     """Encode token pairs to id pairs, dropping pairs over the length guard."""
+    src_id, tgt_id = vocab_src.ids().get, vocab_tgt.ids().get
+    unknown = repeat(UNKNOWN_ID)
     pairs = []
     for index, src, tgt in raw_pairs:
         if max_len is not None and (len(src) > max_len or len(tgt) > max_len):
             continue
-        pairs.append(
-            SentencePair(
-                tuple(vocab_src.lookup(t) for t in src),
-                tuple(vocab_tgt.lookup(t) for t in tgt),
-                index,
-            )
-        )
+        pairs.append(SentencePair(tuple(map(src_id, src, unknown)), tuple(map(tgt_id, tgt, unknown)), index))
     return pairs
 
 

@@ -12,7 +12,10 @@ an extra conditioning word on the other side.
 A table is two flat arrays: sorted int64 keys packing (conditioning id,
 conditioned id), so that the entries of one conditioning word are
 contiguous, and the float64 values in the same order. EM, lookups and
-model files work on whole arrays.
+model files work on whole arrays. A model file is read as one array of
+bytes: its fields are positions between tabs and newlines, equal fields
+are found from 8-byte words of their bytes, and only distinct tokens and
+runs of equal probability texts become Python objects.
 
 EM runs on a direction's corpus links, every conditioned word occurrence
 joined to each word of the other side of its pair. VBH reads the Viterbi
@@ -24,7 +27,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from itertools import chain, islice, repeat
-from operator import ne
 
 import numpy as np
 
@@ -134,48 +136,164 @@ def _conditioning_groups(packed):
     return np.cumsum(np.diff(cing, prepend=cing[:1]) != 0)
 
 
-def _column_ids(path, tokens, ids):
-    out = np.fromiter(map(ids.get, tokens, repeat(-1)), np.int64, len(tokens))
-    missing = np.flatnonzero(out < 0)
-    if missing.size:
-        k = int(missing[0])
-        raise ValueError(f"{path}:{k + 2}: token {tokens[k]!r} is not in the vocabulary")
+# Masks keeping the first 0..8 bytes of a little-endian 8-byte word.
+_BYTE_MASKS = np.array([(1 << 8 * k) - 1 for k in range(8)] + [-1], dtype=np.int64)
+
+# An even multiplier, so that first + _MIX * last is one-to-one when first == last.
+_MIX = 0x5851F42D4C957F2E
+
+
+def _field_words(words, start, length, offset):
+    """The 8 bytes at start + offset of each field, cut to its length and zero past it."""
+    at = np.minimum(start + offset, len(words) - 1)
+    return words[at] & _BYTE_MASKS[np.maximum(np.minimum(length - offset, 8), 0)]
+
+
+def _same_bytes(words, a, b, length):
+    """Whether the length bytes at a equal those at b, field by field."""
+    same = np.ones(len(a), bool)
+    for offset in range(0, int(length.max(initial=0)), 8):
+        same &= _field_words(words, a, length, offset) == _field_words(words, b, length, offset)
+    return same
+
+
+def _changes(values):
+    """True at the start and wherever an entry differs from the one before it."""
+    out = np.ones(len(values), bool)
+    np.not_equal(values[1:], values[:-1], out=out[1:])
     return out
 
 
-def _float_or_nan(text):
+def _runs(words, start, length):
+    """Indices of the fields whose bytes differ from the field before them.
+
+    Neighbours share one gather per 8 bytes, half of what _same_bytes takes.
+    """
+    new = _changes(length)
+    for offset in range(0, int(length.max(initial=0)), 8):
+        new |= _changes(_field_words(words, start, length, offset))
+    return np.flatnonzero(new)
+
+
+def _distinct(words, start, length):
+    """(head, inverse): a field holding each distinct byte string, and the distinct string of each field.
+
+    A key adds a field's length, in the top byte, to its first 8 bytes
+    (those past its end zeroed), so a field under 8 bytes is keyed exactly.
+    A longer field also adds a multiple of its last 8 bytes and is checked
+    byte for byte against the head of its key; fields that differ from
+    their head are told apart by all their bytes. Keys are sorted once per
+    run of equal neighbouring keys.
+    """
+    key = words[start] & _BYTE_MASKS[np.minimum(length, 8)]
+    key += length << 56
+    long = (length >= 8).nonzero()[0]
+    key[long] += _MIX * words[start[long] + length[long] - 8]
+    runs = _changes(key)
+    run_key = key[runs]
+    order = run_key.argsort()
+    new = _changes(run_key[order])
+    head = runs.nonzero()[0][order[new]]
+    inverse = np.empty(len(order), np.intp)
+    inverse[order] = new.cumsum() - 1
+    inverse = inverse[runs.cumsum() - 1]
+    differ = length != length[head[inverse]]
+    differ[long] |= ~_same_bytes(words, start[long], start[head[inverse[long]]], length[long])
+    other = differ.nonzero()[0]
+    if other.size:
+        offsets = range(0, int(length[other].max()), 8)
+        cells = np.column_stack([length[other]] + [_field_words(words, start[other], length[other], k) for k in offsets])
+        _, other_head, other_inverse = np.unique(cells, axis=0, return_index=True, return_inverse=True)
+        inverse[other] = len(head) + other_inverse
+        head = np.append(head, other[other_head])
+    return head, inverse
+
+
+def _texts(body, start, end):
+    """The decoded text of each field.
+
+    Each field is gathered with the byte after it, made a tab, so that one
+    decode and one split give every text.
+    """
+    width = end - start + 1
+    stop = width.cumsum()
+    cells = np.frombuffer(body, np.uint8)[np.arange(width.sum()) + np.repeat(start - stop + width, width)]
+    cells[stop - 1] = ord("\t")
+    return cells.tobytes().decode("utf-8").split("\t")[:-1]
+
+
+def _read(path):
+    """(header fields, body) of a ttable file, read with text-mode line ends.
+
+    The body bytes are framed for _field_bounds: a newline first, a newline
+    last and 8 zero bytes after it. An undecodable byte raises
+    ValueError("path:line: ...").
+    """
+    with open(path, "rb") as fh:
+        data = fh.read()
+    if b"\r" in data:
+        data = data.replace(b"\r\n", b"\n").replace(b"\r", b"\n")
     try:
-        return float(text)
-    except ValueError:
-        return float("nan")
+        data.decode("utf-8")
+    except UnicodeDecodeError as exc:
+        line = data.count(b"\n", 0, exc.start) + 1
+        raise ValueError(f"{path}:{line}: undecodable byte {data[exc.start]:#04x}") from None
+    head, _, body = data.partition(b"\n")
+    del data  # the file is not held beside the framed copy of its body
+    tail = b"\n" if body and not body.endswith(b"\n") else b""
+    return head.decode("utf-8").split(), b"".join((b"\n", body, tail, bytes(8)))
 
 
-def _probabilities(path, texts):
-    """The float of each text, each run of equal neighbouring texts converted once."""
-    starts = np.flatnonzero(np.fromiter(map(ne, texts, chain([None], texts)), bool, len(texts)))
-    heads = list(map(texts.__getitem__, starts.tolist()))
+def _field_bounds(path, body):
+    """Positions of the framing newline, then of each row's two tabs and its newline.
+
+    A line without exactly two tabs raises ValueError("path:line: ...").
+    """
+    text = np.frombuffer(body, np.uint8)
+    bounds = np.flatnonzero(text <= ord("\n"))
+    bounds = bounds[text[bounds] >= ord("\t")]
+    newline = text[bounds] == ord("\n")
+    rows = np.count_nonzero(newline) - 1
+    if len(bounds) != 3 * rows + 1 or not newline[::3].all():
+        tabs = np.bincount(np.cumsum(newline)[~newline] - 1, minlength=rows)
+        k = int(np.flatnonzero(tabs != 2)[0])
+        raise ValueError(f"{path}:{k + 2}: expected 3 tab-separated fields, got {tabs[k] + 1}")
+    return bounds
+
+
+def _token_ids(path, body, words, start, end, ids):
+    """The id in ids of each field's token; a token not in ids raises ValueError("path:line: ...")."""
+    head, inverse = _distinct(words, start, end - start)
+    tokens = _texts(body, start[head], end[head])
+    found = np.fromiter(map(ids.get, tokens, repeat(-1)), np.int64, len(tokens))[inverse]
+    missing = np.flatnonzero(found < 0)
+    if missing.size:
+        k = int(missing[0])
+        raise ValueError(f"{path}:{k + 2}: token {tokens[inverse[k]]!r} is not in the vocabulary")
+    return found
+
+
+def _is_probability(text):
+    """Whether text reads as a number in (0, 1]."""
     try:
-        values = np.fromiter(map(float, heads), np.float64, len(heads))
+        return 0.0 < float(text) <= 1.0
     except ValueError:
-        values = np.array([_float_or_nan(text) for text in heads], dtype=np.float64)
-    bad = np.flatnonzero(~((values > 0.0) & (values <= 1.0)))
-    if bad.size:
-        k = int(starts[bad[0]])
-        raise ValueError(f"{path}:{k + 2}: probability {texts[k]!r} is not a number in (0, 1]")
-    return np.repeat(values, np.diff(starts, append=len(texts)))
+        return False
 
 
-def _check_fields(path, body):
-    """Raise ValueError("path:line: ...") unless every newline-terminated line of body has two tabs."""
-    text = np.frombuffer(body.encode("utf-8"), np.uint8)
-    ends = np.flatnonzero(text == ord("\n"))
-    tabs = np.flatnonzero(text == ord("\t"))
-    # Every line has two tabs exactly when tabs 2k and 2k + 1 both lie on line k.
-    if len(tabs) == 2 * len(ends) and (tabs[1::2] < ends).all() and (tabs[2::2] > ends[:-1]).all():
-        return
-    counts = np.bincount(np.searchsorted(ends, tabs), minlength=len(ends))
-    k = int(np.flatnonzero(counts != 2)[0])
-    raise ValueError(f"{path}:{k + 2}: expected 3 tab-separated fields, got {counts[k] + 1}")
+def _probabilities(path, body, words, start, end):
+    """The float of each field, each run of equal neighbouring fields converted once."""
+    runs = _runs(words, start, end - start)
+    texts = _texts(body, start[runs], end[runs])
+    try:
+        values = np.fromiter(map(float, texts), np.float64, len(texts))
+        valid = ((values > 0.0) & (values <= 1.0)).all()
+    except ValueError:
+        valid = False
+    if not valid:
+        k = next(k for k, text in enumerate(texts) if not _is_probability(text))
+        raise ValueError(f"{path}:{runs[k] + 2}: probability {texts[k]!r} is not a number in (0, 1]")
+    return np.repeat(values, np.diff(runs, append=len(start)))
 
 
 class TTable:
@@ -228,26 +346,24 @@ class TTable:
         Files whose NULL entries carry the `<NULL>` token still load when
         the conditioning vocabulary has no real `<NULL>` word.
         """
-        with open(path, "r", encoding="utf-8") as fh:
-            header = fh.readline().split()
-            body = fh.read()
+        header, body = _read(path)
         if len(header) != 3 or header[0] != "#ttable" or not header[2].isdecimal():
             raise ValueError(f"{path}:1: not a ttable file")
         if header[1] not in (FORWARD, REVERSE):
             raise ValueError(f"{path}:1: unknown direction {header[1]!r}")
         if not 1 <= int(header[2]) <= conditioned_vocab.real_size:
             raise ValueError(f"{path}:1: vocabulary size {header[2]} outside 1..{conditioned_vocab.real_size}")
-        if body and not body.endswith("\n"):
-            body += "\n"
-        _check_fields(path, body)
-        fields = body.replace("\n", "\t").split("\t")[:-1]
-        f_toks, e_toks, p_texts = fields[0::3], fields[1::3], fields[2::3]
+        bounds = _field_bounds(path, body)
+        # words[k] is the little-endian 8-byte word starting at body[k].
+        words = np.ndarray((len(body) - 7,), "<i8", body, 0, (1,))
         cing_ids = conditioning_vocab.ids()
         cing_ids[NULL_FIELD] = NULL_ID
         cing_ids.setdefault(NULL_TOKEN, NULL_ID)
-        packed = pack(_column_ids(path, f_toks, conditioned_vocab.ids()),
-                      _column_ids(path, e_toks, cing_ids))
-        probs = _probabilities(path, p_texts)
+        # Column c of row k runs from bounds[3k + c] + 1 to bounds[3k + c + 1].
+        cond = _token_ids(path, body, words, bounds[0:-1:3] + 1, bounds[1::3], conditioned_vocab.ids())
+        cing = _token_ids(path, body, words, bounds[1:-1:3] + 1, bounds[2::3], cing_ids)
+        probs = _probabilities(path, body, words, bounds[2:-1:3] + 1, bounds[3::3])
+        packed = pack(cond, cing)
         order = np.argsort(packed, kind="stable")
         packed = packed[order]
         dup = np.flatnonzero(packed[1:] == packed[:-1])

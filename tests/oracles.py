@@ -14,7 +14,8 @@ per-pair reference for the package's corpus-wide Viterbi links, one
 pair's lookups at a time. em_step, write_alignment_file, pair_map and
 as_dict are test helpers built on the package's public API, and
 reference_ttable_text writes a ttable one row at a time, the byte
-reference for TTable.save. reference_digamma lifts the whole array at
+reference for TTable.save, and reference_ttable_load reads one with
+str.split, the reference for TTable.load. reference_digamma lifts the whole array at
 every step, the bit-exact reference for the package's in-place digamma.
 """
 
@@ -24,7 +25,7 @@ import numpy as np
 from scipy.special import digamma as scipy_digamma
 
 from hieralign.alignio import format_alignment
-from hieralign.corpus import NULL_ID
+from hieralign.corpus import NULL_ID, NULL_TOKEN
 from hieralign.lexicon import (
     FORWARD,
     NULL_FIELD,
@@ -630,6 +631,21 @@ def reference_ttable_text(table, conditioned_vocab, conditioning_vocab):
                table.probs.data.tolist())
     header = f"#ttable {table.direction} {table.cond_vocab_size}\n"
     return header + "".join(f"{cond_tokens[f]}\t{cing_tokens[e]}\t{p:.17g}\n" for f, e, p in rows)
+
+
+def reference_ttable_load(path, conditioned_vocab, conditioning_vocab):
+    """{(conditioned id, conditioning id): probability} of a well-formed ttable file, split line by line."""
+    with open(path, "r", encoding="utf-8") as fh:
+        lines = fh.read().split("\n")[1:]
+    if lines[-1] == "":
+        lines.pop()
+    cond_ids = conditioned_vocab.ids()
+    cing_ids = {NULL_TOKEN: NULL_ID, **conditioning_vocab.ids(), NULL_FIELD: NULL_ID}
+    table = {}
+    for line in lines:
+        f, e, p = line.split("\t")
+        table[cond_ids[f], cing_ids[e]] = float(p)
+    return table
 
 
 def reference_digamma(x):

@@ -407,6 +407,23 @@ def test_threads_must_be_a_positive_count(toy, capsys):
     assert args.threads == 3
 
 
+@pytest.mark.parametrize("option, value, message", [
+    ("--threads", "0", "threads must be positive"),
+    ("--threads", "-2", "threads must be positive"),
+    ("--beam", "0", "beam must be positive"),
+    ("--distortion-threshold", "2", "distortion threshold r must be in (0, 1]"),
+])
+def test_align_checks_its_settings_before_reading_the_model(toy, capsys, monkeypatch, option, value, message):
+    def read_model(model_dir):
+        raise AssertionError("the model was read before the settings were checked")
+
+    # The model directory does not exist either: the bad setting is reported, not the model.
+    monkeypatch.setattr("hieralign.cli.load_model", read_model)
+    rc = main(["align", "-s", toy["src"], "-t", toy["tgt"], "-m", str(toy["dir"] / "nomodel"), option, value])
+    assert rc == 1
+    assert f"error: {message}" in capsys.readouterr().err
+
+
 def test_align_missing_model_fails(toy, capsys):
     rc = main(["align", "-s", toy["src"], "-t", toy["tgt"], "-m", str(toy["dir"] / "nomodel")])
     assert rc == 1

@@ -1,4 +1,5 @@
 import os
+import random
 import tempfile
 
 import pytest
@@ -11,6 +12,7 @@ from hieralign.corpus import (
     NULL_TOKEN,
     CorpusError,
     LoadStats,
+    SentencePair,
     Vocabulary,
     build_vocabulary,
     drop_empty,
@@ -155,6 +157,26 @@ def test_lowercase_flag(tmp_path):
     tgt = write(tmp_path / "t", "Baz\n")
     bitext = read_bitext(src, tgt, lowercase=True)
     assert bitext[0] == (["foo", "bar"], ["baz"])
+
+
+def test_vocabularies_and_pairs_equal_the_token_by_token_reference():
+    rng = random.Random(3)
+    words = [f"w{k}" for k in range(40)] + ["Ä", "日本", NULL_TOKEN]
+    raw = drop_empty([([rng.choice(words) for _ in range(rng.randrange(6))],
+                       [rng.choice(words) for _ in range(rng.randrange(6))]) for _ in range(200)])
+    vsrc, vtgt = build_vocabulary(raw)
+    ref_src, ref_tgt = Vocabulary(), Vocabulary()
+    for _, src, tgt in raw:
+        for token in src:
+            ref_src.add(token)
+        for token in tgt:
+            ref_tgt.add(token)
+    assert vsrc.tokens() == ref_src.tokens() and vtgt.tokens() == ref_tgt.tokens()
+    # Tokens the vocabularies lack encode to UNKNOWN_ID.
+    other = [(index, src + ["unseen"], ["unseen"] + tgt) for index, src, tgt in raw]
+    expected = [SentencePair(tuple(map(vsrc.lookup, src)), tuple(map(vtgt.lookup, tgt)), index)
+                for index, src, tgt in other if len(src) <= 4 and len(tgt) <= 4]
+    assert encode_pairs(other, vsrc, vtgt, max_len=4) == expected
 
 
 def test_unknown_tokens_encode_to_unknown_id():

@@ -27,6 +27,7 @@ from hieralign.corpus import (
 )
 from hieralign.lexicon import (
     FORWARD,
+    NULL_FIELD,
     REVERSE,
     TINY_PROB,
     TTable,
@@ -688,6 +689,126 @@ def test_ttable_without_final_newline_loads(tmp_path):
     path = tmp_path / "ttable.fwd"
     path.write_text("#ttable fwd 1\na\tx\t0.75\na\t\t0.25", encoding="utf-8")
     assert oracles.as_dict(TTable.load(path, vsrc, vtgt, FALLBACK).probs) == {(1, 1): 0.75, (1, NULL_ID): 0.25}
+
+
+# Token sets the byte-level reader must tell apart: over 8 bytes with their
+# first 8 bytes and their length in common (and their last 8 bytes too),
+# lengths on both sides of 8, multi-byte UTF-8, and NUL bytes, among them a
+# token whose first 8 bytes are a shorter token's key (its bytes, then its
+# length in the top byte).
+EDGE_TOKENS = {
+    "long": ["abcdefgh_1_x", "abcdefgh_2_x", "abcdefgh_3_y", "abcdefgh", "abcdefghi", "abcdefg",
+             "abcdefgh1ijklmnop", "abcdefgh2ijklmnop", "abcdefgh3ijklmnop", "abcdefgh12ijklmnop"],
+    "utf8": ["Haus", "Häuser", "häuser", "日本語", "日本", "Ωμέγα", "\U0001d518\U0001d52b", "naïveté_ëxtra"],
+    "nul": ["a", "a\x00", "\x00a", "\x00", "a\x00\x00", "abc", "abc\x00\x00\x00\x00\x03tail", "abc\x00\x00\x00\x00\x03"],
+}
+
+
+# Probability texts with runs of equal neighbours among them, two of them
+# equal in length and in their first 8 bytes.
+EDGE_PROB_TEXTS = ["0.5", "1", "0.25", "6.0974885186877035e-45", "0.12345678901", "0.12345678902", "1e-300"]
+
+
+def edge_table_rows(tokens, rng):
+    """Rows of every (conditioned, conditioning) pair over tokens, NULL included."""
+    return [f"{f}\t{e}\t{rng.choice(EDGE_PROB_TEXTS)}" for f in tokens for e in [NULL_FIELD] + tokens]
+
+
+@pytest.mark.parametrize("tokens", sorted(EDGE_TOKENS))
+@pytest.mark.parametrize("order", ["written", "shuffled"])
+@pytest.mark.parametrize("line_end", ["\n", "\r\n", "\r"])
+def test_ttable_load_equals_the_split_reference(tmp_path, tokens, order, line_end):
+    rng = random.Random(f"{tokens}:{order}")
+    vsrc, vtgt = Vocabulary(), Vocabulary()
+    for token in EDGE_TOKENS[tokens]:
+        vsrc.add(token)
+        vtgt.add(token)
+    rows = edge_table_rows(EDGE_TOKENS[tokens], rng)
+    if order == "shuffled":
+        rng.shuffle(rows)
+    path = tmp_path / "ttable.fwd"
+    with open(path, "w", encoding="utf-8", newline="") as fh:
+        fh.write(line_end.join([f"#ttable fwd {vsrc.real_size}"] + rows) + line_end)
+    loaded = oracles.as_dict(TTable.load(path, vsrc, vtgt, FALLBACK).probs)
+    assert loaded == oracles.reference_ttable_load(path, vsrc, vtgt)
+    assert len(loaded) == len(rows)
+
+
+@pytest.mark.parametrize(
+    "rows, line, message",
+    [
+        # The first of two unknown tokens is reported, in either sort order of their bytes.
+        ("zz\tx\t0.5\nb\tx\t0.5", 3, "token 'zz' is not in the vocabulary"),
+        ("b\tx\t0.5\nzz\tx\t0.5", 3, "token 'b' is not in the vocabulary"),
+        ("a_long_unknown_2\tx\t0.5\na_long_unknown_1\tx\t0.5", 3, "token 'a_long_unknown_2' is not in the vocabulary"),
+        ("a_long_unknown_1\tx\t0.5\na_long_unknown_2\tx\t0.5", 3, "token 'a_long_unknown_1' is not in the vocabulary"),
+        ("a\tzz\t0.5\na\tb\t0.5", 3, "token 'zz' is not in the vocabulary"),
+        # An unknown conditioned token is reported before an earlier unknown conditioning one.
+        ("a\tw\t0.5\nb\tx\t0.5", 4, "token 'b' is not in the vocabulary"),
+        # A known token sharing its first 8 bytes and its length with the unknown one.
+        ("a\tx\t0.5\nknown_long_2\tx\t0.5\nknown_long_1\tx\t0.5", 4, "token 'known_long_2' is not in the vocabulary"),
+        # A bad probability is reported before an earlier duplicate entry.
+        ("a\tx\t0.5\na\tx\t0.5\na\t\t7", 5, "probability '7' is not a number in (0, 1]"),
+    ],
+)
+def test_ttable_load_reports_the_first_bad_row(tmp_path, rows, line, message):
+    vsrc, vtgt = Vocabulary(), Vocabulary()
+    for token in ("a", "known_long_1"):
+        vsrc.add(token)
+    vtgt.add("x")
+    path = tmp_path / "ttable.fwd"
+    path.write_text(f"#ttable fwd 1\na\t\t0.25\n{rows}\n", encoding="utf-8")
+    with pytest.raises(ValueError) as err:
+        TTable.load(path, vsrc, vtgt, FALLBACK)
+    assert str(err.value) == f"{path}:{line}: {message}"
+
+
+@pytest.mark.parametrize("text, line", [
+    (b"#ttable fwd 1\na\t\t0.25\na\t\xffx\t0.5\n", 3),
+    (b"#ttable fwd 1\r\na\t\t0.25\r\na\tx\t0.5\r\na\t\t0.\xc3\n", 4),
+    (b"#ttable \xff 1\na\tx\t0.5\n", 1),
+    # An undecodable byte is reported before a malformed row above it.
+    (b"#ttable fwd 1\na\tx\na\t\xe6\x97\t0.5\n", 3),
+])
+def test_ttable_load_reports_an_undecodable_byte_by_line(tmp_path, text, line):
+    vsrc, vtgt = Vocabulary(), Vocabulary()
+    vsrc.add("a")
+    vtgt.add("x")
+    path = tmp_path / "ttable.fwd"
+    path.write_bytes(text)
+    with pytest.raises(ValueError) as err:
+        TTable.load(path, vsrc, vtgt, FALLBACK)
+    assert not isinstance(err.value, UnicodeDecodeError)
+    assert str(err.value).startswith(f"{path}:{line}: undecodable byte 0x")
+
+
+def test_ttable_load_peak_memory_is_a_small_multiple_of_the_file(tmp_path):
+    # A table shaped like a trained one: 45,300 rows, most entries of a
+    # conditioning word sharing one of 97 values. Its load peaked at about
+    # 3.5 times the file with whole columns of positions and keys, and at
+    # over 8 times with a str object for every field.
+    rng = random.Random(0)
+    vsrc, vtgt = Vocabulary(), Vocabulary()
+    for k in range(300):
+        vsrc.add(f"src{k}")
+    for k in range(150):
+        vtgt.add(f"tgt{k}")
+    pool = [rng.random() * 10.0 ** -rng.randrange(40) or 1.0 for _ in range(97)]
+    probs = {(f, e): pool[e % 97] if rng.random() < 0.98 else rng.choice(pool)
+             for f in range(1, 301) for e in range(151)}
+    table = TTable(FORWARD, oracles.pair_map(probs), vsrc.real_size, FALLBACK)
+    path = tmp_path / "ttable.fwd"
+    table.save(path, vsrc, vtgt)
+    TTable.load(path, vsrc, vtgt, FALLBACK)
+    tracemalloc.start()
+    try:
+        loaded = TTable.load(path, vsrc, vtgt, FALLBACK)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert loaded.probs == table.probs
+    assert len(probs) >= 40_000
+    assert peak < 5 * os.path.getsize(path)
 
 
 # Probabilities the 17-digit writer must get right: both ends of the stored
