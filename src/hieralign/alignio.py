@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+from .corpus import read_lines
+
 
 class AlignmentFormatError(Exception):
     """Malformed link token in an alignment file."""
@@ -34,10 +36,9 @@ def format_alignment(links):
 def read_alignment_file(path):
     """Links of every line of a Pharaoh file; a bad token raises AlignmentFormatError("path:line: ...")."""
     out = []
-    with open(path, "r", encoding="utf-8") as fh:
-        for lineno, line in enumerate(fh, start=1):
-            try:
-                out.append(parse_alignment_line(line))
-            except AlignmentFormatError as exc:
-                raise AlignmentFormatError(f"{path}:{lineno}: {exc}") from None
+    for lineno, line in enumerate(read_lines(path), start=1):
+        try:
+            out.append(parse_alignment_line(line))
+        except AlignmentFormatError as exc:
+            raise AlignmentFormatError(f"{path}:{lineno}: {exc}") from None
     return out

@@ -1,4 +1,4 @@
-"""Parallel corpus reading, whitespace tokenization and vocabularies.
+"""File reading, parallel corpora, whitespace tokenization and vocabularies.
 
 Tokens are kept verbatim (no normalization); an optional lowercase switch
 is applied at read time. Word id 0 is reserved for the NULL word on every
@@ -19,6 +19,28 @@ DEFAULT_SEPARATOR = "|||"
 
 class CorpusError(Exception):
     """Fatal problem with an input corpus file."""
+
+
+def read_text(path):
+    """The text of any input file: UTF-8, with CRLF and lone CR read as newlines.
+
+    An undecodable byte raises ValueError("path:line: undecodable byte 0x..").
+    """
+    with open(path, "rb") as fh:
+        data = fh.read()
+    if b"\r" in data:
+        data = data.replace(b"\r\n", b"\n").replace(b"\r", b"\n")
+    try:
+        return data.decode("utf-8")
+    except UnicodeDecodeError as exc:
+        line = data.count(b"\n", 0, exc.start) + 1
+        raise ValueError(f"{path}:{line}: undecodable byte {data[exc.start]:#04x}") from None
+
+
+def read_lines(path):
+    """The lines of read_text(path) without their line ends; the last may lack one."""
+    text = read_text(path)
+    return text.removesuffix("\n").split("\n") if text else []
 
 
 @dataclass
@@ -95,8 +117,7 @@ class Vocabulary:
     @classmethod
     def load(cls, path):
         """Read a file written by save; a malformed or repeated token raises ValueError("path:line: ...")."""
-        with open(path, "r", encoding="utf-8") as fh:
-            text = fh.read()
+        text = read_text(path)
         tokens = text.split()
         # Lines holding one whitespace-free token each, and only those, join back into the text.
         if "\n".join(tokens) != text.removesuffix("\n") or text == "\n":
@@ -121,18 +142,6 @@ class Vocabulary:
         return vocab
 
 
-def _decode_lines(path):
-    """Read a text file as a list of decoded lines, reporting bad bytes by line."""
-    lines = []
-    with open(path, "rb") as fh:
-        for lineno, raw in enumerate(fh, start=1):
-            try:
-                lines.append(raw.decode("utf-8"))
-            except UnicodeDecodeError as exc:
-                raise CorpusError(f"{path}: line {lineno}: undecodable byte ({exc})") from None
-    return lines
-
-
 def _tokenize(line, lowercase):
     if lowercase:
         line = line.lower()
@@ -146,8 +155,8 @@ def read_bitext(source_path, target_path, lowercase=False):
     happens in drop_empty so that line numbering survives for alignment
     output.
     """
-    src_lines = _decode_lines(source_path)
-    tgt_lines = _decode_lines(target_path)
+    src_lines = read_lines(source_path)
+    tgt_lines = read_lines(target_path)
     if len(src_lines) != len(tgt_lines):
         raise CorpusError(
             f"line count mismatch: {source_path} has {len(src_lines)} lines, "
@@ -162,7 +171,7 @@ def read_bitext(source_path, target_path, lowercase=False):
 def read_bitext_joined(path, separator=DEFAULT_SEPARATOR, lowercase=False):
     """Read a single-file corpus with a separator token between the sides."""
     out = []
-    for lineno, line in enumerate(_decode_lines(path), start=1):
+    for lineno, line in enumerate(read_lines(path), start=1):
         tokens = _tokenize(line, lowercase)
         hits = [k for k, tok in enumerate(tokens) if tok == separator]
         if not hits:

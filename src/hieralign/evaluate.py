@@ -14,6 +14,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 from .alignio import parse_link
+from .corpus import read_lines
 
 
 class GoldFormatError(Exception):
@@ -32,22 +33,19 @@ class GoldAlignment:
 def load_gold(path):
     """One GoldAlignment per line; raises with line and column on bad tokens."""
     golds = []
-    with open(path, "r", encoding="utf-8") as fh:
-        for lineno, line in enumerate(fh, start=1):
-            sure = set()
-            possible = set()
-            col = 0
-            for token in line.split():
-                col = line.index(token, col)
-                sep = "-" if "-" in token else "?"
-                link = parse_link(token, sep)
-                if link is None:
-                    raise GoldFormatError(
-                        f"{path}: line {lineno}, column {col + 1}: bad gold token {token!r}"
-                    )
-                (sure if sep == "-" else possible).add(link)
-                col += len(token)
-            golds.append(GoldAlignment(sure, possible))
+    for lineno, line in enumerate(read_lines(path), start=1):
+        sure = set()
+        possible = set()
+        col = 0
+        for token in line.split():
+            col = line.index(token, col)
+            sep = "-" if "-" in token else "?"
+            link = parse_link(token, sep)
+            if link is None:
+                raise GoldFormatError(f"{path}: line {lineno}, column {col + 1}: bad gold token {token!r}")
+            (sure if sep == "-" else possible).add(link)
+            col += len(token)
+        golds.append(GoldAlignment(sure, possible))
     return golds
 
 

@@ -30,7 +30,7 @@ from itertools import chain, islice, repeat
 
 import numpy as np
 
-from .corpus import NULL_ID, NULL_TOKEN
+from .corpus import NULL_ID, NULL_TOKEN, read_text
 from .symmetrize import grow_diag_final_and
 from .workers import CHUNK_SIZE
 
@@ -223,21 +223,12 @@ def _texts(body, start, end):
 
 
 def _read(path):
-    """(header fields, body) of a ttable file, read with text-mode line ends.
+    """(header fields, body) of a ttable file read by read_text.
 
     The body bytes are framed for _field_bounds: a newline first, a newline
-    last and 8 zero bytes after it. An undecodable byte raises
-    ValueError("path:line: ...").
+    last and 8 zero bytes after it.
     """
-    with open(path, "rb") as fh:
-        data = fh.read()
-    if b"\r" in data:
-        data = data.replace(b"\r\n", b"\n").replace(b"\r", b"\n")
-    try:
-        data.decode("utf-8")
-    except UnicodeDecodeError as exc:
-        line = data.count(b"\n", 0, exc.start) + 1
-        raise ValueError(f"{path}:{line}: undecodable byte {data[exc.start]:#04x}") from None
+    data = read_text(path).encode("utf-8")
     head, _, body = data.partition(b"\n")
     del data  # the file is not held beside the framed copy of its body
     tail = b"\n" if body and not body.endswith(b"\n") else b""

@@ -16,7 +16,7 @@ from dataclasses import dataclass, field, fields
 
 from . import lexicon, workers
 from .alignio import format_alignment
-from .corpus import Vocabulary, drop_empty, encode_pairs
+from .corpus import Vocabulary, drop_empty, encode_pairs, read_text
 from .parser import leaf_links, lockstep_groups, parse_matrices
 from .softmatrix import MatrixParams, build_soft_matrices
 
@@ -108,7 +108,7 @@ class AlignerConfig:
         """
         kinds = {f.name: f.type for f in fields(cls)}
         kwargs = {}
-        for lineno, line in enumerate(text.splitlines(), start=1):
+        for lineno, line in enumerate(text.split("\n"), start=1):
             if not line:
                 continue
             name, sep, value = line.partition("=")
@@ -171,8 +171,7 @@ def load_model(model_dir):
     """The model saved in model_dir; a malformed file raises ValueError("path:line: ...")."""
     try:
         path = os.path.join(model_dir, "config.txt")
-        with open(path, "r", encoding="utf-8") as fh:
-            config = AlignerConfig.from_snapshot(fh.read(), path)
+        config = AlignerConfig.from_snapshot(read_text(path), path)
         vocab_src = Vocabulary.load(os.path.join(model_dir, "vocab.src"))
         vocab_tgt = Vocabulary.load(os.path.join(model_dir, "vocab.tgt"))
         tables = []

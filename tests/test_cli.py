@@ -257,6 +257,24 @@ def test_alignment_file_errors_name_the_file(tmp_path, toy, capsys):
         assert f"error: {bad}:2: bad link token 'zz'" in err
 
 
+def test_undecodable_model_and_gold_files_fail_with_path_and_line(toy, tmp_path, capsys):
+    model = toy["dir"] / "model"
+    assert main(["train", "-s", toy["src"], "-t", toy["tgt"], "-o", str(model)]) == 0
+    vocab = model / "vocab.src"
+    vocab.write_bytes(vocab.read_bytes().replace(b"\n", b"\n\xff", 1))
+    gold = tmp_path / "g"
+    gold.write_bytes(b"0-0\n\xff0-0\n")
+    hyp = write(tmp_path / "h", "0-0\n0-0\n")
+    commands = {vocab: ["align", "-s", toy["src"], "-t", toy["tgt"], "-m", str(model)],
+                gold: ["eval", "--gold", str(gold), "--hyp", hyp]}
+    for path, command in commands.items():
+        capsys.readouterr()
+        assert main(command) == 1
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert err == f"error: {path}:2: undecodable byte 0xff\n"
+
+
 def test_eval_cli(tmp_path, capsys):
     gold = write(tmp_path / "g", "0-0 1?1\n0-0\n")
     hyp = write(tmp_path / "h", "0-0 1-1\n0-0\n")
@@ -282,6 +300,14 @@ def test_extract_cli(tmp_path, capsys):
                  "--max-len", "2", "--dump", str(dump)]) == 0
     assert capsys.readouterr().out == "entries=3\n"
     assert sorted(dump.read_text().splitlines()) == ["a\tx", "a b\tx y", "b\ty"]
+
+
+def test_extract_reads_a_lone_carriage_return_as_a_line_end_in_every_file(tmp_path, capsys):
+    src = write(tmp_path / "s", "das haus\rein buch\n")
+    tgt = write(tmp_path / "t", "the house\ra book\r")
+    align = write(tmp_path / "a", "0-0 1-1\r0-0 1-1\n")
+    assert main(["extract", "-s", src, "-t", tgt, "--align", align, "--max-len", "1"]) == 0
+    assert capsys.readouterr().out == "entries=4\n"
 
 
 def test_extract_rejects_a_link_outside_its_sentence(tmp_path, capsys):

@@ -283,6 +283,16 @@ def test_load_model_rejects_duplicate_setting(tmp_path):
         load_model(model_dir)
 
 
+@pytest.mark.parametrize("separator", ["\x0b", "\x0c", "\x1c", "\x1d", "\x1e", "\x85", "\u2028", "\u2029"])
+def test_load_model_splits_config_lines_at_newlines_only(tmp_path, separator):
+    # str.splitlines would read this line as the two settings beam=10 and em_iters=7.
+    model_dir = write_model(tmp_path)
+    path = model_dir / "config.txt"
+    path.write_text(f"vb=True\nbeam=10{separator}em_iters=7\n", encoding="utf-8")
+    with pytest.raises(ValueError, match=rf"^{re.escape(str(path))}:2: beam is not a valid int"):
+        load_model(model_dir)
+
+
 @pytest.mark.parametrize("text, line", [("the\n\nhouse\n", 2), ("the\nthe house\n", 2), ("the\thouse\n", 1),
                                         ("the\n\n", 2), ("the\nhouse\u2028\n", 2)])
 def test_load_model_rejects_vocabulary_line_that_is_not_a_token(tmp_path, text, line):
