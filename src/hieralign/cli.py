@@ -159,12 +159,14 @@ def cmd_symmetrize(args):
     rev = read_alignment_file(args.rev)
     if len(fwd) != len(rev):
         raise CorpusError(f"--fwd has {len(fwd)} lines, --rev has {len(rev)} lines")
-    for a_fwd, a_rev in zip(fwd, rev):
-        a_rev = {(j, i) for i, j in a_rev}  # reverse files carry i-j links
-        n = max((j for j, _ in a_fwd | a_rev), default=0) + 1
-        m = max((i for _, i in a_fwd | a_rev), default=0) + 1
-        merged = symmetrize.symmetrize(a_fwd, a_rev, n, m, args.heuristic)
-        sys.stdout.write(format_alignment(merged) + "\n")
+    rev = [{(j, i) for i, j in a_rev} for a_rev in rev]  # reverse files carry i-j links
+    n = [max((j for j, _ in a_fwd | a_rev), default=0) + 1 for a_fwd, a_rev in zip(fwd, rev)]
+    m = [max((i for _, i in a_fwd | a_rev), default=0) + 1 for a_fwd, a_rev in zip(fwd, rev)]
+    if args.heuristic == "gdfa":
+        merged = symmetrize.grow_diag_pairs(fwd, rev, n, m)
+    else:
+        merged = [symmetrize.symmetrize(*sides, args.heuristic) for sides in zip(fwd, rev, n, m)]
+    sys.stdout.writelines(format_alignment(links) + "\n" for links in merged)
     return 0
 
 

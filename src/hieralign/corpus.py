@@ -175,9 +175,9 @@ def read_bitext_joined(path, separator=DEFAULT_SEPARATOR, lowercase=False):
         tokens = _tokenize(line, lowercase)
         hits = [k for k, tok in enumerate(tokens) if tok == separator]
         if not hits:
-            raise CorpusError(f"{path}: line {lineno}: missing separator {separator!r}")
+            raise CorpusError(f"{path}:{lineno}: missing separator {separator!r}")
         if len(hits) > 1:
-            raise CorpusError(f"{path}: line {lineno}: duplicated separator {separator!r}")
+            raise CorpusError(f"{path}:{lineno}: duplicated separator {separator!r}")
         cut = hits[0]
         out.append((tokens[:cut], tokens[cut + 1:]))
     return out

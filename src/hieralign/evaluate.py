@@ -31,7 +31,7 @@ class GoldAlignment:
 
 
 def load_gold(path):
-    """One GoldAlignment per line; raises with line and column on bad tokens."""
+    """One GoldAlignment per line; a bad token raises GoldFormatError("path:line: column C: ...")."""
     golds = []
     for lineno, line in enumerate(read_lines(path), start=1):
         sure = set()
@@ -42,7 +42,7 @@ def load_gold(path):
             sep = "-" if "-" in token else "?"
             link = parse_link(token, sep)
             if link is None:
-                raise GoldFormatError(f"{path}: line {lineno}, column {col + 1}: bad gold token {token!r}")
+                raise GoldFormatError(f"{path}:{lineno}: column {col + 1}: bad gold token {token!r}")
             (sure if sep == "-" else possible).add(link)
             col += len(token)
         golds.append(GoldAlignment(sure, possible))

@@ -19,19 +19,20 @@ runs of equal probability texts become Python objects.
 
 EM runs on a direction's corpus links, every conditioned word occurrence
 joined to each word of the other side of its pair. VBH reads the Viterbi
-link of every occurrence off the same links in a few array passes, then
-symmetrizes the two directions pair by pair with grow-diag (no final pass).
+link of every occurrence off the same links in a few array passes, marks
+both directions' links on the product_cells of all pairs, and symmetrizes
+them with one corpus-wide grow-diag (no final pass).
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import chain, islice, repeat
+from itertools import chain, repeat
 
 import numpy as np
 
 from .corpus import NULL_ID, NULL_TOKEN, read_text
-from .symmetrize import grow_diag_final_and
+from .symmetrize import _grow_diag
 from .workers import CHUNK_SIZE
 
 FORWARD = "fwd"
@@ -367,7 +368,8 @@ def digamma(x):
     """Digamma psi(x) for x > 0, a number or an array, accurate to better than 1e-10.
 
     Lifts the entries below 6 in place by psi(x) = psi(x+1) - 1/x, then sums
-    the asymptotic series in 1/x^2 in place by Horner's rule.
+    the asymptotic series in 1/x^2 in place by Horner's rule. A lift step
+    takes the bool mask of x < 6 as its 1: other entries lose 0/x and gain 0.
     """
     x = np.array(x, dtype=np.float64)
     if np.any(x <= 0):
@@ -376,9 +378,9 @@ def digamma(x):
     step = np.empty_like(x)
     low = np.less(x, 6.0, out=np.empty(x.shape, bool))
     while low.any():
-        np.divide(1.0, x, out=step, where=low)
-        np.subtract(result, step, out=result, where=low)
-        np.add(x, 1.0, out=x, where=low)
+        np.divide(low, x, out=step)
+        result -= step
+        x += low
         np.less(x, 6.0, out=low)
     inv = np.divide(1.0, x, out=step)
     inv2 = inv * inv
@@ -590,22 +592,13 @@ def viterbi_links(pairs, table, use_null):
     return links.viterbi(table.probs.get_packed(links.keys, table.fallback))
 
 
-def _link_sets(pairs, best, direction):
-    """Each pair's links (source index, target index) from a viterbi_links array."""
-    best = iter(best.tolist())
-    for pair in pairs:
-        words = pair.n if direction == FORWARD else pair.m
-        links = [(a, b) for a, b in enumerate(islice(best, words)) if b >= 0]
-        yield set(links) if direction == FORWARD else {(b, a) for a, b in links}
-
-
 def _reestimate(pairs, t_fwd, t_rev, best_fwd, best_rev):
-    src_ids, tgt_ids = [], []
-    a_fwds, a_revs = _link_sets(pairs, best_fwd, FORWARD), _link_sets(pairs, best_rev, REVERSE)
-    for pair, a_fwd, a_rev in zip(pairs, a_fwds, a_revs):
-        for (j, i) in grow_diag_final_and(a_fwd, a_rev, pair.n, pair.m):
-            src_ids.append(pair.source[j])
-            tgt_ids.append(pair.target[i])
+    n = np.fromiter((pair.n for pair in pairs), np.int64, len(pairs))
+    m = np.fromiter((pair.m for pair in pairs), np.int64, len(pairs))
+    _, j, i, row, col = product_cells(n, m)
+    kept = _grow_diag(n, m, best_fwd[row] == i, best_rev[col] == j)
+    src_ids = np.fromiter(chain.from_iterable(pair.source for pair in pairs), np.int64, int(n.sum()))[row[kept]]
+    tgt_ids = np.fromiter(chain.from_iterable(pair.target for pair in pairs), np.int64, int(m.sum()))[col[kept]]
     tables = []
     for t, cond, cing in ((t_fwd, src_ids, tgt_ids), (t_rev, tgt_ids, src_ids)):
         packed, counts = np.unique(pack(cond, cing), return_counts=True)
@@ -618,7 +611,7 @@ def vbh_reestimate(pairs, t_fwd, t_rev, use_null):
     """Rebuild both tables from gdfa-symmetrized Viterbi links.
 
     The Viterbi links of all pairs come from viterbi_links, one direction
-    at a time; grow-diag-final-and then runs pair by pair. Every
+    at a time; grow-diag then runs over all pairs at once. Every
     symmetrized link contributes one count in each direction; counts are
     normalized per conditioning word. Fallbacks and vocabulary sizes are
     carried over unchanged.

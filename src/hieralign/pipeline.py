@@ -104,7 +104,7 @@ class AlignerConfig:
     def from_snapshot(cls, text, path="config.txt"):
         """Settings from a snapshot; a malformed line raises ValueError("path:line: ...").
 
-        The retired key max_phrase_len is ignored.
+        Every setting must be present; the retired key max_phrase_len is ignored.
         """
         kinds = {f.name: f.type for f in fields(cls)}
         kwargs = {}
@@ -122,6 +122,8 @@ class AlignerConfig:
                 kwargs[name] = _parse_setting(kinds[name], value)
             except ValueError:
                 raise ValueError(f"{path}:{lineno}: {name} is not a valid {kinds[name]}: {value!r}") from None
+        if missing := [name for name in kinds if name not in kwargs]:
+            raise ValueError(f"{path}: missing setting {missing[0]}")
         try:
             return cls(**kwargs)
         except ValueError as exc:

@@ -17,6 +17,8 @@ reference_ttable_text writes a ttable one row at a time, the byte
 reference for TTable.save, and reference_ttable_load reads one with
 str.split, the reference for TTable.load. reference_digamma lifts the whole array at
 every step, the bit-exact reference for the package's in-place digamma.
+reference_grow_diag grows one pair on Python sets, one candidate at a
+time, the reference for the package's corpus-wide lockstep grow-diag.
 """
 
 import math
@@ -589,6 +591,38 @@ def viterbi_alignment(pair, table, use_null):
     if table.direction == FORWARD:
         return set(pairs)
     return {(b, a) for a, b in pairs}
+
+
+# 8-neighborhood, adjacent before diagonal.
+_NEIGHBORS = ((-1, 0), (0, -1), (1, 0), (0, 1), (-1, -1), (-1, 1), (1, -1), (1, 1))
+
+
+def reference_grow_diag(a_fwd, a_rev):
+    """Grow-diag of one pair on Python sets.
+
+    Each pass scans a sorted snapshot of the current links, each link's
+    neighbours in order, and adds a union link whose source or target word
+    is still unaligned, checked against the live sets, until a pass adds
+    nothing.
+    """
+    union = set(a_fwd) | set(a_rev)
+    links = set(a_fwd) & set(a_rev)
+    src_aligned = {j for j, _ in links}
+    tgt_aligned = {i for _, i in links}
+    changed = True
+    while changed:
+        changed = False
+        for (j, i) in sorted(links):
+            for dj, di in _NEIGHBORS:
+                cand = (j + dj, i + di)
+                if cand in links or cand not in union:
+                    continue
+                if cand[0] not in src_aligned or cand[1] not in tgt_aligned:
+                    links.add(cand)
+                    src_aligned.add(cand[0])
+                    tgt_aligned.add(cand[1])
+                    changed = True
+    return links
 
 
 def pair_map(mapping):

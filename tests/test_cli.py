@@ -4,6 +4,8 @@ import random
 
 import pytest
 
+import oracles
+from hieralign.alignio import format_alignment
 from hieralign.cli import build_arg_parser, config_from_args, main
 from hieralign.corpus import read_bitext
 from hieralign.parser import GROUP_PAIRS
@@ -243,6 +245,22 @@ def test_symmetrize_cli(tmp_path, capsys):
     assert capsys.readouterr().out == "0-0 1-1\n0-0\n"
     assert main(["symmetrize", "--fwd", fwd, "--rev", rev, "--heuristic", "intersection"]) == 0
     assert capsys.readouterr().out == "0-0\n0-0\n"
+
+
+def test_symmetrize_gdfa_lines_equal_the_set_loop(tmp_path, capsys):
+    # Every line goes through one corpus-wide grow-diag; each must still be
+    # the set loop's answer for its own pair.
+    rng = random.Random(5)
+    fwds, revs = [], []
+    for _ in range(40):
+        n, m = rng.randint(1, 9), rng.randint(1, 9)
+        fwds.append({(j, rng.randrange(m)) for j in range(n) if rng.random() < 0.8})
+        revs.append({(rng.randrange(n), i) for i in range(m) if rng.random() < 0.8})
+    fwd = write(tmp_path / "f", "".join(format_alignment(links) + "\n" for links in fwds))
+    rev = write(tmp_path / "r", "".join(format_alignment({(i, j) for j, i in links}) + "\n" for links in revs))
+    assert main(["symmetrize", "--fwd", fwd, "--rev", rev, "--heuristic", "gdfa"]) == 0
+    want = [format_alignment(oracles.reference_grow_diag(a, b)) for a, b in zip(fwds, revs)]
+    assert capsys.readouterr().out.splitlines() == want
 
 
 def test_alignment_file_errors_name_the_file(tmp_path, toy, capsys):

@@ -71,13 +71,13 @@ def test_joined_basic(tmp_path):
 
 def test_joined_duplicate_separator(tmp_path):
     path = write(tmp_path / "j", "a ||| x ||| y\n")
-    with pytest.raises(CorpusError, match="line 1"):
+    with pytest.raises(CorpusError, match=re.escape(f"{path}:1: duplicated separator '|||'")):
         read_bitext_joined(path)
 
 
 def test_joined_missing_separator(tmp_path):
     path = write(tmp_path / "j", "a b ||| x\na b c\n")
-    with pytest.raises(CorpusError, match="line 2"):
+    with pytest.raises(CorpusError, match=re.escape(f"{path}:2: missing separator '|||'")):
         read_bitext_joined(path)
 
 

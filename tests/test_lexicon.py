@@ -47,7 +47,6 @@ from hieralign.lexicon import (
     viterbi_links,
 )
 from hieralign.pipeline import AlignerConfig, load_model, save_model, train_model
-from hieralign.symmetrize import grow_diag_final_and
 
 EULER_GAMMA = 0.5772156649015329
 FALLBACK = AlignerConfig().fallback
@@ -526,8 +525,9 @@ def zipf_corpus(monkeypatch, seed):
 @pytest.mark.parametrize("use_null", [True, False])
 @pytest.mark.parametrize("seed", [1000, 7])
 def test_vbh_tables_equal_per_pair_composition(monkeypatch, seed, use_null):
-    # Per-pair Viterbi on the EM tables, gdfa, and plain counts normalized
-    # per conditioning word, through both train_model and vbh_reestimate.
+    # Per-pair Viterbi on the EM tables, the oracles' set-loop grow-diag, and
+    # plain counts normalized per conditioning word, through both
+    # train_model and vbh_reestimate.
     pairs, vsrc, vtgt = zipf_corpus(monkeypatch, seed)
     config = AlignerConfig(vbh=True, use_null=use_null)
     em = config.em_config()
@@ -536,7 +536,7 @@ def test_vbh_tables_equal_per_pair_composition(monkeypatch, seed, use_null):
     for pair in pairs:
         a_fwd = oracles.viterbi_alignment(pair, t_fwd, use_null)
         a_rev = oracles.viterbi_alignment(pair, t_rev, use_null)
-        for j, i in grow_diag_final_and(a_fwd, a_rev, pair.n, pair.m):
+        for j, i in oracles.reference_grow_diag(a_fwd, a_rev):
             counts_fwd[(pair.source[j], pair.target[i])] += 1.0
             counts_rev[(pair.target[i], pair.source[j])] += 1.0
     want_fwd = oracles.dict_normalize_plain(counts_fwd)

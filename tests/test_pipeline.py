@@ -76,7 +76,7 @@ def test_invalid_config_rejected():
         with pytest.raises(ValueError, match=f"{name} must be finite"):
             AlignerConfig(**{name: float("inf")})
     with pytest.raises(ValueError, match="config.txt: sigma_delta must be finite"):
-        AlignerConfig.from_snapshot("sigma_delta=inf\n")
+        AlignerConfig.from_snapshot(AlignerConfig().snapshot().replace("sigma_delta=5.0\n", "sigma_delta=inf\n"))
     for r in (2.0, 1.0 + 1e-9, float("inf")):
         with pytest.raises(ValueError, match=re.escape("distortion threshold r must be in (0, 1]")):
             AlignerConfig(r=r)
@@ -271,6 +271,24 @@ def test_load_model_rejects_unknown_setting(tmp_path):
     path.write_text(path.read_text() + "colour=blue\n")
     line = len(path.read_text().splitlines())
     with pytest.raises(ValueError, match=rf"{re.escape(str(path))}:{line}: unknown setting 'colour=blue'"):
+        load_model(model_dir)
+
+
+@pytest.mark.parametrize("dropped", ["lowercase", "em_iters", "fallback"])
+def test_load_model_rejects_truncated_config(tmp_path, dropped):
+    # A lost line would silently read as the default, e.g. align without lowercasing.
+    model_dir = write_model(tmp_path)
+    path = model_dir / "config.txt"
+    path.write_text("".join(line + "\n" for line in path.read_text().splitlines() if not line.startswith(f"{dropped}=")))
+    with pytest.raises(ValueError, match=rf"^{re.escape(str(path))}: missing setting {dropped}$"):
+        load_model(model_dir)
+
+
+def test_load_model_rejects_empty_config(tmp_path):
+    model_dir = write_model(tmp_path)
+    path = model_dir / "config.txt"
+    path.write_text("")
+    with pytest.raises(ValueError, match=rf"^{re.escape(str(path))}: missing setting em_iters$"):
         load_model(model_dir)
 
 

@@ -14,7 +14,7 @@ from hieralign.pipeline import AlignerConfig, load_model, save_model, train_mode
 
 BITEXT = [(["das", "haus"], ["the", "house"]), (["das"], ["the"])]
 
-# kind: (file, its two lines, reader of the directory holding the files, what it reads)
+# kind: (file, its lines, reader of the directory holding the files, what it reads)
 READERS = {
     "source corpus": ("c.src", ["das haus", "das"], lambda d: read_bitext(d / "c.src", d / "c.tgt"), BITEXT),
     "target corpus": ("c.tgt", ["the house", "the"], lambda d: read_bitext(d / "c.src", d / "c.tgt"), BITEXT),
@@ -22,8 +22,8 @@ READERS = {
                       lambda d: read_bitext_joined(d / "c.joined"), BITEXT),
     "vocabulary": ("vocab.src", ["das", "haus"], lambda d: Vocabulary.load(d / "vocab.src").tokens(),
                    [NULL_TOKEN, "das", "haus"]),
-    "config.txt": ("config.txt", ["beam=3", "em_iters=2"], lambda d: load_model(d).config,
-                   AlignerConfig(beam=3, em_iters=2)),
+    "config.txt": ("config.txt", AlignerConfig(beam=3).snapshot().splitlines(), lambda d: load_model(d).config,
+                   AlignerConfig(beam=3)),
     "pharaoh": ("c.align", ["0-0 1-1", "0-0"], lambda d: read_alignment_file(d / "c.align"), [{(0, 0), (1, 1)}, {(0, 0)}]),
     "gold": ("c.gold", ["0-0 1?1", "0?0"], lambda d: load_gold(d / "c.gold"),
              [GoldAlignment({(0, 0)}, {(1, 1)}), GoldAlignment(set(), {(0, 0)})]),

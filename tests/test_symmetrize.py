@@ -1,8 +1,12 @@
 import random
+import re
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from hieralign.symmetrize import grow_diag_final_and, intersect, symmetrize, union_links
+import oracles
+from hieralign.symmetrize import grow_diag_final_and, grow_diag_pairs, intersect, symmetrize, union_links
 
 
 def random_links(rng, n, m, density=0.25):
@@ -73,6 +77,45 @@ def test_deterministic_in_input_order():
 def test_out_of_bounds_rejected():
     with pytest.raises(ValueError):
         grow_diag_final_and({(2, 0)}, set(), 2, 2)
+
+
+@pytest.mark.parametrize("a_fwd, a_rev, n, m, message", [
+    ({(2, 0)}, set(), 2, 2, "forward link (2, 0) outside 2x2 pair"),
+    ({(0, 0)}, {(0, 3)}, 2, 3, "reverse link (0, 3) outside 2x3 pair"),
+    ({(-1, 0)}, {(0, 0)}, 2, 3, "forward link (-1, 0) outside 2x3 pair"),
+    (set(), {(0, 0)}, 0, 3, "reverse link (0, 0) outside 0x3 pair"),
+])
+def test_out_of_bounds_names_the_side_and_the_pair(a_fwd, a_rev, n, m, message):
+    with pytest.raises(ValueError, match=re.escape(message)):
+        grow_diag_final_and(a_fwd, a_rev, n, m)
+    with pytest.raises(ValueError, match=re.escape(message)):
+        grow_diag_pairs([{(0, 0)}, a_fwd], [{(0, 0)}, a_rev], [1, n], [1, m])
+
+
+def test_no_pairs_give_no_link_sets():
+    assert grow_diag_pairs([], [], [], []) == []
+
+
+@st.composite
+def link_batches(draw):
+    """(forward links, reverse links, n, m) of 1-6 pairs: sides 0-7 words, any
+    link sets (many links per word included), some pairs with equal directions."""
+    batch = []
+    for _ in range(draw(st.integers(1, 6))):
+        n, m = draw(st.integers(0, 7)), draw(st.integers(0, 7))
+        cell = st.tuples(st.integers(0, n - 1), st.integers(0, m - 1)) if n and m else st.nothing()
+        a_fwd = draw(st.sets(cell))
+        a_rev = set(a_fwd) if draw(st.booleans()) else draw(st.sets(cell))
+        batch.append((a_fwd, a_rev, n, m))
+    return batch
+
+
+@settings(max_examples=300)
+@given(link_batches())
+def test_corpus_grow_diag_equals_the_set_loop(batch):
+    want = [oracles.reference_grow_diag(a_fwd, a_rev) for a_fwd, a_rev, _, _ in batch]
+    assert grow_diag_pairs(*zip(*batch)) == want
+    assert [grow_diag_final_and(*sides) for sides in batch] == want
 
 
 def test_symmetrize_dispatch():
