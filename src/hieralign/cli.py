@@ -160,12 +160,13 @@ def cmd_symmetrize(args):
     if len(fwd) != len(rev):
         raise CorpusError(f"--fwd has {len(fwd)} lines, --rev has {len(rev)} lines")
     rev = [{(j, i) for i, j in a_rev} for a_rev in rev]  # reverse files carry i-j links
-    n = [max((j for j, _ in a_fwd | a_rev), default=0) + 1 for a_fwd, a_rev in zip(fwd, rev)]
-    m = [max((i for _, i in a_fwd | a_rev), default=0) + 1 for a_fwd, a_rev in zip(fwd, rev)]
     if args.heuristic == "gdfa":
+        n = [max((j for j, _ in a_fwd | a_rev), default=0) + 1 for a_fwd, a_rev in zip(fwd, rev)]
+        m = [max((i for _, i in a_fwd | a_rev), default=0) + 1 for a_fwd, a_rev in zip(fwd, rev)]
         merged = symmetrize.grow_diag_pairs(fwd, rev, n, m)
     else:
-        merged = [symmetrize.symmetrize(*sides, args.heuristic) for sides in zip(fwd, rev, n, m)]
+        combine = symmetrize.intersect if args.heuristic == "intersection" else symmetrize.union_links
+        merged = [combine(a_fwd, a_rev) for a_fwd, a_rev in zip(fwd, rev)]
     sys.stdout.writelines(format_alignment(links) + "\n" for links in merged)
     return 0
 
@@ -290,7 +291,7 @@ def main(argv=None):
     args = build_arg_parser().parse_args(argv)
     try:
         return args.func(args)
-    except (CorpusError, GoldFormatError, AlignmentFormatError, ValueError, FileNotFoundError) as exc:
+    except (CorpusError, GoldFormatError, AlignmentFormatError, ValueError, OSError) as exc:
         stderr_log(f"error: {exc}")
         return 1
 

@@ -172,14 +172,14 @@ def read_bitext_joined(path, separator=DEFAULT_SEPARATOR, lowercase=False):
     """Read a single-file corpus with a separator token between the sides."""
     out = []
     for lineno, line in enumerate(read_lines(path), start=1):
-        tokens = _tokenize(line, lowercase)
+        tokens = line.split()
         hits = [k for k, tok in enumerate(tokens) if tok == separator]
         if not hits:
             raise CorpusError(f"{path}:{lineno}: missing separator {separator!r}")
         if len(hits) > 1:
             raise CorpusError(f"{path}:{lineno}: duplicated separator {separator!r}")
-        cut = hits[0]
-        out.append((tokens[:cut], tokens[cut + 1:]))
+        src, tgt = tokens[:hits[0]], tokens[hits[0] + 1:]
+        out.append((_tokenize(" ".join(src), lowercase), _tokenize(" ".join(tgt), lowercase)))
     return out
 
 

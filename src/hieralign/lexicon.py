@@ -19,9 +19,9 @@ runs of equal probability texts become Python objects.
 
 EM runs on a direction's corpus links, every conditioned word occurrence
 joined to each word of the other side of its pair. VBH reads the Viterbi
-link of every occurrence off the same links in a few array passes, marks
-both directions' links on the product_cells of all pairs, and symmetrizes
-them with one corpus-wide grow-diag (no final pass).
+link of every occurrence off the same links in a few array passes and
+symmetrizes both directions' Viterbi links, as (pair, j, i) rows, with one
+corpus-wide grow-diag (no final pass).
 """
 
 from __future__ import annotations
@@ -595,10 +595,13 @@ def viterbi_links(pairs, table, use_null):
 def _reestimate(pairs, t_fwd, t_rev, best_fwd, best_rev):
     n = np.fromiter((pair.n for pair in pairs), np.int64, len(pairs))
     m = np.fromiter((pair.m for pair in pairs), np.int64, len(pairs))
-    _, j, i, row, col = product_cells(n, m)
-    kept = _grow_diag(n, m, best_fwd[row] == i, best_rev[col] == j)
-    src_ids = np.fromiter(chain.from_iterable(pair.source for pair in pairs), np.int64, int(n.sum()))[row[kept]]
-    tgt_ids = np.fromiter(chain.from_iterable(pair.target for pair in pairs), np.int64, int(m.sum()))[col[kept]]
+    row0, col0 = np.cumsum(n) - n, np.cumsum(m) - m
+    fwd_at, rev_at = np.flatnonzero(best_fwd >= 0), np.flatnonzero(best_rev >= 0)
+    of_row, of_col = np.repeat(np.arange(len(pairs)), n)[fwd_at], np.repeat(np.arange(len(pairs)), m)[rev_at]
+    k, j, i = _grow_diag(np.column_stack((of_row, fwd_at - row0[of_row], best_fwd[fwd_at])),
+                         np.column_stack((of_col, best_rev[rev_at], rev_at - col0[of_col]))).T
+    src_ids = np.fromiter(chain.from_iterable(pair.source for pair in pairs), np.int64, int(n.sum()))[row0[k] + j]
+    tgt_ids = np.fromiter(chain.from_iterable(pair.target for pair in pairs), np.int64, int(m.sum()))[col0[k] + i]
     tables = []
     for t, cond, cing in ((t_fwd, src_ids, tgt_ids), (t_rev, tgt_ids, src_ids)):
         packed, counts = np.unique(pack(cond, cing), return_counts=True)

@@ -4,7 +4,7 @@ The gdfa heuristic is grow-diag alone: no final pass adds the links of one
 input that growth left out. Its scan order is pinned so the output is a
 pure function of the input link sets: current links in (j, i) order with a
 fixed neighbor order, iterating to a fixpoint. It runs for all pairs at
-once, in lockstep, on the pairs' cells laid out as by lexicon.product_cells.
+once, in lockstep, on the links alone, never on a grid of their indices.
 """
 
 from __future__ import annotations
@@ -26,70 +26,71 @@ def union_links(a_fwd, a_rev):
     return set(a_fwd) | set(a_rev)
 
 
-def _grow_diag(n, m, fwd, rev):
-    """The sorted cells grow-diag keeps, given side lengths n, m and bool arrays fwd, rev over cells.
+def _grow_diag(fwd, rev):
+    """The sorted (pair, j, i) rows grow-diag keeps, given int64 arrays fwd, rev of distinct such rows.
 
-    A pass meets each union-only candidate first at (rank of its neighbouring
-    link in the pair's sorted links, that neighbour's index in _NEIGHBORS),
-    and adds it if its source or its target word is still unaligned. Aligned
-    words only grow, so a rejection is final. A pass steps over every pair's
-    t-th candidate in that order; a pair that adds nothing drops out.
+    A union link's int64 key packs (pair, j + 1, i + 1) of j, i >= 0, so a
+    neighbour's key is key + dj * width + di, in the same pair; grow_diag_pairs
+    keeps keys from overflowing. A pass meets each union-only candidate first
+    at (rank of its neighbouring link in the pair's sorted links, that
+    neighbour's index in _NEIGHBORS), and adds it if its source or its target
+    word is still unaligned. Aligned words only grow, so a rejection is final,
+    and only the links the last pass added can meet a new candidate: a pass
+    scans those alone. It steps over every pair's t-th candidate in turn.
     """
-    size = n * m
-    first = np.cumsum(size) - size
-    row0, col0 = np.cumsum(n) - n, np.cumsum(m) - m
-    src, tgt = np.zeros(int(n.sum()), bool), np.zeros(int(m.sum()), bool)
-    pending = fwd ^ rev
-    links = np.flatnonzero(fwd & rev)
-    active = np.ones(len(n), bool)
-    while True:
-        pair = np.searchsorted(first, links, "right") - 1
-        j, i = np.divmod(links - first[pair], m[pair])
-        src[row0[pair] + j] = tgt[col0[pair] + i] = True  # marks new words in the first pass only
-        # The eight neighbours of each link scanned, in scan order; keep the
-        # union-only cells still pending, each where it is first met.
-        scan = active[pair]
-        pair, j, i = pair[scan, None], j[scan, None] + _DJ, i[scan, None] + _DI
-        met = (j >= 0) & (j < n[pair]) & (i >= 0) & (i < m[pair])
-        cand = links[scan, None] + _DJ * m[pair] + _DI
+    rows = np.concatenate((fwd, rev))
+    if not len(rows):
+        return rows
+    height, width = rows[:, 1:].max(axis=0) + 3
+    union, seen = np.unique((rows[:, 0] * height + rows[:, 1] + 1) * width + rows[:, 2] + 1, return_counts=True)
+    pair = union // (height * width)
+    # Source and target words numbered densely, over the words links touch.
+    src_of = np.unique(union // width, return_inverse=True)[1]
+    tgt_of = np.unique(pair * width + union % width, return_inverse=True)[1]
+    src, tgt = np.zeros(len(union), bool), np.zeros(len(union), bool)
+    pending, kept = seen == 1, seen == 2
+    new = np.flatnonzero(kept)
+    src[src_of[new]] = tgt[tgt_of[new]] = True
+    while len(new):
+        # The eight neighbours of each new link, in scan order; keep the
+        # union-only links still pending, each where it is first met.
+        near = union[new, None] + _DJ * width + _DI
+        cand = np.searchsorted(union, near, "right") - 1
+        met = union[cand] == near
         met[met] = pending[cand[met]]
         _, once = np.unique(cand[met], return_index=True)
         once.sort()
-        cand, pair, j, i = (a[met][once] for a in (cand, np.broadcast_to(pair, met.shape), j, i))
-        row, col = row0[pair] + j, col0[pair] + i
+        cand = cand[met][once]
         pending[cand] = False
-        free = ~(src[row] & tgt[col])
-        cand, pair, row, col = cand[free], pair[free], row[free], col[free]
-        step = np.arange(len(pair)) - np.searchsorted(pair, pair)
+        cand = cand[~(src[src_of[cand]] & tgt[tgt_of[cand]])]
+        row, col = src_of[cand], tgt_of[cand]
+        step = np.arange(len(cand)) - np.searchsorted(pair[cand], pair[cand])
         order = np.argsort(step, kind="stable")
         added = np.zeros(len(cand), bool)
         for at in np.split(order, np.cumsum(np.bincount(step))[:-1]):
             at = at[~(src[row[at]] & tgt[col[at]])]
             src[row[at]] = tgt[col[at]] = added[at] = True
-        if not added.any():
-            break
-        links = np.sort(np.concatenate((links, cand[added])))
-        active[:] = False
-        active[pair[added]] = True
-    return links
-
+        new = np.sort(cand[added])
+        kept[new] = True
+    links = np.flatnonzero(kept)
+    return np.column_stack((pair[links], union[links] // width % height - 1, union[links] % width - 1))
 
 def grow_diag_pairs(a_fwds, a_revs, ns, ms):
     """grow_diag_final_and of every pair, in one corpus-wide grow-diag."""
-    n, m = np.array(ns, np.int64), np.array(ms, np.int64)
-    first = np.cumsum(n * m) - n * m
-    cells = [np.zeros(int((n * m).sum()), bool), np.zeros(int((n * m).sum()), bool)]
-    for mask, label, sides in zip(cells, ("forward", "reverse"), (a_fwds, a_revs)):
-        for k, links in enumerate(sides):
+    if len(ns) * (int(max(ns, default=0)) + 2) * (int(max(ms, default=0)) + 2) > np.iinfo(np.int64).max:
+        raise ValueError(f"{len(ns)} pair(s) of up to {max(ns)}x{max(ms)} words overflow the int64 link keys")
+    sides = []
+    for label, side in (("forward", a_fwds), ("reverse", a_revs)):
+        rows = []
+        for k, (links, n, m) in enumerate(zip(side, ns, ms)):
             for (j, i) in links:
-                if not (0 <= j < n[k] and 0 <= i < m[k]):
-                    raise ValueError(f"{label} link {(j, i)} outside {n[k]}x{m[k]} pair")
-                mask[first[k] + j * m[k] + i] = True
-    kept = _grow_diag(n, m, *cells)
-    pair = np.searchsorted(first, kept, "right") - 1
-    j, i = np.divmod(kept - first[pair], m[pair])
+                if not (0 <= j < n and 0 <= i < m):
+                    raise ValueError(f"{label} link {(j, i)} outside {n}x{m} pair")
+                rows += (k, j, i)
+        sides.append(np.array(rows, np.int64).reshape(-1, 3))
+    pair, j, i = _grow_diag(*sides).T
     links = list(zip(j.tolist(), i.tolist()))
-    bounds = np.searchsorted(kept, first).tolist() + [len(kept)]
+    bounds = np.searchsorted(pair, np.arange(len(ns) + 1)).tolist()
     return [set(links[a:b]) for a, b in zip(bounds, bounds[1:])]
 
 
@@ -102,13 +103,3 @@ def grow_diag_final_and(a_fwd, a_rev, n, m):
     link only one input holds is added by growth or not at all.
     """
     return grow_diag_pairs([a_fwd], [a_rev], [n], [m])[0]
-
-
-def symmetrize(a_fwd, a_rev, n, m, heuristic="gdfa"):
-    if heuristic == "intersection":
-        return intersect(a_fwd, a_rev)
-    if heuristic == "union":
-        return union_links(a_fwd, a_rev)
-    if heuristic == "gdfa":
-        return grow_diag_final_and(a_fwd, a_rev, n, m)
-    raise ValueError(f"unknown heuristic {heuristic!r} (choose from {HEURISTICS})")

@@ -1,6 +1,7 @@
 import io
 import os
 import random
+import tracemalloc
 
 import pytest
 
@@ -51,6 +52,18 @@ def test_missing_input_fails_with_stderr(toy, capsys):
     rc = main(["train", "-s", str(toy["dir"] / "absent"), "-t", toy["tgt"], "-o", str(toy["dir"] / "m")])
     assert rc != 0
     assert "error" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("command", [["eval", "--gold", "{dir}", "--hyp", "{file}"],
+                                     ["train", "-s", "{dir}", "-t", "{file}", "-o", "{dir}/m"],
+                                     ["train", "-s", "{file}", "-t", "{file}", "-o", "{file}"]])
+def test_os_errors_fail_with_an_error_line(toy, capsys, command):
+    # A directory where a file is read, and a file where the model directory goes.
+    names = {"dir": str(toy["dir"]), "file": toy["src"]}
+    assert main([arg.format(**names) for arg in command]) == 1
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err.splitlines()[-1].startswith("error: ")
 
 
 def test_align_single_token_pair(tmp_path, capsys):
@@ -245,6 +258,36 @@ def test_symmetrize_cli(tmp_path, capsys):
     assert capsys.readouterr().out == "0-0 1-1\n0-0\n"
     assert main(["symmetrize", "--fwd", fwd, "--rev", rev, "--heuristic", "intersection"]) == 0
     assert capsys.readouterr().out == "0-0\n0-0\n"
+    rev = write(tmp_path / "r", "0-0 2-1\n1-0\n")
+    assert main(["symmetrize", "--fwd", fwd, "--rev", rev, "--heuristic", "union"]) == 0
+    assert capsys.readouterr().out == "0-0 1-1 1-2\n0-0 0-1\n"
+    with pytest.raises(SystemExit):
+        main(["symmetrize", "--fwd", fwd, "--rev", rev, "--heuristic", "nope"])
+    assert "invalid choice: 'nope'" in capsys.readouterr().err
+
+
+def test_symmetrize_gdfa_memory_follows_the_links_not_their_indices(tmp_path, capsys):
+    # A grid sized from the largest index would take 10**10 cells here.
+    fwd = write(tmp_path / "f", "0-0 99999-99999\n")
+    rev = write(tmp_path / "r", "0-0\n")
+    tracemalloc.start()
+    try:
+        assert main(["symmetrize", "--fwd", fwd, "--rev", rev]) == 0
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert capsys.readouterr().out == "0-0\n"
+    assert peak < 1 << 20
+
+
+@pytest.mark.parametrize("index", [10**18, 10**19])
+def test_symmetrize_gdfa_rejects_indices_past_the_int64_link_keys(tmp_path, capsys, index):
+    fwd = write(tmp_path / "f", f"0-0 {index}-{index}\n")
+    rev = write(tmp_path / "r", "0-0\n")
+    assert main(["symmetrize", "--fwd", fwd, "--rev", rev]) == 1
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert "error: 1 pair(s) of up to" in err and "overflow the int64 link keys" in err
 
 
 def test_symmetrize_gdfa_lines_equal_the_set_loop(tmp_path, capsys):

@@ -69,6 +69,13 @@ def test_joined_basic(tmp_path):
     assert pairs[0].n == 2 and pairs[0].m == 2
 
 
+def test_joined_lowercase_finds_a_cased_separator_among_raw_tokens(tmp_path):
+    path = write(tmp_path / "j", "Das Haus <SEP> The House\n")
+    assert read_bitext_joined(path, "<SEP>", lowercase=True) == [(["das", "haus"], ["the", "house"])]
+    with pytest.raises(CorpusError, match=re.escape(f"{path}:1: missing separator '<sep>'")):
+        read_bitext_joined(path, "<sep>", lowercase=True)
+
+
 def test_joined_duplicate_separator(tmp_path):
     path = write(tmp_path / "j", "a ||| x ||| y\n")
     with pytest.raises(CorpusError, match=re.escape(f"{path}:1: duplicated separator '|||'")):

@@ -6,7 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import oracles
-from hieralign.symmetrize import grow_diag_final_and, grow_diag_pairs, intersect, symmetrize, union_links
+from hieralign.symmetrize import grow_diag_final_and, grow_diag_pairs, intersect, union_links
 
 
 def random_links(rng, n, m, density=0.25):
@@ -116,13 +116,3 @@ def test_corpus_grow_diag_equals_the_set_loop(batch):
     want = [oracles.reference_grow_diag(a_fwd, a_rev) for a_fwd, a_rev, _, _ in batch]
     assert grow_diag_pairs(*zip(*batch)) == want
     assert [grow_diag_final_and(*sides) for sides in batch] == want
-
-
-def test_symmetrize_dispatch():
-    a = {(0, 0), (1, 1)}
-    b = {(0, 0)}
-    assert symmetrize(a, b, 2, 2, "intersection") == {(0, 0)}
-    assert symmetrize(a, b, 2, 2, "union") == a
-    assert symmetrize(a, b, 2, 2, "gdfa") == {(0, 0), (1, 1)}
-    with pytest.raises(ValueError):
-        symmetrize(a, b, 2, 2, "nope")
