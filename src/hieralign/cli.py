@@ -8,6 +8,7 @@ from __future__ import annotations
 
 import argparse
 import dataclasses
+import os
 import sys
 import time
 
@@ -102,8 +103,18 @@ def _train(bitext, config):
     return train_model(pairs, vsrc, vtgt, config, log=stderr_log)
 
 
+def _check_out_dir(out_dir):
+    """Fail, creating nothing, if save_model could not make out_dir: it or an existing ancestor is no directory."""
+    path = os.path.abspath(out_dir)
+    while not os.path.exists(path):
+        path = os.path.dirname(path)
+    if not os.path.isdir(path):
+        raise NotADirectoryError(f"{path} is not a directory")
+
+
 def cmd_train(args):
     config = config_from_args(args)
+    _check_out_dir(args.out_dir)
     model = _train(read_input(args, config.lowercase), config)
     save_model(model, args.out_dir)
     stderr_log(f"model written to {args.out_dir}")
@@ -124,14 +135,11 @@ def cmd_align(args):
     bitext = read_input(args, model.config.lowercase)
     started = time.perf_counter()
     if args.dump_matrix:
-        params = model.config.matrix_params()
         with open(args.dump_matrix, "w", encoding="utf-8") as fh:
             for pair in align_tasks(bitext, model):
                 if pair is not None:
-                    dump_matrix(build_soft_matrix(pair, model.t_fwd, model.t_rev, params), fh)
-    lines = align_lines(bitext, model)
-    for line in lines:
-        sys.stdout.write(line + "\n")
+                    dump_matrix(build_soft_matrix(pair, model.t_fwd, model.t_rev, model.config), fh)
+    sys.stdout.writelines(line + "\n" for line in align_lines(bitext, model))
     if args.stats:
         elapsed = time.perf_counter() - started
         rate = len(bitext) / elapsed if elapsed > 0 else float("inf")
@@ -141,13 +149,14 @@ def cmd_align(args):
 
 def cmd_pipeline(args):
     config = config_from_args(args)
+    if args.model_dir:
+        _check_out_dir(args.model_dir)
     bitext = read_input(args, config.lowercase)
     model = _train(bitext, config)
     started = time.perf_counter()
     lines = align_lines(bitext, model)
     with open(args.out, "w", encoding="utf-8") as fh:
-        for line in lines:
-            fh.write(line + "\n")
+        fh.writelines(line + "\n" for line in lines)
     if args.model_dir:
         save_model(model, args.model_dir)
     stderr_log(f"aligned {len(bitext)} pairs in {time.perf_counter() - started:.2f}s")
@@ -161,9 +170,7 @@ def cmd_symmetrize(args):
         raise CorpusError(f"--fwd has {len(fwd)} lines, --rev has {len(rev)} lines")
     rev = [{(j, i) for i, j in a_rev} for a_rev in rev]  # reverse files carry i-j links
     if args.heuristic == "gdfa":
-        n = [max((j for j, _ in a_fwd | a_rev), default=0) + 1 for a_fwd, a_rev in zip(fwd, rev)]
-        m = [max((i for _, i in a_fwd | a_rev), default=0) + 1 for a_fwd, a_rev in zip(fwd, rev)]
-        merged = symmetrize.grow_diag_pairs(fwd, rev, n, m)
+        merged = symmetrize.grow_diag_pairs(fwd, rev)
     else:
         combine = symmetrize.intersect if args.heuristic == "intersection" else symmetrize.union_links
         merged = [combine(a_fwd, a_rev) for a_fwd, a_rev in zip(fwd, rev)]
@@ -180,15 +187,12 @@ def cmd_eval(args):
     hyps = read_alignment_file(args.hyp)
     if len(golds) != len(hyps):
         raise CorpusError(f"gold has {len(golds)} lines, hypothesis has {len(hyps)} lines")
+    names = ("precision", "recall", "aer")
     if args.per_sentence:
         for k, m in enumerate(evaluate.per_sentence(hyps, golds)):
-            sys.stdout.write(
-                f"{k}\t{_fmt_metric(m['precision'])}\t{_fmt_metric(m['recall'])}\t{_fmt_metric(m['aer'])}\n"
-            )
+            sys.stdout.write("\t".join([str(k), *(_fmt_metric(m[name]) for name in names)]) + "\n")
     m = evaluate.aer(hyps, golds)
-    sys.stdout.write(
-        f"precision={_fmt_metric(m['precision'])} recall={_fmt_metric(m['recall'])} aer={_fmt_metric(m['aer'])}\n"
-    )
+    sys.stdout.write(" ".join(f"{name}={_fmt_metric(m[name])}" for name in names) + "\n")
     return 0
 
 
@@ -207,8 +211,7 @@ def cmd_extract(args):
     table = phrase.phrase_table(bitext, alignments, args.max_len, not args.no_unaligned_extension)
     if args.dump:
         with open(args.dump, "w", encoding="utf-8") as fh:
-            for src_phrase, tgt_phrase in sorted(table):
-                fh.write(f"{src_phrase}\t{tgt_phrase}\n")
+            fh.writelines(f"{src_phrase}\t{tgt_phrase}\n" for src_phrase, tgt_phrase in sorted(table))
     sys.stdout.write(f"entries={len(table)}\n")
     return 0
 
@@ -236,7 +239,7 @@ def build_arg_parser():
     p = sub.add_parser("train", help="train translation tables and save a model")
     _add_input_options(p)
     p.add_argument("-o", "--out-dir", required=True, help="model output directory")
-    _add_config_options(p)
+    _add_config_options(p, omit=("threads",))  # training runs in one process
     p.set_defaults(func=cmd_train)
 
     p = sub.add_parser("align", help="align a corpus with a trained model")
@@ -270,7 +273,7 @@ def build_arg_parser():
     p.add_argument("-s", "--source", required=True)
     p.add_argument("-t", "--target", required=True)
     p.add_argument("--align", required=True, help="Pharaoh alignment file")
-    p.add_argument("--max-len", type=int, default=7)
+    p.add_argument("--max-len", type=int, default=phrase.DEFAULT_MAX_LEN)
     p.add_argument("--no-unaligned-extension", action="store_true",
                    help="keep only spans whose boundary words are aligned")
     p.add_argument("--dump", help="write the distinct phrase pairs to this TSV file")

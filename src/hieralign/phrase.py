@@ -10,6 +10,8 @@ itself.
 
 from __future__ import annotations
 
+DEFAULT_MAX_LEN = 7  # longest phrase kept, in words on either side
+
 
 def is_consistent(src_span, tgt_span, links):
     """True when no link crosses the boundary of the span pair."""
@@ -21,7 +23,7 @@ def is_consistent(src_span, tgt_span, links):
     return True
 
 
-def extract_spans(n, m, links, max_len=7, unaligned_extension=True):
+def extract_spans(n, m, links, max_len=DEFAULT_MAX_LEN, unaligned_extension=True):
     """All consistent span pairs with at least one link, as half-open spans.
 
     With unaligned_extension off, only tight pairs are kept: both spans
@@ -69,7 +71,7 @@ def extract_spans(n, m, links, max_len=7, unaligned_extension=True):
     return out
 
 
-def phrase_strings(src_tokens, tgt_tokens, links, max_len=7, unaligned_extension=True):
+def phrase_strings(src_tokens, tgt_tokens, links, max_len=DEFAULT_MAX_LEN, unaligned_extension=True):
     """Extracted phrase pairs as (source text, target text)."""
     out = set()
     for (j0, j1), (i0, i1) in extract_spans(
@@ -79,7 +81,7 @@ def phrase_strings(src_tokens, tgt_tokens, links, max_len=7, unaligned_extension
     return out
 
 
-def phrase_table(bitext, alignments, max_len=7, unaligned_extension=True):
+def phrase_table(bitext, alignments, max_len=DEFAULT_MAX_LEN, unaligned_extension=True):
     """Distinct (source text, target text) phrase pairs across an aligned corpus."""
     if len(bitext) != len(alignments):
         raise ValueError("corpus and alignments differ in length")

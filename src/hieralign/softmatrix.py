@@ -9,7 +9,6 @@ The parser builds the integral images it reads block sums from.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from itertools import chain
 
 import numpy as np
@@ -18,17 +17,6 @@ from .lexicon import product_cells, symmetric_lexical_score
 
 # Keeps the upper clamp strictly below 1.
 UPPER_MARGIN = 1e-12
-
-
-@dataclass(frozen=True)
-class MatrixParams:
-    """Matrix settings copied from pipeline.AlignerConfig, which checks them."""
-
-    sigma_theta: float
-    sigma_delta: float
-    distortion_enabled: bool
-    r: float
-    p0: float
 
 
 class SoftMatrix:
@@ -61,8 +49,8 @@ class SoftMatrix:
         return matrix
 
 
-def build_soft_matrices(pairs, t_fwd, t_rev, params):
-    """Weight matrices of sentence pairs, all from one lexicon gather.
+def build_soft_matrices(pairs, t_fwd, t_rev, config):
+    """Weight matrices of sentence pairs under an AlignerConfig, all from one lexicon gather.
 
     raw(j, i) = exp(theta(f_j, e_i) / sigma_theta) times the distortion
     factor: exp(delta / sigma_delta) when h < r, a flat p0 otherwise.
@@ -79,20 +67,20 @@ def build_soft_matrices(pairs, t_fwd, t_rev, params):
     source = np.fromiter(chain.from_iterable(pair.source for pair in pairs), np.int64, n.sum())
     target = np.fromiter(chain.from_iterable(pair.target for pair in pairs), np.int64, m.sum())
     theta = symmetric_lexical_score(t_fwd, t_rev, source[row], target[col])
-    raw = np.exp(theta / params.sigma_theta)
-    if params.distortion_enabled:
+    raw = np.exp(theta / config.sigma_theta)
+    if config.distortion:
         h = np.abs(j / n[pair_of] - i / m[pair_of])
-        raw *= np.where(h < params.r, np.exp(np.log1p(-h) / params.sigma_delta), params.p0)
-    floor = params.p0 * params.p0
+        raw *= np.where(h < config.r, np.exp(np.log1p(-h) / config.sigma_delta), config.p0)
+    floor = config.p0 * config.p0
     weights = np.clip(raw, floor, 1.0 - UPPER_MARGIN)
     ends = np.cumsum(n * m).tolist()
     return [SoftMatrix._of_clamped(weights[end - a * b:end].reshape(a, b))
             for a, b, end in zip(n.tolist(), m.tolist(), ends)]
 
 
-def build_soft_matrix(pair, t_fwd, t_rev, params):
+def build_soft_matrix(pair, t_fwd, t_rev, config):
     """Weight matrix for one sentence pair: build_soft_matrices of [pair]."""
-    return build_soft_matrices([pair], t_fwd, t_rev, params)[0]
+    return build_soft_matrices([pair], t_fwd, t_rev, config)[0]
 
 
 def dump_matrix(matrix, fh):

@@ -9,6 +9,8 @@ once, in lockstep, on the links alone, never on a grid of their indices.
 
 from __future__ import annotations
 
+from itertools import chain
+
 import numpy as np
 
 HEURISTICS = ("intersection", "union", "gdfa")
@@ -75,31 +77,31 @@ def _grow_diag(fwd, rev):
     links = np.flatnonzero(kept)
     return np.column_stack((pair[links], union[links] // width % height - 1, union[links] % width - 1))
 
-def grow_diag_pairs(a_fwds, a_revs, ns, ms):
-    """grow_diag_final_and of every pair, in one corpus-wide grow-diag."""
-    if len(ns) * (int(max(ns, default=0)) + 2) * (int(max(ms, default=0)) + 2) > np.iinfo(np.int64).max:
-        raise ValueError(f"{len(ns)} pair(s) of up to {max(ns)}x{max(ms)} words overflow the int64 link keys")
-    sides = []
-    for label, side in (("forward", a_fwds), ("reverse", a_revs)):
-        rows = []
-        for k, (links, n, m) in enumerate(zip(side, ns, ms)):
-            for (j, i) in links:
-                if not (0 <= j < n and 0 <= i < m):
-                    raise ValueError(f"{label} link {(j, i)} outside {n}x{m} pair")
-                rows += (k, j, i)
-        sides.append(np.array(rows, np.int64).reshape(-1, 3))
+
+def grow_diag_pairs(a_fwds, a_revs):
+    """grow_diag_final_and of every pair in one grow-diag, for links (j, i) of j, i >= 0 checked against no lengths."""
+    flats = [list(chain.from_iterable(chain.from_iterable(side))) for side in (a_fwds, a_revs)]
+    top_j, top_i = (max(max(flat[k::2], default=-1) for flat in flats) for k in (0, 1))
+    if len(a_fwds) * (top_j + 3) * (top_i + 3) > np.iinfo(np.int64).max:
+        raise ValueError(f"{len(a_fwds)} pair(s) of up to {top_j + 1}x{top_i + 1} words overflow the int64 link keys")
+    sides = [np.column_stack((np.repeat(np.arange(len(side)), [len(links) for links in side]),
+                              np.array(flat, np.int64).reshape(-1, 2))) for side, flat in zip((a_fwds, a_revs), flats)]
     pair, j, i = _grow_diag(*sides).T
     links = list(zip(j.tolist(), i.tolist()))
-    bounds = np.searchsorted(pair, np.arange(len(ns) + 1)).tolist()
+    bounds = np.searchsorted(pair, np.arange(len(a_fwds) + 1)).tolist()
     return [set(links[a:b]) for a, b in zip(bounds, bounds[1:])]
 
 
 def grow_diag_final_and(a_fwd, a_rev, n, m):
-    """Grow the intersection toward the union (grow-diag).
+    """Grow the intersection toward the union (grow-diag) of an n x m pair.
 
     Repeatedly add union links 8-adjacent to a current link whose source
     or target word is still unaligned, scanning current links in (j, i)
     order until a whole pass adds nothing. No final-and pass follows: a
     link only one input holds is added by growth or not at all.
     """
-    return grow_diag_pairs([a_fwd], [a_rev], [n], [m])[0]
+    for label, links in (("forward", a_fwd), ("reverse", a_rev)):
+        for j, i in links:
+            if not (0 <= j < n and 0 <= i < m):
+                raise ValueError(f"{label} link {(j, i)} outside {n}x{m} pair")
+    return grow_diag_pairs([a_fwd], [a_rev])[0]

@@ -247,17 +247,17 @@ def distortion(j, i, n, m):
     return h, math.log1p(-h)
 
 
-def reference_soft_matrix(pair, t_fwd, t_rev, params):
+def reference_soft_matrix(pair, t_fwd, t_rev, config):
     """Weights of one pair, built on its own with 2-D broadcasting."""
     n, m = pair.n, pair.m
     theta = symmetric_lexical_score(
         t_fwd, t_rev, np.asarray(pair.source)[:, None], np.asarray(pair.target)[None, :]
     )
-    raw = np.exp(theta / params.sigma_theta)
-    if params.distortion_enabled:
+    raw = np.exp(theta / config.sigma_theta)
+    if config.distortion:
         h = np.abs(np.arange(n)[:, None] / n - np.arange(m)[None, :] / m)
-        raw *= np.where(h < params.r, np.exp(np.log1p(-h) / params.sigma_delta), params.p0)
-    return np.clip(raw, params.p0 * params.p0, 1.0 - 1e-12)
+        raw *= np.where(h < config.r, np.exp(np.log1p(-h) / config.sigma_delta), config.p0)
+    return np.clip(raw, config.p0 * config.p0, 1.0 - 1e-12)
 
 
 def exact_best_score(weights):

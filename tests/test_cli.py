@@ -1,3 +1,4 @@
+import inspect
 import io
 import os
 import random
@@ -6,6 +7,7 @@ import tracemalloc
 import pytest
 
 import oracles
+from hieralign import phrase
 from hieralign.alignio import format_alignment
 from hieralign.cli import build_arg_parser, config_from_args, main
 from hieralign.corpus import read_bitext
@@ -56,14 +58,19 @@ def test_missing_input_fails_with_stderr(toy, capsys):
 
 @pytest.mark.parametrize("command", [["eval", "--gold", "{dir}", "--hyp", "{file}"],
                                      ["train", "-s", "{dir}", "-t", "{file}", "-o", "{dir}/m"],
-                                     ["train", "-s", "{file}", "-t", "{file}", "-o", "{file}"]])
+                                     ["train", "-s", "{file}", "-t", "{file}", "-o", "{file}"],
+                                     ["pipeline", "-s", "{file}", "-t", "{file}", "-o", "{dir}/out", "--model-dir", "{file}"],
+                                     ["train", "-s", "{file}", "-t", "{file}", "-o", "{file}/m/n"]])
 def test_os_errors_fail_with_an_error_line(toy, capsys, command):
-    # A directory where a file is read, and a file where the model directory goes.
+    # A directory where a file is read, and a file where the model directory
+    # goes or would be made: both fail before training, and write nothing.
     names = {"dir": str(toy["dir"]), "file": toy["src"]}
     assert main([arg.format(**names) for arg in command]) == 1
     out, err = capsys.readouterr()
     assert out == ""
     assert err.splitlines()[-1].startswith("error: ")
+    assert " iteration " not in err
+    assert not (toy["dir"] / "out").exists()
 
 
 def test_align_single_token_pair(tmp_path, capsys):
@@ -140,11 +147,10 @@ def test_align_dump_matrix_over_many_chunks(tmp_path, capsys):
     assert main(["align", "-s", src, "-t", tgt, "-m", str(model), "--threads", "2", "--dump-matrix", str(dump)]) == 0
     assert capsys.readouterr().out == serial
     loaded = load_model(str(model))
-    params = loaded.config.matrix_params()
     want = io.StringIO()
     for pair in align_tasks(read_bitext(src, tgt), loaded):
         if pair is not None:
-            dump_matrix(build_soft_matrix(pair, loaded.t_fwd, loaded.t_rev, params), want)
+            dump_matrix(build_soft_matrix(pair, loaded.t_fwd, loaded.t_rev, loaded.config), want)
     assert dump.read_text() == want.getvalue()
     blocks = dump.read_text().rstrip("\n").split("\n\n")
     shapes = [(len(s.split()), len(t.split())) for s, t in zip(src_lines, tgt_lines) if s and t]
@@ -391,6 +397,13 @@ def test_extract_rejects_max_len_zero(tmp_path, capsys):
     assert "error: --max-len must be positive, got 0" in err
 
 
+def test_extract_max_len_defaults_to_the_phrase_default():
+    args = build_arg_parser().parse_args(["extract", "-s", "s", "-t", "t", "--align", "a"])
+    assert args.max_len == phrase.DEFAULT_MAX_LEN
+    for function in (phrase.extract_spans, phrase.phrase_strings, phrase.phrase_table):
+        assert inspect.signature(function).parameters["max_len"].default == phrase.DEFAULT_MAX_LEN
+
+
 @pytest.mark.parametrize("option", ["--sigma-theta", "--sigma-delta"])
 def test_sweep_does_not_offer_the_settings_its_grid_sets(toy, tmp_path, option):
     gold = write(tmp_path / "g", "0-0 1-1\n0-0\n0-0 1-1 2-2\n")
@@ -427,8 +440,25 @@ def test_sweep_checks_its_settings_and_gold_before_training(toy, tmp_path, capsy
 
 @pytest.mark.parametrize("command", [["train", "-o", "m"], ["pipeline", "-o", "out"], ["sweep", "--gold", "g"]])
 def test_no_setting_flags_give_the_default_config(command):
+    # train offers no --threads and keeps AlignerConfig's one; the others use every core.
     args = build_arg_parser().parse_args([*command, "-s", "s", "-t", "t"])
-    assert config_from_args(args) == AlignerConfig(threads=os.cpu_count() or 1)
+    want = AlignerConfig() if command[0] == "train" else AlignerConfig(threads=os.cpu_count() or 1)
+    assert config_from_args(args) == want
+
+
+def test_train_offers_no_threads(toy, capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(["train", "-s", toy["src"], "-t", toy["tgt"], "-o", str(toy["dir"] / "model"), "--threads", "2"])
+    assert exc.value.code == 2
+    assert "unrecognized arguments: --threads 2" in capsys.readouterr().err
+    assert not (toy["dir"] / "model").exists()
+
+
+def test_train_snapshot_does_not_depend_on_the_cores(toy, monkeypatch):
+    monkeypatch.setattr(os, "cpu_count", lambda: 7)
+    model = toy["dir"] / "model"
+    assert main(["train", "-s", toy["src"], "-t", toy["tgt"], "-o", str(model)]) == 0
+    assert "threads=1\n" in (model / "config.txt").read_text(encoding="utf-8").splitlines(keepends=True)
 
 
 def test_align_offers_only_the_run_settings():
@@ -443,13 +473,15 @@ def test_align_offers_only_the_run_settings():
 
 
 def assert_rejected_before_training(toy, capsys, option, train_value, pipeline_value, message):
+    """train (unless train_value is None) and pipeline fail on the option, before any work."""
     model = toy["dir"] / "model"
-    rc = main(["train", "-s", toy["src"], "-t", toy["tgt"], "-o", str(model), option, train_value])
-    assert rc == 1
-    err = capsys.readouterr().err
-    assert f"error: {message}" in err
-    assert " iteration " not in err
-    assert not model.exists()
+    if train_value is not None:
+        rc = main(["train", "-s", toy["src"], "-t", toy["tgt"], "-o", str(model), option, train_value])
+        assert rc == 1
+        err = capsys.readouterr().err
+        assert f"error: {message}" in err
+        assert " iteration " not in err
+        assert not model.exists()
     out = toy["dir"] / "out"
     rc = main(["pipeline", "-s", toy["src"], "-t", toy["tgt"], "-o", str(out), option, pipeline_value])
     assert rc == 1
@@ -483,13 +515,15 @@ def test_bitext_and_split_files_conflict(toy, tmp_path, capsys):
 
 def test_threads_must_be_a_positive_count(toy, capsys):
     # --threads goes to the config as given, which rejects a count below one;
-    # a value that is neither a count nor 'auto' fails in argparse.
+    # a value that is neither a count nor 'auto' fails in argparse. train
+    # offers no --threads; align's counts are checked before the model is read.
     for value in ("0", "-2"):
-        assert_rejected_before_training(toy, capsys, "--threads", value, value, "threads must be positive")
-    with pytest.raises(SystemExit) as exc:
-        main(["train", "-s", toy["src"], "-t", toy["tgt"], "-o", str(toy["dir"] / "model"), "--threads", "abc"])
-    assert exc.value.code == 2
-    assert "argument --threads: invalid" in capsys.readouterr().err
+        assert_rejected_before_training(toy, capsys, "--threads", None, value, "threads must be positive")
+    for command in (["pipeline", "-o", str(toy["dir"] / "out")], ["align", "-m", str(toy["dir"] / "model")]):
+        with pytest.raises(SystemExit) as exc:
+            main([*command, "-s", toy["src"], "-t", toy["tgt"], "--threads", "abc"])
+        assert exc.value.code == 2
+        assert "argument --threads: invalid" in capsys.readouterr().err
     args = build_arg_parser().parse_args(["align", "-s", "s", "-t", "t", "-m", "m", "--threads", "3"])
     assert args.threads == 3
 

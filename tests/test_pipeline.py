@@ -161,13 +161,12 @@ def test_align_lines_equals_per_pair_reference():
     raw = drop_empty(bitext)
     vsrc, vtgt = build_vocabulary(raw)
     model = train_model(encode_pairs(raw, vsrc, vtgt), vsrc, vtgt, AlignerConfig(max_sentence_len=10))
-    params = model.config.matrix_params()
     want = []
     for pair in align_tasks(bitext, model):
         if pair is None:
             want.append("")
             continue
-        matrix = build_soft_matrix(pair, model.t_fwd, model.t_rev, params)
+        matrix = build_soft_matrix(pair, model.t_fwd, model.t_rev, model.config)
         want.append(format_alignment(project(oracles.reference_top_down_parse(matrix, model.config.beam))))
     assert "" in want
     assert sum(pair is not None for pair in align_tasks(bitext, model)) > 2 * GROUP_PAIRS

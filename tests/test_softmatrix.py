@@ -58,22 +58,22 @@ def test_distortion_bounds():
 
 def test_build_no_distortion_is_plain_score():
     t_fwd, t_rev = tables_for(0.25, 0.25, 1, 1)
-    params = AlignerConfig(sigma_theta=1.0, distortion=False).matrix_params()
-    matrix = build_soft_matrix(pair_of(1, 1), t_fwd, t_rev, params)
+    config = AlignerConfig(sigma_theta=1.0, distortion=False)
+    matrix = build_soft_matrix(pair_of(1, 1), t_fwd, t_rev, config)
     assert matrix.weights[0, 0] == pytest.approx(0.25)
 
 
 def test_build_distortion_at_diagonal_is_neutral():
     t_fwd, t_rev = tables_for(0.25, 0.25, 1, 1)
-    params = AlignerConfig(sigma_theta=1.0, sigma_delta=5.0).matrix_params()
-    matrix = build_soft_matrix(pair_of(1, 1), t_fwd, t_rev, params)
+    config = AlignerConfig(sigma_theta=1.0, sigma_delta=5.0)
+    matrix = build_soft_matrix(pair_of(1, 1), t_fwd, t_rev, config)
     assert matrix.weights[0, 0] == pytest.approx(0.25)
 
 
 def test_build_flat_penalty_branch():
     # Perfect lexical pair but h = 0.5 >= r at cell (0, 1) of a 1x2 pair.
     t_fwd, t_rev = tables_for(1.0, 1.0, 1, 2)
-    matrix = build_soft_matrix(pair_of(1, 2), t_fwd, t_rev, AlignerConfig(sigma_theta=3.0).matrix_params())
+    matrix = build_soft_matrix(pair_of(1, 2), t_fwd, t_rev, AlignerConfig(sigma_theta=3.0))
     assert matrix.weights[0, 1] == pytest.approx(1e-4)
 
 
@@ -82,7 +82,7 @@ def test_build_fallback_cell_value():
     # flat penalty, the raw value (1e-10)^(1/3) * 1e-4 ~ 4.64e-8 stays above
     # the p0^2 floor.
     t_fwd, t_rev = tables_of({}, {}, 1, 2)
-    matrix = build_soft_matrix(pair_of(1, 2), t_fwd, t_rev, AlignerConfig(sigma_theta=3.0).matrix_params())
+    matrix = build_soft_matrix(pair_of(1, 2), t_fwd, t_rev, AlignerConfig(sigma_theta=3.0))
     want = (1e-10) ** (1.0 / 3.0) * 1e-4
     assert matrix.weights[0, 1] == pytest.approx(want, rel=1e-9)
     assert matrix.weights[0, 1] >= 1e-8
@@ -94,17 +94,17 @@ def test_weights_clamped_into_range():
         n, m = rng.integers(1, 9, size=2)
         fwd = {(j + 1, i + 1): float(rng.uniform(1e-12, 1.0)) for j in range(n) for i in range(m)}
         rev = {(i + 1, j + 1): float(rng.uniform(1e-12, 1.0)) for j in range(n) for i in range(m)}
-        matrix = build_soft_matrix(pair_of(n, m), *tables_of(fwd, rev, n, m), AlignerConfig().matrix_params())
+        matrix = build_soft_matrix(pair_of(n, m), *tables_of(fwd, rev, n, m), AlignerConfig())
         assert np.all(matrix.weights >= 1e-8)
         assert np.all(matrix.weights < 1.0)
 
 
 def test_weight_monotone_in_theta():
-    params = AlignerConfig().matrix_params()
+    config = AlignerConfig()
     previous = 0.0
     for p in (1e-9, 1e-6, 1e-3, 0.1, 0.5, 0.9):
         t_fwd, t_rev = tables_for(p, p, 1, 1)
-        matrix = build_soft_matrix(pair_of(1, 1), t_fwd, t_rev, params)
+        matrix = build_soft_matrix(pair_of(1, 1), t_fwd, t_rev, config)
         assert matrix.weights[0, 0] >= previous
         previous = matrix.weights[0, 0]
 
@@ -114,8 +114,8 @@ def test_neutral_configuration_is_clamped_geometric_mean():
     n, m = 4, 5
     fwd = {(j + 1, i + 1): float(rng.uniform(1e-12, 1.0)) for j in range(n) for i in range(m)}
     rev = {(i + 1, j + 1): float(rng.uniform(1e-12, 1.0)) for j in range(n) for i in range(m)}
-    params = AlignerConfig(sigma_theta=1.0, distortion=False).matrix_params()
-    matrix = build_soft_matrix(pair_of(n, m), *tables_of(fwd, rev, n, m), params)
+    config = AlignerConfig(sigma_theta=1.0, distortion=False)
+    matrix = build_soft_matrix(pair_of(n, m), *tables_of(fwd, rev, n, m), config)
     for j in range(n):
         for i in range(m):
             mean = math.sqrt(fwd[(j + 1, i + 1)] * rev[(i + 1, j + 1)])
@@ -177,11 +177,10 @@ def test_batch_build_equals_per_pair_reference_exactly():
                           tuple(int(x) for x in rng.integers(-1, vocab, size=m)), k)
              for k, (n, m) in enumerate(shapes)]
     for config in (AlignerConfig(), AlignerConfig(sigma_theta=1.0, distortion=False)):
-        params = config.matrix_params()
-        matrices = build_soft_matrices(pairs, t_fwd, t_rev, params)
+        matrices = build_soft_matrices(pairs, t_fwd, t_rev, config)
         for pair, matrix in zip(pairs, matrices):
-            assert np.array_equal(matrix.weights, oracles.reference_soft_matrix(pair, t_fwd, t_rev, params))
+            assert np.array_equal(matrix.weights, oracles.reference_soft_matrix(pair, t_fwd, t_rev, config))
         split = [mat for mat in matrices if mat.n > 1 and mat.m > 1]
         for matrix, p in zip(split, integral_images(split)):
             assert np.array_equal(p, oracles.prefix_table(matrix.weights))
-    assert build_soft_matrices([], t_fwd, t_rev, params) == []
+    assert build_soft_matrices([], t_fwd, t_rev, config) == []
