@@ -5,10 +5,6 @@ from __future__ import annotations
 from .corpus import read_lines
 
 
-class AlignmentFormatError(Exception):
-    """Malformed link token in an alignment file."""
-
-
 def parse_link(token, sep):
     """(j, i) of a `j<sep>i` token of two decimal indices, None for any other token."""
     a, found, b = token.partition(sep)
@@ -18,12 +14,12 @@ def parse_link(token, sep):
 
 
 def parse_alignment_line(line):
-    """Parse one Pharaoh line into a set of (source, target) links."""
+    """Parse one Pharaoh line into a set of (source, target) links; a bad token raises ValueError."""
     links = set()
     for token in line.split():
         link = parse_link(token, "-")
         if link is None:
-            raise AlignmentFormatError(f"bad link token {token!r}")
+            raise ValueError(f"bad link token {token!r}")
         links.add(link)
     return links
 
@@ -34,11 +30,11 @@ def format_alignment(links):
 
 
 def read_alignment_file(path):
-    """Links of every line of a Pharaoh file; a bad token raises AlignmentFormatError("path:line: ...")."""
+    """Links of every line of a Pharaoh file; a bad token raises ValueError("path:line: ...")."""
     out = []
     for lineno, line in enumerate(read_lines(path), start=1):
         try:
             out.append(parse_alignment_line(line))
-        except AlignmentFormatError as exc:
-            raise AlignmentFormatError(f"{path}:{lineno}: {exc}") from None
+        except ValueError as exc:
+            raise ValueError(f"{path}:{lineno}: {exc}") from None
     return out

@@ -13,14 +13,8 @@ import sys
 import time
 
 from . import evaluate, phrase, symmetrize
-from .alignio import (
-    AlignmentFormatError,
-    format_alignment,
-    parse_alignment_line,
-    read_alignment_file,
-)
+from .alignio import format_alignment, parse_alignment_line, read_alignment_file
 from .corpus import DEFAULT_SEPARATOR, CorpusError, encode_corpus, read_bitext, read_bitext_joined
-from .evaluate import GoldFormatError
 from .pipeline import (
     TRAINING,
     AlignerConfig,
@@ -112,6 +106,15 @@ def _check_out_dir(out_dir):
         raise NotADirectoryError(f"{path} is not a directory")
 
 
+def _check_out_file(path):
+    """Fail, creating nothing, if open(path, "w") could not: path is a directory or its parent is none."""
+    if os.path.isdir(path):
+        raise IsADirectoryError(f"{path} is a directory")
+    parent = os.path.dirname(os.path.abspath(path))
+    if not os.path.isdir(parent):
+        raise NotADirectoryError(f"{parent} is not a directory")
+
+
 def cmd_train(args):
     config = config_from_args(args)
     _check_out_dir(args.out_dir)
@@ -149,6 +152,7 @@ def cmd_align(args):
 
 def cmd_pipeline(args):
     config = config_from_args(args)
+    _check_out_file(args.out)
     if args.model_dir:
         _check_out_dir(args.model_dir)
     bitext = read_input(args, config.lowercase)
@@ -294,7 +298,7 @@ def main(argv=None):
     args = build_arg_parser().parse_args(argv)
     try:
         return args.func(args)
-    except (CorpusError, GoldFormatError, AlignmentFormatError, ValueError, OSError) as exc:
+    except (ValueError, OSError) as exc:
         stderr_log(f"error: {exc}")
         return 1
 

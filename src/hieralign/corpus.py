@@ -17,8 +17,8 @@ UNKNOWN_ID = -1
 DEFAULT_SEPARATOR = "|||"
 
 
-class CorpusError(Exception):
-    """Fatal problem with an input corpus file."""
+class CorpusError(ValueError):
+    """Fatal problem with an input corpus file; a ValueError, as every malformed input raises."""
 
 
 def read_text(path):

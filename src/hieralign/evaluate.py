@@ -17,10 +17,6 @@ from .alignio import parse_link
 from .corpus import read_lines
 
 
-class GoldFormatError(Exception):
-    """Malformed token in a gold alignment file."""
-
-
 @dataclass
 class GoldAlignment:
     sure: set = field(default_factory=set)
@@ -31,7 +27,7 @@ class GoldAlignment:
 
 
 def load_gold(path):
-    """One GoldAlignment per line; a bad token raises GoldFormatError("path:line: column C: ...")."""
+    """One GoldAlignment per line; a bad token raises ValueError("path:line: column C: ...")."""
     golds = []
     for lineno, line in enumerate(read_lines(path), start=1):
         sure = set()
@@ -42,7 +38,7 @@ def load_gold(path):
             sep = "-" if "-" in token else "?"
             link = parse_link(token, sep)
             if link is None:
-                raise GoldFormatError(f"{path}:{lineno}: column {col + 1}: bad gold token {token!r}")
+                raise ValueError(f"{path}:{lineno}: column {col + 1}: bad gold token {token!r}")
             (sure if sep == "-" else possible).add(link)
             col += len(token)
         golds.append(GoldAlignment(sure, possible))

@@ -17,6 +17,8 @@ bytes: its fields are positions between tabs and newlines, equal fields
 are found from 8-byte words of their bytes, and only distinct tokens and
 runs of equal probability texts become Python objects.
 
+The EM functions take a pipeline.AlignerConfig, which checks its settings,
+and read em_iters, vb, alpha, use_null, fallback and vbh from it.
 EM runs on a direction's corpus links, every conditioned word occurrence
 joined to each word of the other side of its pair. VBH reads the Viterbi
 link of every occurrence off the same links in a few array passes and
@@ -26,7 +28,6 @@ corpus-wide grow-diag (no final pass).
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from itertools import chain, repeat
 
 import numpy as np
@@ -48,17 +49,6 @@ NULL_FIELD = ""
 
 _SHIFT = 32
 _LOW = (1 << _SHIFT) - 1
-
-
-@dataclass(frozen=True)
-class EmConfig:
-    """EM settings copied from pipeline.AlignerConfig, which checks them."""
-
-    iterations: int
-    vb: bool
-    alpha: float
-    use_null: bool
-    fallback: float
 
 
 def pack(conditioned, conditioning):
@@ -518,7 +508,7 @@ def uniform_init(pairs, direction, config):
 
 
 def _trained(pairs, direction, config, log=None):
-    """The corpus links of one direction and the table after config.iterations
+    """The corpus links of one direction and the table after config.em_iters
     E+M rounds from the uniform initialization, on arrays aligned with their keys."""
     if not pairs:
         raise ValueError("cannot train on an empty corpus")
@@ -527,24 +517,24 @@ def _trained(pairs, direction, config, log=None):
     group = _conditioning_groups(links.keys)
     vocab_size = links.cond_vocab_size()
     probs = 1.0 / np.bincount(group)[group]
-    for it in range(config.iterations):
+    for it in range(config.em_iters):
         counts = links.expected_counts(probs, chunk_groups)
         probs = _normalized(counts, group, config.alpha if config.vb else None, vocab_size)
         if log is not None:
-            log(f"em {direction} iteration {it + 1}/{config.iterations}")
+            log(f"em {direction} iteration {it + 1}/{config.em_iters}")
     return links, TTable(direction, PairMap(links.keys, probs), vocab_size, config.fallback)
 
 
 def train_ibm1(pairs, direction, config, threads=1):
-    """Exactly config.iterations E+M rounds from the uniform initialization.
+    """Exactly config.em_iters E+M rounds from the uniform initialization.
 
     threads is ignored, as in expected_counts.
     """
     return _trained(pairs, direction, config)[1]
 
 
-def train_tables(pairs, config, vbh, log=None):
-    """The forward and reverse tables of train_ibm1, re-estimated by VBH when vbh is set.
+def train_tables(pairs, config, log=None):
+    """The forward and reverse tables of train_ibm1, re-estimated by VBH when config.vbh is set.
 
     Under VBH each direction's Viterbi links are read from the links its
     EM ran on, which are then dropped: one direction's links are alive at
@@ -555,10 +545,10 @@ def train_tables(pairs, config, vbh, log=None):
     for direction in (FORWARD, REVERSE):
         links, table = _trained(pairs, direction, config, log)
         tables.append(table)
-        if vbh:
+        if config.vbh:
             best.append(links.viterbi(table.probs.data))
         del links
-    if not vbh:
+    if not config.vbh:
         return tuple(tables)
     if log is not None:
         log("vbh re-estimation from symmetrized Viterbi links")

@@ -80,8 +80,13 @@ class AlignerConfig:
                 raise ValueError(f"{f.name} must be finite")
 
     def em_config(self):
-        return lexicon.EmConfig(iterations=self.em_iters, vb=self.vb, alpha=self.alpha,
-                                use_null=self.use_null, fallback=self.fallback)
+        """Self; kept only for perfbench/flow.py, until it passes the config."""
+        return self
+
+    @property
+    def iterations(self):
+        """em_iters; kept only for perfbench/flow.py, until it reads em_iters."""
+        return self.em_iters
 
     def matrix_params(self):
         """Self; kept only for perfbench/flow.py and tests/test_perfbench.py, until they pass the config."""
@@ -145,7 +150,7 @@ class Model:
 
 def train_model(pairs, vocab_src, vocab_tgt, config, log=None):
     """Train both directional tables; apply the VBH re-estimation if enabled."""
-    t_fwd, t_rev = lexicon.train_tables(pairs, config.em_config(), config.vbh, log)
+    t_fwd, t_rev = lexicon.train_tables(pairs, config, log)
     return Model(vocab_src, vocab_tgt, t_fwd, t_rev, config)
 
 

@@ -81,6 +81,8 @@ def _grow_diag(fwd, rev):
 def grow_diag_pairs(a_fwds, a_revs):
     """grow_diag_final_and of every pair in one grow-diag, for links (j, i) of j, i >= 0 checked against no lengths."""
     flats = [list(chain.from_iterable(chain.from_iterable(side))) for side in (a_fwds, a_revs)]
+    if (low := min(min(flat, default=0) for flat in flats)) < 0:
+        raise ValueError(f"negative link index {low}")
     top_j, top_i = (max(max(flat[k::2], default=-1) for flat in flats) for k in (0, 1))
     if len(a_fwds) * (top_j + 3) * (top_i + 3) > np.iinfo(np.int64).max:
         raise ValueError(f"{len(a_fwds)} pair(s) of up to {top_j + 1}x{top_i + 1} words overflow the int64 link keys")

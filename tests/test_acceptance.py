@@ -105,7 +105,7 @@ def test_criterion_04_em_correctness():
     vsrc, vtgt = build_vocabulary(raw)
     pairs = encode_pairs(raw, vsrc, vtgt)
 
-    config = AlignerConfig(em_iters=1, vb=False, use_null=True).em_config()
+    config = AlignerConfig(em_iters=1, vb=False, use_null=True)
     table = uniform_init(pairs, FORWARD, config)
     previous = corpus_log_likelihood(pairs, table, config)
     for _ in range(5):
@@ -114,7 +114,7 @@ def test_criterion_04_em_correctness():
         assert current >= previous - 1e-9
         previous = current
 
-    vb_table = train_ibm1(pairs, FORWARD, AlignerConfig(em_iters=5, vb=True).em_config())
+    vb_table = train_ibm1(pairs, FORWARD, AlignerConfig(em_iters=5, vb=True))
     sums = {}
     for (f, e), p in oracles.as_dict(vb_table.probs).items():
         sums[e] = sums.get(e, 0.0) + p

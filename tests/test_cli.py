@@ -60,17 +60,21 @@ def test_missing_input_fails_with_stderr(toy, capsys):
                                      ["train", "-s", "{dir}", "-t", "{file}", "-o", "{dir}/m"],
                                      ["train", "-s", "{file}", "-t", "{file}", "-o", "{file}"],
                                      ["pipeline", "-s", "{file}", "-t", "{file}", "-o", "{dir}/out", "--model-dir", "{file}"],
-                                     ["train", "-s", "{file}", "-t", "{file}", "-o", "{file}/m/n"]])
+                                     ["train", "-s", "{file}", "-t", "{file}", "-o", "{file}/m/n"],
+                                     ["pipeline", "-s", "{file}", "-t", "{file}", "-o", "{dir}"],
+                                     ["pipeline", "-s", "{file}", "-t", "{file}", "-o", "{dir}/absent/out"],
+                                     ["pipeline", "-s", "{file}", "-t", "{file}", "-o", "{file}/out"]])
 def test_os_errors_fail_with_an_error_line(toy, capsys, command):
-    # A directory where a file is read, and a file where the model directory
-    # goes or would be made: both fail before training, and write nothing.
+    # A directory where a file is read, a file where the model directory
+    # goes or would be made, and a -o path that names a directory or has no
+    # directory above it: all fail before training, and write nothing.
     names = {"dir": str(toy["dir"]), "file": toy["src"]}
     assert main([arg.format(**names) for arg in command]) == 1
     out, err = capsys.readouterr()
     assert out == ""
     assert err.splitlines()[-1].startswith("error: ")
     assert " iteration " not in err
-    assert not (toy["dir"] / "out").exists()
+    assert not (toy["dir"] / "out").exists() and not (toy["dir"] / "absent").exists()
 
 
 def test_align_single_token_pair(tmp_path, capsys):

@@ -3,7 +3,7 @@ import re
 
 import pytest
 
-from hieralign.evaluate import GoldAlignment, GoldFormatError, aer, load_gold, per_sentence
+from hieralign.evaluate import GoldAlignment, aer, load_gold, per_sentence
 
 
 def write_gold(tmp_path, text):
@@ -30,11 +30,11 @@ def test_load_gold_duplicates_collapse(tmp_path):
 
 def test_load_gold_malformed_token(tmp_path):
     path = write_gold(tmp_path, "0-0\n1-1 x+2\n")
-    with pytest.raises(GoldFormatError, match=re.escape(f"{path}:2: column 5: bad gold token 'x+2'")):
+    with pytest.raises(ValueError, match=re.escape(f"{path}:2: column 5: bad gold token 'x+2'")):
         load_gold(path)
     # A superscript is a digit to str.isdigit but not to int().
     path = write_gold(tmp_path, "0-0 \u00b2?1\n")
-    with pytest.raises(GoldFormatError, match=re.escape(f"{path}:1: column 5: bad gold token '\u00b2?1'")):
+    with pytest.raises(ValueError, match=re.escape(f"{path}:1: column 5: bad gold token '\u00b2?1'")):
         load_gold(path)
 
 

@@ -167,7 +167,7 @@ TOY = [
 
 def test_plain_em_matches_brute_force():
     pairs, vsrc, vtgt = corpus_from_tokens(TOY)
-    config = AlignerConfig(em_iters=5, vb=False, use_null=False).em_config()
+    config = AlignerConfig(em_iters=5, vb=False, use_null=False)
     table = train_ibm1(pairs, REVERSE, config)
     got = table_as_tokens(table, vtgt, vsrc)
     oriented = [(tgt, src) for src, tgt in TOY]
@@ -180,7 +180,7 @@ def test_plain_em_matches_brute_force():
 
 def test_vb_em_matches_brute_force():
     pairs, vsrc, vtgt = corpus_from_tokens(TOY + [(["haus", "ist"], ["house", "is"])])
-    config = AlignerConfig(em_iters=5, vb=True, alpha=0.01, use_null=True).em_config()
+    config = AlignerConfig(em_iters=5, vb=True, alpha=0.01, use_null=True)
     table = train_ibm1(pairs, FORWARD, config)
     got = table_as_tokens(table, vsrc, vtgt)
     want = oracles.brute_force_ibm1(
@@ -199,13 +199,13 @@ def test_vb_em_matches_brute_force():
 
 def test_single_pair_single_iteration():
     pairs, _, _ = corpus_from_tokens([(["a"], ["x"])])
-    table = train_ibm1(pairs, FORWARD, AlignerConfig(em_iters=1, vb=False, use_null=False).em_config())
+    table = train_ibm1(pairs, FORWARD, AlignerConfig(em_iters=1, vb=False, use_null=False))
     assert oracles.as_dict(table.probs) == {(1, 1): 1.0}
 
 
 def test_training_is_deterministic():
     pairs, _, _ = corpus_from_tokens(TOY)
-    config = AlignerConfig().em_config()
+    config = AlignerConfig()
     first = train_ibm1(pairs, FORWARD, config)
     second = train_ibm1(pairs, FORWARD, config)
     assert first.probs == second.probs
@@ -217,7 +217,7 @@ def test_worker_count_does_not_change_tables():
         for k in range(300)
     ]
     pairs, _, _ = corpus_from_tokens(token_pairs)
-    config = AlignerConfig(em_iters=2).em_config()
+    config = AlignerConfig(em_iters=2)
     serial = train_ibm1(pairs, FORWARD, config, threads=1)
     parallel = train_ibm1(pairs, FORWARD, config, threads=3)
     assert serial.probs == parallel.probs
@@ -229,7 +229,7 @@ def test_expected_counts_ignore_worker_count():
         for k in range(300)
     ]
     pairs, _, _ = corpus_from_tokens(token_pairs)
-    config = AlignerConfig().em_config()
+    config = AlignerConfig()
     table = uniform_init(pairs, FORWARD, config)
     serial = expected_counts(pairs, table, config, 1)
     parallel = expected_counts(pairs, table, config, 2)
@@ -241,13 +241,13 @@ def test_expected_counts_ignore_worker_count():
 @pytest.mark.parametrize("vb", [True, False])
 def test_array_em_matches_dict_reference(smoke_corpus, direction, vb):
     pairs, _, _, _ = load_parallel_corpus(smoke_corpus["src"], smoke_corpus["tgt"])
-    config = AlignerConfig(vb=vb).em_config()
+    config = AlignerConfig(vb=vb)
     table = uniform_init(pairs, direction, config)
     sides = [oriented(pair, direction) for pair in pairs]
     ref = oracles.as_dict(table.probs)
     # Same table in, same summation order: the first E-step is bit-identical.
     assert oracles.as_dict(expected_counts(pairs, table, config)) == oracles.dict_expected_counts(sides, ref, True)
-    for _ in range(config.iterations):
+    for _ in range(config.em_iters):
         counts = oracles.dict_expected_counts(sides, ref, config.use_null)
         if vb:
             ref = oracles.dict_normalize_vb(counts, config.alpha, table.cond_vocab_size)
@@ -271,10 +271,10 @@ def test_train_ibm1_equals_the_public_em_loop(direction, vb, use_null):
         for _ in range(2 * workers.CHUNK_SIZE + 17)
     ]
     pairs, _, _ = corpus_from_tokens(token_pairs)
-    config = AlignerConfig(em_iters=3, vb=vb, use_null=use_null).em_config()
+    config = AlignerConfig(em_iters=3, vb=vb, use_null=use_null)
     table = uniform_init(pairs, direction, config)
     assert table.cond_vocab_size == len(set(table.probs.conditioned().tolist()))
-    for _ in range(config.iterations):
+    for _ in range(config.em_iters):
         table = oracles.em_step(pairs, table, config)
     got = train_ibm1(pairs, direction, config)
     assert np.array_equal(got.probs.packed, table.probs.packed)
@@ -285,7 +285,7 @@ def test_train_ibm1_equals_the_public_em_loop(direction, vb, use_null):
 
 def test_empty_corpus_rejected():
     with pytest.raises(ValueError):
-        train_ibm1([], FORWARD, AlignerConfig().em_config())
+        train_ibm1([], FORWARD, AlignerConfig())
 
 
 # --- M-step formulas ---
@@ -299,7 +299,7 @@ def test_plain_mstep_normalizes_counts():
 def test_vb_mstep_formula():
     # Corpus {(x, e), (y, u)} with NULL off: one count per pair, V = 2.
     pairs, vsrc, vtgt = corpus_from_tokens([(["x"], ["e"]), (["y"], ["u"])])
-    config = AlignerConfig(em_iters=1, vb=True, alpha=0.01, use_null=False).em_config()
+    config = AlignerConfig(em_iters=1, vb=True, alpha=0.01, use_null=False)
     table = train_ibm1(pairs, FORWARD, config)
     got = table_as_tokens(table, vsrc, vtgt)
     want = math.exp(digamma(1.01)) / math.exp(digamma(1.02))
@@ -316,7 +316,7 @@ def test_vb_subnormalization():
     pairs, _, _ = corpus_from_tokens(
         [(["a", "b"], ["x"]), (["b", "c"], ["x", "y"]), (["a"], ["y"])]
     )
-    table = train_ibm1(pairs, FORWARD, AlignerConfig(em_iters=3, vb=True).em_config())
+    table = train_ibm1(pairs, FORWARD, AlignerConfig(em_iters=3, vb=True))
     sums = {}
     for (f, e), p in oracles.as_dict(table.probs).items():
         assert 0.0 < p <= 1.0
@@ -327,7 +327,7 @@ def test_vb_subnormalization():
 
 def test_plain_em_rows_sum_to_one():
     pairs, _, _ = corpus_from_tokens(TOY + [(["haus", "ist"], ["house", "is"])])
-    table = train_ibm1(pairs, FORWARD, AlignerConfig(em_iters=4, vb=False).em_config())
+    table = train_ibm1(pairs, FORWARD, AlignerConfig(em_iters=4, vb=False))
     sums = {}
     for (f, e), p in oracles.as_dict(table.probs).items():
         assert 0.0 < p <= 1.0
@@ -348,7 +348,7 @@ def test_plain_em_likelihood_monotone():
         [(["a", "b", "c"], ["x", "y"]), (["b", "c"], ["y", "z"]), (["a"], ["x", "z"])] * 4
     )
     for use_null in (True, False):
-        config = AlignerConfig(em_iters=1, vb=False, use_null=use_null).em_config()
+        config = AlignerConfig(em_iters=1, vb=False, use_null=use_null)
         table = uniform_init(pairs, FORWARD, config)
         previous = corpus_log_likelihood(pairs, table, config)
         for _ in range(5):
@@ -362,7 +362,7 @@ def test_direction_symmetry():
     pairs, _, _ = corpus_from_tokens(TOY)
     swapped_tokens = [(tgt, src) for src, tgt in TOY]
     swapped, _, _ = corpus_from_tokens(swapped_tokens)
-    config = AlignerConfig().em_config()
+    config = AlignerConfig()
     fwd = train_ibm1(pairs, FORWARD, config)
     rev = train_ibm1(swapped, REVERSE, config)
     assert fwd.probs == rev.probs
@@ -450,7 +450,7 @@ def random_viterbi_case(rng, direction, kind, use_null):
         for k in range(int(rng.integers(1, 12)))
     ]
     if kind == "trained":
-        config = AlignerConfig(em_iters=2, use_null=use_null).em_config()
+        config = AlignerConfig(em_iters=2, use_null=use_null)
         return pairs, train_ibm1(pairs, direction, config)
     keys = sorted({(f, e) for pair in pairs for cond, cing in [oriented(pair, direction)]
                    for f in cond for e in cing + (NULL_ID,)})
@@ -504,7 +504,7 @@ def test_vbh_pair_with_empty_symmetrization_contributes_nothing():
 
 def test_vbh_idempotent_when_viterbi_stable():
     pairs, _, _ = corpus_from_tokens([(["a", "b"], ["x", "y"]), (["b"], ["y"]), (["a"], ["x"])])
-    config = AlignerConfig(em_iters=3).em_config()
+    config = AlignerConfig(em_iters=3)
     t_fwd = train_ibm1(pairs, FORWARD, config)
     t_rev = train_ibm1(pairs, REVERSE, config)
     once_fwd, once_rev = vbh_reestimate(pairs, t_fwd, t_rev, config.use_null)
@@ -530,8 +530,7 @@ def test_vbh_tables_equal_per_pair_composition(monkeypatch, seed, use_null):
     # train_model and vbh_reestimate.
     pairs, vsrc, vtgt = zipf_corpus(monkeypatch, seed)
     config = AlignerConfig(vbh=True, use_null=use_null)
-    em = config.em_config()
-    t_fwd, t_rev = train_ibm1(pairs, FORWARD, em), train_ibm1(pairs, REVERSE, em)
+    t_fwd, t_rev = train_ibm1(pairs, FORWARD, config), train_ibm1(pairs, REVERSE, config)
     counts_fwd, counts_rev = Counter(), Counter()
     for pair in pairs:
         a_fwd = oracles.viterbi_alignment(pair, t_fwd, use_null)
@@ -568,7 +567,7 @@ def test_vbh_training_peak_memory_stays_within_em_training(monkeypatch):
 
 def test_ttable_roundtrip(tmp_path):
     pairs, vsrc, vtgt = corpus_from_tokens(TOY)
-    table = train_ibm1(pairs, FORWARD, AlignerConfig().em_config())
+    table = train_ibm1(pairs, FORWARD, AlignerConfig())
     path = tmp_path / "ttable.fwd"
     table.save(path, vsrc, vtgt)
     reloaded = TTable.load(path, vsrc, vtgt, FALLBACK)

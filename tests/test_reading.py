@@ -61,6 +61,32 @@ def test_every_reader_reads_each_line_end_as_a_line(files, kind, line_end, last_
     assert read(files) == value
 
 
+# kind: lines that make its file of READERS malformed
+MALFORMED = {
+    "source corpus": ["das haus", "das", "haus"],
+    "target corpus": ["the house"],
+    "joined corpus": ["das haus ||| the house", "das the"],
+    "vocabulary": ["das", "das"],
+    "config.txt": ["beam=wide"],
+    "pharaoh": ["0-0 nope"],
+    "gold": ["0-0 x+2"],
+}
+
+
+@pytest.mark.parametrize("kind", sorted(READERS))
+def test_except_value_error_catches_every_malformed_input(files, kind):
+    # CorpusError included: a line-count mismatch, a missing separator.
+    name, _, read, _ = READERS[kind]
+    path = files / name
+    path.write_text("".join(line + "\n" for line in MALFORMED[kind]), encoding="utf-8")
+    try:
+        read(files)
+    except ValueError as exc:
+        assert str(path) in str(exc)
+    else:
+        pytest.fail(f"malformed {kind} read without an error")
+
+
 def test_an_empty_file_has_no_lines(tmp_path):
     empty = tmp_path / "empty"
     empty.write_bytes(b"")

@@ -90,6 +90,11 @@ def test_out_of_bounds_names_the_side_and_the_pair(a_fwd, a_rev, n, m, message):
         grow_diag_final_and(a_fwd, a_rev, n, m)
 
 
+def test_negative_link_index_rejected():
+    with pytest.raises(ValueError, match="negative link index -2"):
+        grow_diag_pairs([{(-2, 0), (0, 0)}], [{(-2, 0)}])
+
+
 def test_no_pairs_give_no_link_sets():
     assert grow_diag_pairs([], []) == []
 
