@@ -129,6 +129,8 @@ def cmd_align(args):
     # AlignerConfig checks each setting on its own, so a bad flag fails here,
     # against the defaults, before the model is read.
     AlignerConfig(threads=args.threads, **overrides)
+    if args.dump_matrix:
+        _check_out_file(args.dump_matrix)
     model = load_model(args.model)
     # Input must be read as the model's vocabulary was: lowercasing comes
     # from the snapshot, and --lowercase may not contradict it.
@@ -201,12 +203,14 @@ def cmd_eval(args):
 
 
 def cmd_extract(args):
+    if args.max_len < 1:
+        raise ValueError(f"--max-len must be positive, got {args.max_len}")
+    if args.dump:
+        _check_out_file(args.dump)
     bitext = read_bitext(args.source, args.target, args.lowercase)
     alignments = read_alignment_file(args.align)
     if len(bitext) != len(alignments):
         raise CorpusError(f"corpus has {len(bitext)} lines, alignment has {len(alignments)} lines")
-    if args.max_len < 1:
-        raise ValueError(f"--max-len must be positive, got {args.max_len}")
     for lineno, ((src, tgt), links) in enumerate(zip(bitext, alignments), start=1):
         for j, i in sorted(links):
             if j >= len(src) or i >= len(tgt):

@@ -34,7 +34,6 @@ import numpy as np
 
 from .corpus import NULL_ID, NULL_TOKEN, read_text
 from .symmetrize import _grow_diag
-from .workers import CHUNK_SIZE
 
 FORWARD = "fwd"
 REVERSE = "rev"
@@ -408,34 +407,19 @@ class _Links:
         m = np.fromiter((len(e) + len(null) for _, e in sides), np.int64, len(sides))
         cond = np.fromiter(chain.from_iterable(c for c, _ in sides), np.int64, int(n.sum()))
         cing = np.fromiter(chain.from_iterable(e + null for _, e in sides), np.int64, int(m.sum()))
-        self.pair, _, _, self.occ, col = product_cells(n, m)
+        _, _, _, self.occ, col = product_cells(n, m)
         self.null = len(null)
         self.slots = np.repeat(m, n)
         self.keys, self.key_of_link = np.unique(pack(cond[self.occ], cing[col]), return_inverse=True)
 
-    def chunk_groups(self):
-        """(group of each link, key of each group) for groups of one key in one
-        chunk of CHUNK_SIZE pairs, numbered chunk by chunk."""
-        groups, group_of_link = np.unique(
-            self.pair // CHUNK_SIZE * len(self.keys) + self.key_of_link, return_inverse=True
-        )
-        return group_of_link, groups % max(len(self.keys), 1)
-
     def cond_vocab_size(self):
         return int(np.count_nonzero(np.bincount(self.keys & _LOW)))
 
-    def expected_counts(self, p, chunk_groups):
-        """E-step counts under probabilities p, summed in the order of a chunked corpus loop.
-
-        Within a chunk of CHUNK_SIZE pairs, np.bincount adds link by link in
-        corpus order; the chunk sums are then added in chunk order.
-        chunk_groups is what self.chunk_groups() returns.
-        """
+    def expected_counts(self, p):
+        """E-step counts under probabilities p, each key's shares added link by link in corpus order."""
         share = p[self.key_of_link]
         share /= np.bincount(self.occ, weights=share)[self.occ]
-        group_of_link, key_of_group = chunk_groups
-        partial = np.bincount(group_of_link, weights=share)
-        return np.bincount(key_of_group, weights=partial, minlength=len(self.keys))
+        return np.bincount(self.key_of_link, weights=share, minlength=len(self.keys))
 
     def viterbi(self, p):
         """Per occurrence, the index of its best conditioning word under p, -1 where NULL wins.
@@ -480,7 +464,7 @@ def expected_counts(pairs, table, config, threads=1):
     if (where < 0).any():
         k = int(np.flatnonzero(where < 0)[0])
         raise KeyError((int(links.keys[k] & _LOW), int(links.keys[k] >> _SHIFT)))
-    return PairMap(links.keys, links.expected_counts(table.probs.data[where], links.chunk_groups()))
+    return PairMap(links.keys, links.expected_counts(table.probs.data[where]))
 
 
 def normalize_plain(counts):
@@ -513,12 +497,11 @@ def _trained(pairs, direction, config, log=None):
     if not pairs:
         raise ValueError("cannot train on an empty corpus")
     links = _Links(pairs, direction, config.use_null)
-    chunk_groups = links.chunk_groups()
     group = _conditioning_groups(links.keys)
     vocab_size = links.cond_vocab_size()
     probs = 1.0 / np.bincount(group)[group]
     for it in range(config.em_iters):
-        counts = links.expected_counts(probs, chunk_groups)
+        counts = links.expected_counts(probs)
         probs = _normalized(counts, group, config.alpha if config.vb else None, vocab_size)
         if log is not None:
             log(f"em {direction} iteration {it + 1}/{config.em_iters}")

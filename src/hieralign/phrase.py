@@ -13,16 +13,6 @@ from __future__ import annotations
 DEFAULT_MAX_LEN = 7  # longest phrase kept, in words on either side
 
 
-def is_consistent(src_span, tgt_span, links):
-    """True when no link crosses the boundary of the span pair."""
-    j0, j1 = src_span
-    i0, i1 = tgt_span
-    for j, i in links:
-        if (j0 <= j < j1) != (i0 <= i < i1):
-            return False
-    return True
-
-
 def extract_spans(n, m, links, max_len=DEFAULT_MAX_LEN, unaligned_extension=True):
     """All consistent span pairs with at least one link, as half-open spans.
 

@@ -3,15 +3,16 @@
 map_chunks runs a function over chunks the caller cut, independently of
 the worker count, and returns the results in chunk order, so any
 reduction over them is bit-identical whether 1 or N processes ran.
-Alignment maps over the parser's lockstep groups.
+Alignment maps over the parser's lockstep groups. chunked cuts a list
+into chunks of CHUNK_SIZE items; the package does not call it, only
+perfbench's traced alignment flow does.
 """
 
 from __future__ import annotations
 
 import multiprocessing as mp
 
-# Fixed, not a tuning knob: the E-step sums its counts in chunks of this many
-# pairs, so this sets EM's summation order. Alignment does not read it.
+# chunked's default chunk size; nothing else reads it.
 CHUNK_SIZE = 128
 
 _payload = None

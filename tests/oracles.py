@@ -19,6 +19,8 @@ str.split, the reference for TTable.load. reference_digamma lifts the whole arra
 every step, the bit-exact reference for the package's in-place digamma.
 reference_grow_diag grows one pair on Python sets, one candidate at a
 time, the reference for the package's corpus-wide lockstep grow-diag.
+is_consistent checks a phrase span pair against its definition link by
+link, the reference for the package's phrase extraction.
 """
 
 import math
@@ -111,26 +113,21 @@ def dict_digamma(x):
     return result
 
 
-def dict_expected_counts(oriented_pairs, probs, use_null, chunk_size=128):
+def dict_expected_counts(oriented_pairs, probs, use_null):
     """Model 1 E-step over id pairs with a {(f, e): p} table, NULL as id 0.
 
-    Counts are summed pair by pair within chunks of chunk_size pairs, and
-    the chunk sums are added in chunk order.
+    Counts are summed pair by pair in corpus order.
     """
-    total = {}
-    for start in range(0, len(oriented_pairs), chunk_size):
-        counts = {}
-        for cond_seq, cing_seq in oriented_pairs[start:start + chunk_size]:
-            candidates = list(cing_seq) + ([0] if use_null else [])
-            for f in cond_seq:
-                denom = 0.0
-                for e in candidates:
-                    denom += probs[(f, e)]
-                for e in candidates:
-                    counts[(f, e)] = counts.get((f, e), 0.0) + probs[(f, e)] / denom
-        for key, val in counts.items():
-            total[key] = total.get(key, 0.0) + val
-    return total
+    counts = {}
+    for cond_seq, cing_seq in oriented_pairs:
+        candidates = list(cing_seq) + ([0] if use_null else [])
+        for f in cond_seq:
+            denom = 0.0
+            for e in candidates:
+                denom += probs[(f, e)]
+            for e in candidates:
+                counts[(f, e)] = counts.get((f, e), 0.0) + probs[(f, e)] / denom
+    return counts
 
 
 def dict_normalize_plain(counts, floor=1e-300):
@@ -623,6 +620,16 @@ def reference_grow_diag(a_fwd, a_rev):
                     tgt_aligned.add(cand[1])
                     changed = True
     return links
+
+
+def is_consistent(src_span, tgt_span, links):
+    """True when no link crosses the boundary of the span pair."""
+    j0, j1 = src_span
+    i0, i1 = tgt_span
+    for j, i in links:
+        if (j0 <= j < j1) != (i0 <= i < i1):
+            return False
+    return True
 
 
 def pair_map(mapping):

@@ -77,6 +77,30 @@ def test_os_errors_fail_with_an_error_line(toy, capsys, command):
     assert not (toy["dir"] / "out").exists() and not (toy["dir"] / "absent").exists()
 
 
+@pytest.mark.parametrize("command", [["extract", "-s", "{file}", "-t", "{file}", "--align", "{file}", "--dump", "{dir}"],
+                                     ["extract", "-s", "{file}", "-t", "{file}", "--align", "{file}",
+                                      "--dump", "{dir}/absent/out"],
+                                     ["extract", "-s", "{file}", "-t", "{file}", "--align", "{file}", "--max-len", "0"],
+                                     ["align", "-s", "{file}", "-t", "{file}", "-m", "{dir}", "--dump-matrix", "{dir}"],
+                                     ["align", "-s", "{file}", "-t", "{file}", "-m", "{dir}", "--dump-matrix", "{file}/out"]])
+def test_bad_output_and_max_len_fail_before_any_input_is_read(toy, capsys, monkeypatch, command):
+    # A --dump or --dump-matrix path that open(..., "w") would refuse, and a
+    # --max-len below 1, fail before the corpus, the alignments or the model
+    # are read, and before any phrase table is built.
+    def unreached(*args, **kwargs):
+        raise AssertionError("reached before the bad option was reported")
+
+    for name in ("read_bitext", "read_alignment_file", "load_model"):
+        monkeypatch.setattr(f"hieralign.cli.{name}", unreached)
+    monkeypatch.setattr(phrase, "phrase_table", unreached)
+    names = {"dir": str(toy["dir"]), "file": toy["src"]}
+    assert main([arg.format(**names) for arg in command]) == 1
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err.splitlines()[-1].startswith("error: ")
+    assert not (toy["dir"] / "absent").exists()
+
+
 def test_align_single_token_pair(tmp_path, capsys):
     src = write(tmp_path / "s", "a\n")
     tgt = write(tmp_path / "t", "x\n")

@@ -14,7 +14,6 @@ from scipy.special import digamma as scipy_digamma
 
 import oracles
 from conftest import TOKENS
-from hieralign import workers
 from hieralign.corpus import (
     NULL_ID,
     NULL_TOKEN,
@@ -263,12 +262,12 @@ def test_array_em_matches_dict_reference(smoke_corpus, direction, vb):
 @pytest.mark.parametrize("vb", [True, False])
 @pytest.mark.parametrize("use_null", [True, False])
 def test_train_ibm1_equals_the_public_em_loop(direction, vb, use_null):
-    # Repeated words within and across pairs, over two chunks of the E-step.
+    # Repeated words within and across pairs.
     rng = random.Random(14)
     token_pairs = [
         ([f"s{rng.randrange(30)}" for _ in range(rng.randint(1, 9))],
          [f"t{rng.randrange(25)}" for _ in range(rng.randint(1, 9))])
-        for _ in range(2 * workers.CHUNK_SIZE + 17)
+        for _ in range(273)
     ]
     pairs, _, _ = corpus_from_tokens(token_pairs)
     config = AlignerConfig(em_iters=3, vb=vb, use_null=use_null)

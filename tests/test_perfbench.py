@@ -80,11 +80,11 @@ def test_traced_align_chunk_reads_the_payload_align_lines_installs(bench, monkey
 @pytest.mark.parametrize("vbh", [False, True])
 def test_train_traced_tables_equal_train_model(bench, vbh):
     flow, tracer = bench
-    # Repeated words, over two chunks of the E-step.
+    # Repeated words within and across pairs.
     rng = random.Random(14)
     bitext = [([f"s{rng.randrange(15)}" for _ in range(rng.randint(1, 7))],
                [f"t{rng.randrange(15)}" for _ in range(rng.randint(1, 7))])
-              for _ in range(workers.CHUNK_SIZE + 40)]
+              for _ in range(168)]
     raw = drop_empty(bitext)
     vsrc, vtgt = build_vocabulary(raw)
     pairs = encode_pairs(raw, vsrc, vtgt)

@@ -1,9 +1,9 @@
 import random
 
+import oracles
 from hieralign.corpus import SentencePair
 from hieralign.phrase import (
     extract_spans,
-    is_consistent,
     phrase_strings,
     phrase_table,
 )
@@ -22,7 +22,7 @@ def brute_force_spans(n, m, links, max_len, tight=False):
                     inside = {(j, i) for j, i in links if j0 <= j < j1 and i0 <= i < i1}
                     if not inside:
                         continue
-                    if not is_consistent((j0, j1), (i0, i1), links):
+                    if not oracles.is_consistent((j0, j1), (i0, i1), links):
                         continue
                     if tight and not (
                         j0 in aligned_src
@@ -125,8 +125,8 @@ def test_consistency_antitone_in_links():
             for i1 in range(i0 + 1, m + 1)
         ]
         for src_span, tgt_span in spans:
-            if is_consistent(src_span, tgt_span, links | extra):
-                assert is_consistent(src_span, tgt_span, links)
+            if oracles.is_consistent(src_span, tgt_span, links | extra):
+                assert oracles.is_consistent(src_span, tgt_span, links)
 
 
 def test_phrase_table_size_distinct():

@@ -330,11 +330,12 @@ def test_smoke_output_is_pinned(smoke_run):
     assert hashlib.sha256(smoke_run["out"].read_bytes()).hexdigest() == SMOKE_OUTPUT_SHA256
 
 
-# sha256 of the lexicon files of the default-settings smoke model. Model
-# files are byte-identical across speedups of their writer.
+# sha256 of the lexicon files of the default-settings smoke model, with
+# EM's expected counts summed in corpus order. Model files are
+# byte-identical across speedups of their writer.
 SMOKE_TTABLE_SHA256 = {
-    "ttable.fwd": "9ed5b78042f56e168faa73e11c51d97782b91701c16f1b256bc99192d52e1e0d",
-    "ttable.rev": "ee5a2cf7585ce3bbc10964ffec00266cfe28b076b4aacca96c6a14794b83aef1",
+    "ttable.fwd": "d4bba7fe95e9d3f8ef93560354624ca32d23dd5c0b14837a564c905ef5b77250",
+    "ttable.rev": "3d0bfac4fcad89ddb4675f1c5c4b9f0f8b306df613e33f4f74ae8582cfa91b16",
 }
 
 
