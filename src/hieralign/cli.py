@@ -92,8 +92,6 @@ def _report_skips(stats):
 def _train(bitext, config):
     pairs, vsrc, vtgt, stats = encode_corpus(bitext, config.max_sentence_len)
     _report_skips(stats)
-    if not pairs:
-        raise CorpusError("no usable sentence pairs after filtering")
     return train_model(pairs, vsrc, vtgt, config, log=stderr_log)
 
 
@@ -191,8 +189,6 @@ def _fmt_metric(value):
 def cmd_eval(args):
     golds = evaluate.load_gold(args.gold)
     hyps = read_alignment_file(args.hyp)
-    if len(golds) != len(hyps):
-        raise CorpusError(f"gold has {len(golds)} lines, hypothesis has {len(hyps)} lines")
     names = ("precision", "recall", "aer")
     if args.per_sentence:
         for k, m in enumerate(evaluate.per_sentence(hyps, golds)):
@@ -209,8 +205,6 @@ def cmd_extract(args):
         _check_out_file(args.dump)
     bitext = read_bitext(args.source, args.target, args.lowercase)
     alignments = read_alignment_file(args.align)
-    if len(bitext) != len(alignments):
-        raise CorpusError(f"corpus has {len(bitext)} lines, alignment has {len(alignments)} lines")
     for lineno, ((src, tgt), links) in enumerate(zip(bitext, alignments), start=1):
         for j, i in sorted(links):
             if j >= len(src) or i >= len(tgt):
@@ -231,6 +225,8 @@ def cmd_sweep(args):
             for theta in args.theta_grid.split(",") for delta in args.delta_grid.split(",")]
     golds = evaluate.load_gold(args.gold)
     bitext = read_input(args, config.lowercase)
+    if len(golds) != len(bitext):
+        raise CorpusError(f"gold has {len(golds)} lines, corpus has {len(bitext)} lines")
     model = _train(bitext, config)
     for point in grid:
         lines = align_lines(bitext, dataclasses.replace(model, config=point))

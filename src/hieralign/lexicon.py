@@ -425,20 +425,16 @@ class _Links:
         """Per occurrence, the index of its best conditioning word under p, -1 where NULL wins.
 
         Ties go to the lowest index. NULL, each occurrence's last slot when
-        enabled, wins only when strictly better than the best word.
+        enabled, so wins only when strictly better than the best word.
         """
         p = p[self.key_of_link]
         first = np.cumsum(self.slots) - self.slots
-        if self.null:
-            last = first + self.slots - 1
-            p_null = p[last]
-            p[last] = -np.inf
         peak = np.maximum.reduceat(p, first)
         at = np.arange(len(p))
         at[p != peak.repeat(self.slots)] = len(p)
         best = np.minimum.reduceat(at, first) - first
         if self.null:
-            best[p_null > peak] = -1
+            best[best == self.slots - 1] = -1
         return best
 
 

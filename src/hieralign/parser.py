@@ -343,25 +343,22 @@ class _Lockstep:
         # the cut than there is room for, the lowest positions stay.
         entries = np.diff(bounds)
         over = (entries > k).nonzero()[0]
-        if not over.size:
-            kept = np.arange(pool.size)
-        else:
-            cuts = np.full(self.pairs, -np.inf)
-            for g, a, b in zip(over.tolist(), bounds[over].tolist(), bounds[over + 1].tolist()):
-                cuts[g] = np.partition(pool[a:b], b - a - k)[b - a - k]
-            keep = np.empty(pool.size, dtype=bool)
-            for a, b, lo, hi, counts in _slices(first, end, SLICE):
-                np.greater_equal(pool[a:b], cuts[pair[lo:hi]].repeat(counts), out=keep[a:b])
-            kept = keep.nonzero()[0]
-            if kept.size > pool.size - (entries[over] - k).sum():
-                # A tied entry stays when fewer than room, the beam left
-                # after its pair's better entries, tie before it.
-                g = bounds.searchsorted(kept, side="right") - 1
-                tied = pool[kept] == cuts[g]
-                before = tied.cumsum() - tied
-                rank = before - before[kept.searchsorted(bounds[g])]
-                room = k - np.bincount(g[~tied], minlength=self.pairs)
-                kept = kept[~tied | (rank < room[g])]
+        cuts = np.full(self.pairs, -np.inf)
+        for g, a, b in zip(over.tolist(), bounds[over].tolist(), bounds[over + 1].tolist()):
+            cuts[g] = np.partition(pool[a:b], b - a - k)[b - a - k]
+        keep = np.empty(pool.size, dtype=bool)
+        for a, b, lo, hi, counts in _slices(first, end, SLICE):
+            np.greater_equal(pool[a:b], cuts[pair[lo:hi]].repeat(counts), out=keep[a:b])
+        kept = keep.nonzero()[0]
+        if kept.size > pool.size - (entries[over] - k).sum():
+            # A tied entry stays when fewer than room, the beam left
+            # after its pair's better entries, tie before it.
+            g = bounds.searchsorted(kept, side="right") - 1
+            tied = pool[kept] == cuts[g]
+            before = tied.cumsum() - tied
+            rank = before - before[kept.searchsorted(bounds[g])]
+            room = k - np.bincount(g[~tied], minlength=self.pairs)
+            kept = kept[~tied | (rank < room[g])]
 
         # Each kept entry becomes a state: its parent's stack without the
         # top block, then the split's non-terminal halves, right first.

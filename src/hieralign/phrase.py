@@ -74,7 +74,7 @@ def phrase_strings(src_tokens, tgt_tokens, links, max_len=DEFAULT_MAX_LEN, unali
 def phrase_table(bitext, alignments, max_len=DEFAULT_MAX_LEN, unaligned_extension=True):
     """Distinct (source text, target text) phrase pairs across an aligned corpus."""
     if len(bitext) != len(alignments):
-        raise ValueError("corpus and alignments differ in length")
+        raise ValueError(f"corpus has {len(bitext)} lines, alignment has {len(alignments)} lines")
     table = set()
     for (src, tgt), links in zip(bitext, alignments):
         table |= phrase_strings(src, tgt, links, max_len, unaligned_extension)

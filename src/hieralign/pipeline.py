@@ -78,6 +78,9 @@ class AlignerConfig:
         for f in fields(self):
             if f.type != "bool" and not getattr(self, f.name) < math.inf:
                 raise ValueError(f"{f.name} must be finite")
+        # From p0 = 1 on, the floor p0^2 meets the upper clamp and every weight is the same.
+        if not self.p0 < 1:
+            raise ValueError("p0 must be in (0, 1)")
 
     def em_config(self):
         """Self; kept only for perfbench/flow.py, until it passes the config."""
@@ -89,7 +92,7 @@ class AlignerConfig:
         return self.em_iters
 
     def matrix_params(self):
-        """Self; kept only for perfbench/flow.py and tests/test_perfbench.py, until they pass the config."""
+        """Self; kept only for perfbench/flow.py, until it passes the config."""
         return self
 
     def snapshot(self):

@@ -59,10 +59,8 @@ def build_soft_matrices(pairs, t_fwd, t_rev, config):
     batch, so a matrix does not depend on the pairs built with it. The
     matrices' weights are views into one flat array, in that order.
     """
-    if not pairs:
-        return []
-    n = np.array([pair.n for pair in pairs])
-    m = np.array([pair.m for pair in pairs])
+    n = np.fromiter((pair.n for pair in pairs), np.int64, len(pairs))
+    m = np.fromiter((pair.m for pair in pairs), np.int64, len(pairs))
     pair_of, j, i, row, col = product_cells(n, m)
     source = np.fromiter(chain.from_iterable(pair.source for pair in pairs), np.int64, n.sum())
     target = np.fromiter(chain.from_iterable(pair.target for pair in pairs), np.int64, m.sum())

@@ -1,8 +1,7 @@
-"""Worker-pool helpers with order-preserving reduction.
+"""A worker pool that maps a function over chunks, yielding results in chunk order.
 
 map_chunks runs a function over chunks the caller cut, independently of
-the worker count, and returns the results in chunk order, so any
-reduction over them is bit-identical whether 1 or N processes ran.
+the worker count, so its output is the same whether 1 or N processes ran.
 Alignment maps over the parser's lockstep groups. chunked cuts a list
 into chunks of CHUNK_SIZE items; the package does not call it, only
 perfbench's traced alignment flow does.

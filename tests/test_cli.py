@@ -278,6 +278,14 @@ def test_pipeline_threads_identical_output(toy):
     assert out1.read_bytes() == out2.read_bytes()
 
 
+def test_pipeline_model_dir_aligns_as_the_pipeline_did(toy, capsys):
+    out, model = toy["dir"] / "out", toy["dir"] / "model"
+    assert main(["pipeline", "-s", toy["src"], "-t", toy["tgt"], "-o", str(out), "--model-dir", str(model)]) == 0
+    capsys.readouterr()
+    assert main(["align", "-s", toy["src"], "-t", toy["tgt"], "-m", str(model)]) == 0
+    assert capsys.readouterr().out.encode("utf-8") == out.read_bytes()
+
+
 def test_joined_bitext_input(tmp_path):
     joined = write(tmp_path / "joined", "a b ||| x y\nc ||| z\n")
     out = tmp_path / "out.align"
@@ -338,6 +346,29 @@ def test_symmetrize_gdfa_lines_equal_the_set_loop(tmp_path, capsys):
     assert main(["symmetrize", "--fwd", fwd, "--rev", rev, "--heuristic", "gdfa"]) == 0
     want = [format_alignment(oracles.reference_grow_diag(a, b)) for a, b in zip(fwds, revs)]
     assert capsys.readouterr().out.splitlines() == want
+
+
+@pytest.mark.parametrize("files, command, message", [
+    # Every pair has an empty side, so none is left to train on.
+    ({"s": "a\n\n", "t": "\nx\n"}, ["pipeline", "-s", "{s}", "-t", "{t}", "-o", "{dir}/o"],
+     "cannot train on an empty corpus"),
+    ({"s": "a\n"}, ["pipeline", "-s", "{s}", "-o", "{dir}/o"], "need both -s/--source and -t/--target (or --bitext)"),
+    ({"f": "0-0\n0-0\n", "r": "0-0\n"}, ["symmetrize", "--fwd", "{f}", "--rev", "{r}"],
+     "--fwd has 2 lines, --rev has 1 lines"),
+    ({"g": "0-0\n0-0\n", "h": "0-0\n"}, ["eval", "--gold", "{g}", "--hyp", "{h}"],
+     "hypothesis has 1 sentences, gold has 2"),
+    ({"g": "0-0\n", "h": "0-0\n0-0\n"}, ["eval", "--gold", "{g}", "--hyp", "{h}", "--per-sentence"],
+     "hypothesis has 2 sentences, gold has 1"),
+    ({"s": "a\nb\n", "t": "x\ny\n", "a": "0-0\n"}, ["extract", "-s", "{s}", "-t", "{t}", "--align", "{a}"],
+     "corpus has 2 lines, alignment has 1 lines"),
+], ids=["no-usable-pair", "source-without-target", "symmetrize", "eval", "eval-per-sentence", "extract"])
+def test_unusable_inputs_fail_with_an_error_line(tmp_path, capsys, files, command, message):
+    names = {name: write(tmp_path / name, text) for name, text in files.items()}
+    assert main([arg.format(dir=tmp_path, **names) for arg in command]) == 1
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err.splitlines()[-1] == f"error: {message}"
+    assert not (tmp_path / "o").exists()
 
 
 def test_alignment_file_errors_name_the_file(tmp_path, toy, capsys):
@@ -455,6 +486,7 @@ def test_sweep_cli(toy, tmp_path, capsys):
 @pytest.mark.parametrize("gold_text, option, message", [
     ("0-0 1-1\n0-0\n0-0 1-1 2-2\n", ["--theta-grid", "0"], "sigma_theta must be positive"),
     ("0-0 1-1\n0-0\n0-0 1_1 2-2\n", [], "1_1"),
+    ("0-0\n", [], "gold has 1 lines, corpus has 3 lines"),
 ])
 def test_sweep_checks_its_settings_and_gold_before_training(toy, tmp_path, capsys, gold_text, option, message):
     gold = write(tmp_path / "g", gold_text)
@@ -531,6 +563,10 @@ def test_fallback_over_one_rejected_before_training(toy, capsys):
 
 def test_infinite_alpha_rejected_before_training(toy, capsys):
     assert_rejected_before_training(toy, capsys, "--alpha", "inf", "inf", "alpha must be finite")
+
+
+def test_p0_of_one_or_more_rejected_before_training(toy, capsys):
+    assert_rejected_before_training(toy, capsys, "--p0", "1", "1e6", "p0 must be in (0, 1)")
 
 
 def test_bitext_and_split_files_conflict(toy, tmp_path, capsys):

@@ -236,6 +236,15 @@ def test_expected_counts_ignore_worker_count():
     assert (serial != parallel) is False
 
 
+def test_expected_counts_name_a_pair_missing_from_the_table():
+    pairs, _, _ = corpus_from_tokens([(["a"], ["x"]), (["a"], ["y"])])
+    config = AlignerConfig()
+    table = uniform_init(pairs[:1], FORWARD, config)
+    with pytest.raises(KeyError) as err:
+        expected_counts(pairs, table, config)
+    assert err.value.args == ((pairs[1].source[0], pairs[1].target[0]),)
+
+
 @pytest.mark.parametrize("direction", [FORWARD, REVERSE])
 @pytest.mark.parametrize("vb", [True, False])
 def test_array_em_matches_dict_reference(smoke_corpus, direction, vb):
@@ -641,6 +650,17 @@ def test_ttable_load_rejects_malformed_header(tmp_path, header):
     with pytest.raises(ValueError) as err:
         TTable.load(path, vsrc, vtgt, FALLBACK)
     assert str(err.value) == f"{path}:1: not a ttable file"
+
+
+def test_ttable_load_rejects_an_unknown_direction(tmp_path):
+    vsrc, vtgt = Vocabulary(), Vocabulary()
+    vsrc.add("a")
+    vtgt.add("x")
+    path = tmp_path / "ttable.fwd"
+    path.write_text("#ttable sideways 1\na\tx\t0.5\n", encoding="utf-8")
+    with pytest.raises(ValueError) as err:
+        TTable.load(path, vsrc, vtgt, FALLBACK)
+    assert str(err.value) == f"{path}:1: unknown direction 'sideways'"
 
 
 def draw_vocabulary(data):

@@ -38,7 +38,7 @@ def test_traced_align_chunk_lines_equal_align_lines(bench):
     vsrc, vtgt = build_vocabulary(raw)
     model = train_model(encode_pairs(raw, vsrc, vtgt), vsrc, vtgt, AlignerConfig(em_iters=2))
     tasks = align_tasks(bitext, model)
-    payload = (model.t_fwd, model.t_rev, model.config.matrix_params(), model.config.beam)
+    payload = (model.t_fwd, model.t_rev, model.config, model.config.beam)
 
     results = list(workers.map_chunks(tracer.traced_align_chunk, payload, workers.chunked(tasks)))
     lines = [line for chunk_lines, _, _ in results for line in chunk_lines]

@@ -47,14 +47,15 @@ def test_snapshot_roundtrip():
     assert dataclasses.asdict(restored) == dataclasses.asdict(config)
 
 
-# Any valid setting: positive finite numbers, r and fallback in (0, 1].
+# Any valid setting: positive finite numbers, r and fallback in (0, 1], p0 in (0, 1).
 SETTING_VALUES = {"bool": st.booleans(), "int": st.integers(min_value=1),
                   "float": st.floats(min_value=0, exclude_min=True, allow_nan=False, allow_infinity=False)}
 
 
 @settings(max_examples=200)
 @given(st.fixed_dictionaries({
-    f.name: st.floats(min_value=0, max_value=1, exclude_min=True) if f.name in ("r", "fallback") else SETTING_VALUES[f.type]
+    f.name: st.floats(min_value=0, max_value=1, exclude_min=True, exclude_max=f.name == "p0")
+    if f.name in ("r", "fallback", "p0") else SETTING_VALUES[f.type]
     for f in dataclasses.fields(AlignerConfig)
 }))
 def test_any_config_survives_its_snapshot(values):
@@ -85,6 +86,11 @@ def test_invalid_config_rejected():
         with pytest.raises(ValueError, match=re.escape("fallback probability must be in (0, 1]")):
             AlignerConfig(fallback=fallback)
     assert AlignerConfig(fallback=1.0).fallback == 1.0
+    for p0 in (1.0, 2.0, 1e6):
+        with pytest.raises(ValueError, match=re.escape("p0 must be in (0, 1)")):
+            AlignerConfig(p0=p0)
+    with pytest.raises(ValueError, match=re.escape("config.txt: p0 must be in (0, 1)")):
+        AlignerConfig.from_snapshot(AlignerConfig().snapshot().replace("p0=0.0001\n", "p0=1.0\n"))
 
 
 def trained_toy_model(tmp_path=None):
@@ -297,6 +303,16 @@ def test_load_model_rejects_duplicate_setting(tmp_path):
     path.write_text(path.read_text() + "beam=3\n")
     line = len(path.read_text().splitlines())
     with pytest.raises(ValueError, match=rf"{re.escape(str(path))}:{line}: duplicate setting beam$"):
+        load_model(model_dir)
+
+
+def test_load_model_rejects_a_bool_setting_that_is_not_true_or_false(tmp_path):
+    model_dir = write_model(tmp_path)
+    path = model_dir / "config.txt"
+    lines = path.read_text().splitlines(keepends=True)
+    line = lines.index("vbh=False\n") + 1
+    path.write_text("".join(lines).replace("vbh=False\n", "vbh=yes\n"))
+    with pytest.raises(ValueError, match=rf"^{re.escape(str(path))}:{line}: vbh is not a valid bool: 'yes'$"):
         load_model(model_dir)
 
 
