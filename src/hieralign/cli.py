@@ -82,16 +82,16 @@ def read_input(args, lowercase):
     return read_bitext(args.source, args.target, lowercase)
 
 
-def _report_skips(stats):
-    if stats.skipped_empty:
-        stderr_log(f"skipped {stats.skipped_empty} pair(s) with an empty side")
-    if stats.skipped_long:
-        stderr_log(f"skipped {stats.skipped_long} pair(s) over the length limit")
+def _report_skips(empty, long):
+    if empty:
+        stderr_log(f"skipped {empty} pair(s) with an empty side")
+    if long:
+        stderr_log(f"skipped {long} pair(s) over the length limit")
 
 
 def _train(bitext, config):
     pairs, vsrc, vtgt, stats = encode_corpus(bitext, config.max_sentence_len)
-    _report_skips(stats)
+    _report_skips(stats.skipped_empty, stats.skipped_long)
     return train_model(pairs, vsrc, vtgt, config, log=stderr_log)
 
 
@@ -136,10 +136,15 @@ def cmd_align(args):
         raise ValueError(f"--lowercase contradicts the model in {args.model}, trained without it")
     model.config = dataclasses.replace(model.config, threads=args.threads, **overrides)
     bitext = read_input(args, model.config.lowercase)
+    tasks = align_tasks(bitext, model)
+    # A placeholder's line has an empty side, or else one over the length limit.
+    skipped = [bitext[k] for k, task in enumerate(tasks) if task is None]
+    empty = sum(not (src and tgt) for src, tgt in skipped)
+    _report_skips(empty, len(skipped) - empty)
     started = time.perf_counter()
     if args.dump_matrix:
         with open(args.dump_matrix, "w", encoding="utf-8") as fh:
-            for pair in align_tasks(bitext, model):
+            for pair in tasks:
                 if pair is not None:
                     dump_matrix(build_soft_matrix(pair, model.t_fwd, model.t_rev, model.config), fh)
     sys.stdout.writelines(line + "\n" for line in align_lines(bitext, model))

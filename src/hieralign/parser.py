@@ -17,8 +17,10 @@ smallest step sequence by (j, i, straight < inverted)).
 
 Several matrices are searched in lockstep, level by level as arrays, with
 each matrix's candidates cut to its own beam; the result for a matrix is
-the same as when it is searched alone. A group's block sums come from
-integral images of its weights, built once in one flat array. The search
+the same as when it is searched alone. A level is expanded one window of
+whole matrices at a time, so its working arrays are sized by WINDOW, not
+by the group. A group's block sums come from integral images of its
+weights, built once in one flat array. The search
 keeps every step it takes, block and split, so each winner's steps and
 leaves are read back from it: leaves as plain ints, steps as an int
 array that only top_down_parse turns into objects.
@@ -39,23 +41,38 @@ F_AVG_FLOOR = 1e-300
 
 # A lockstep group of matrices expands at most this many splits per level,
 # beam_k * sum((n - 1) * (m - 1)), each in two orientations, and a matrix
-# over the bound is parsed alone. It bounds a level's pool (8 bytes per
-# candidate) and block scores; all else is built SLICE positions at a
-# time. At 1 << 20 the 60 pairs of 20-40 words of perfbench's long corpus
-# run as one group of 39 levels, not 5 groups of 193 at 131072, and the
-# benchmark's peak RSS moves by under 0.1%. A matrix's result does not
-# depend on its group, so these are constants rather than tuning knobs.
+# over the bound is parsed alone. It bounds the group's soft matrices and
+# integral images (8 bytes per cell) and how many windows a level takes;
+# WINDOW, not it, bounds a level's pool. At 1 << 20 the 60 pairs of 20-40
+# words of perfbench's long corpus run as one group of 39 levels, not 5
+# groups of 193 at 131072, and the benchmark's peak RSS moved by under
+# 0.1%. A matrix's result does not depend on its group, so these are
+# constants rather than tuning knobs.
 GROUP_SPLITS = 1 << 20
 
-# A lockstep group also holds at most this many matrices. Parsing all 800
-# pairs of perfbench's short corpus as one group, not 7, raised its peak
-# RSS from 36.6 to 41.7-42.1 MB in every run measured.
+# A lockstep group also holds at most this many matrices. It bounds the
+# beam and the trail the group keeps, beam_k states per matrix and level.
+# Parsing all 800 pairs of perfbench's short corpus as one group, not 7,
+# raised its peak RSS from 36.6 to 41.7-42.1 MB in every run measured.
+# That group's levels pool at most 103,156 candidates, one window, so
+# windows do not change it.
 GROUP_PAIRS = 128
 
-# Positions per slice of a level's block scoring (about 150 bytes of
+# Positions per slice of a window's block scoring (about 150 bytes of
 # temporaries per split) and of the passes over its pool. No value depends
 # on the slice it was computed in.
 SLICE = 16384
+
+# A level is expanded one window of consecutive whole pairs at a time: a
+# window holds pairs whose candidates together number at most WINDOW, and a
+# pair with more forms its own window. It bounds a level's block scores,
+# terminal flags, pool and cut mask, about 18 bytes per candidate, in
+# buffers a group reuses for every window: arrays made afresh per window
+# cost page faults. On perfbench's long corpus, whose first level pools
+# 397,082 candidates, 1 << 17 took the benchmark's peak RSS from 48.0 to
+# 42.7 MB; 1 << 18 took it only to about 46 MB. No value depends on the
+# window it was found in.
+WINDOW = 1 << 17
 
 
 @dataclass(frozen=True)
@@ -177,17 +194,20 @@ class _Lockstep:
     The beam states of all the matrices (pairs) are rows of arrays, sorted
     by pair: pair, score v, and a fixed-depth stack of unparsed
     (j0, j1, i0, i1) blocks with its depth. trail keeps, per level, each
-    state's parent and last step row (j0, j1, i0, i1, j, i, gamma), from
-    which its steps and leaves are read. Each level scores the splits of
-    its distinct top blocks, one per pair and block, SLICE splits per
-    gather, into one array; nothing scored is kept for later levels. A
-    level's pool holds each pair's candidates contiguously, parent by
-    parent, then split (j, i), then gamma. It is gathered from the scores
-    and cut to the beam SLICE entries at a time, so the pool and the
-    level's scores are its only arrays of their size, and the scores are
-    dropped once the pool is gathered. States keep their pool order, so
-    within a pair pool position is step-sequence order, and ties go to
-    the lowest position.
+    state's parent and last step row (j0, j1, i0, i1, j, i, gamma), as
+    int32, from which its steps and leaves are read. A level is expanded
+    one window of consecutive whole pairs at a time (see WINDOW). A
+    window scores the splits of its distinct top blocks, one per pair and
+    block, SLICE splits per gather; nothing scored is kept for later
+    windows. A window's pool holds each pair's candidates contiguously,
+    parent by parent, then split (j, i), then gamma. It is gathered from
+    the scores and cut to the beam SLICE entries at a time. The scores,
+    terminal flags, pool and cut mask are views of buffers the group
+    reuses for every window and grows only when a window needs more, so
+    they are a level's only arrays of their size. Only the kept
+    candidates leave a window. States keep their pool order, so within a
+    pair pool position is step-sequence order, and ties go to the lowest
+    position.
     Step sequences are compared only when a terminal ties the best one of
     an earlier level. Two sequences of a pair first differ at a step whose
     block is the same in both, so their rows compare as (j, i, gamma) do.
@@ -217,6 +237,10 @@ class _Lockstep:
         self.best_v = np.full(self.pairs, -np.inf)
         # (level, parent state, step row) of each pair's best terminal; level -1 before one is found
         self.best = np.full((self.pairs, 9), -1)
+        # The window buffers: block scores and terminal flags, pool and cut
+        # mask, grown by _reserve.
+        self.scores = self.pool = np.empty(0)
+        self.term = self.keep = np.empty(0, dtype=bool)
 
     def run(self):
         """Search every level; then yield each pair's best (score, step rows, leaves)."""
@@ -253,10 +277,11 @@ class _Lockstep:
         return ([steps[:n + 1] for steps, n in zip(rows, level.tolist())],
                 [leaves[a:b] for a, b in zip(edges, edges[1:])])
 
-    def _scores(self, pair, top):
-        """Scores of the distinct blocks of top, and each state's first row and split count.
+    def _scores(self, pair, top, size):
+        """Scores of the distinct blocks of top, and each state's first row.
 
-        The scores logf and term are flat, indexed [split, gamma], with the
+        size is each state's split count. The scores logf and term are
+        flat views of the window buffers, indexed [split, gamma], with the
         splits laid out block by block; a state's block starts at row
         first_row of them. They are scored SLICE splits at a time, so a
         block may span slices.
@@ -265,7 +290,6 @@ class _Lockstep:
         stride = self.stride[pair]
         row0 = self.base[pair] + j0 * stride
         row1 = row0 + (j1 - j0) * stride
-        size = (j1 - j0 - 1) * (i1 - i0 - 1)
         # A block is keyed by the flat positions of its two prefix corners.
         _, s, inverse = np.unique((row0 + i0) * self.prefix.size + row1 + i1,
                                   return_index=True, return_inverse=True)
@@ -275,19 +299,65 @@ class _Lockstep:
         # int32 indices: a group's prefix tables would need 16 GB to overflow them.
         blocks = np.array([row0[s], row1[s], stride[s], i0[s], i1[s], i1[s] - i0[s] - 1, start,
                            j1[s] - j0[s] - 2], dtype=np.int32)
-        logf = np.empty((end[-1], 2))
-        term = np.empty((end[-1], 2), dtype=bool)
+        logf = self.scores[:2 * end[-1]].reshape(-1, 2)
+        term = self.term[:2 * end[-1]].reshape(-1, 2)
         for a, b, lo, hi, counts in _slices(start, end, SLICE):
             _score_blocks(self.prefix, blocks[:, lo:hi], counts, a, logf[a:b], term[a:b])
-        return logf.ravel(), term.ravel(), start[inverse], size
+        return logf.ravel(), term.ravel(), start[inverse]
+
+    def _reserve(self, entries):
+        """Grow the window buffers to hold a window of this many candidates."""
+        if entries > self.pool.size:
+            self.scores, self.pool = np.empty(entries), np.empty(entries)
+            self.term, self.keep = np.empty(entries, dtype=bool), np.empty(entries, dtype=bool)
 
     def _level(self, level, live):
-        """Expand the top block of every live state, then cut each pair's pool."""
+        """Expand the top block of every live state, one window of pairs at a
+        time; the kept candidates become the next level's states."""
+        top = self.stack[live, self.depth[live] - 1]
+        size = (top[:, 1] - top[:, 0] - 1).astype(np.int64) * (top[:, 3] - top[:, 2] - 1)
+        pair = self.pair[live]
+        end = (2 * size).cumsum()
+        found = []
+        a = start = 0
+        while a < live.size:
+            # A window holds the whole pairs whose candidates end within
+            # WINDOW of its start, or else the one pair at its start.
+            b = end.searchsorted(start + WINDOW, side="right")
+            if b < live.size:
+                b = max(pair.searchsorted(pair[b]), pair.searchsorted(pair[a], side="right"))
+            # Room for the level's pool up to WINDOW, not just this window:
+            # growing to each larger window made six fresh allocations, not
+            # two, on perfbench's long corpus at seed 7, and its peak RSS
+            # rose by 0.85 MB.
+            self._reserve(max(end[b - 1] - start, min(end[-1], WINDOW)))
+            found.append(self._window(level, live[a:b], top[a:b], size[a:b]))
+            a, start = b, end[b - 1]
+        parent, block, v = (np.concatenate(arrays) for arrays in zip(*found))
+
+        # Each kept entry becomes a state: its parent's stack without the
+        # top block, then the split's non-terminal halves, right first.
+        index = np.arange(parent.size)
+        halves, terminal = _split_halves(block)
+        stack = self.stack[parent]
+        height = self.depth[parent] - 1
+        for h in (1, 0):
+            stack[index, height] = halves[:, h]
+            height += ~terminal[:, h]
+        self.trail.append((parent.astype(np.int32), block))
+        self.pair = self.pair[parent]
+        self.v = v
+        self.stack = stack
+        self.depth = height
+
+    def _window(self, level, live, top, size):
+        """Expand the top blocks of the live states of a window of whole
+        pairs and cut each pair's pool; return the kept candidates' parent
+        states, step rows and scores."""
         k = self.beam_k
         pair = self.pair[live]
         depth = self.depth[live]
-        top = self.stack[live, depth - 1]
-        logf, term, first_row, size = self._scores(pair, top)
+        logf, term, first_row = self._scores(pair, top, size)
 
         # Entry e of parent s's candidates is split (e - first[s]) // 2 of
         # its top block with gamma e % 2, at flat score position
@@ -295,7 +365,7 @@ class _Lockstep:
         count = 2 * size
         end = count.cumsum()
         first = end - count
-        pool = np.empty(end[-1])
+        pool = self.pool[:end[-1]]
         hits = []
         for a, b, lo, hi, counts in _slices(first, end, SLICE):
             # In place: fresh slice-sized temporaries made this loop twice as slow.
@@ -304,17 +374,17 @@ class _Lockstep:
             np.take(logf, slots, out=pool[a:b])
             pool[a:b] += self.v[live[lo:hi]].repeat(counts)
             hits.append(term[slots].nonzero()[0] + a)
-        del logf, term
         hits = np.concatenate(hits)
         bounds = np.concatenate(([0], end))[pair.searchsorted(self.edges)]
 
         def steps(entries):
-            """Parent row and (j0, j1, i0, i1, j, i, gamma) of each pool entry."""
+            """Parent row and int32 (j0, j1, i0, i1, j, i, gamma) of each pool entry."""
             s = end.searchsorted(entries, side="right")
             block = top[s]
             split, gamma = np.divmod(entries - first[s], 2)
             jj, ii = np.divmod(split, block[:, 3] - block[:, 2] - 1)
-            return s, np.column_stack((block, block[:, 0] + jj + 1, block[:, 2] + ii + 1, gamma))
+            rows = np.column_stack((block, block[:, 0] + jj + 1, block[:, 2] + ii + 1, gamma))
+            return s, rows.astype(np.int32)
 
         # Every terminal successor competes for its pair's final argmax,
         # pruned or not. A child is terminal when both halves of its split
@@ -345,8 +415,11 @@ class _Lockstep:
         over = (entries > k).nonzero()[0]
         cuts = np.full(self.pairs, -np.inf)
         for g, a, b in zip(over.tolist(), bounds[over].tolist(), bounds[over + 1].tolist()):
-            cuts[g] = np.partition(pool[a:b], b - a - k)[b - a - k]
-        keep = np.empty(pool.size, dtype=bool)
+            # The method on a copy: np.partition's wrapper adds 40% on a 40-entry pool.
+            part = pool[a:b].copy()
+            part.partition(b - a - k)
+            cuts[g] = part[b - a - k]
+        keep = self.keep[:pool.size]
         for a, b, lo, hi, counts in _slices(first, end, SLICE):
             np.greater_equal(pool[a:b], cuts[pair[lo:hi]].repeat(counts), out=keep[a:b])
         kept = keep.nonzero()[0]
@@ -359,23 +432,8 @@ class _Lockstep:
             rank = before - before[kept.searchsorted(bounds[g])]
             room = k - np.bincount(g[~tied], minlength=self.pairs)
             kept = kept[~tied | (rank < room[g])]
-
-        # Each kept entry becomes a state: its parent's stack without the
-        # top block, then the split's non-terminal halves, right first.
         s, block = steps(kept)
-        index = np.arange(kept.size)
-        halves, terminal = _split_halves(block)
-        parent = live[s]
-        stack = self.stack[parent]
-        height = depth[s] - 1
-        for h in (1, 0):
-            stack[index, height] = halves[:, h]
-            height += ~terminal[:, h]
-        self.trail.append((parent, block))
-        self.pair = pair[s]
-        self.v = pool[kept]
-        self.stack = stack
-        self.depth = height
+        return live[s], block, pool[kept]
 
 
 def lockstep_groups(shapes, beam_k):

@@ -138,6 +138,23 @@ def test_align_oversized_pair_gets_empty_line(tmp_path, capsys):
     assert lines[1] == ""
 
 
+def test_align_reports_skipped_pairs(tmp_path, capsys):
+    # As train does: the counts go to stderr, the empty lines to stdout.
+    src = write(tmp_path / "s", "a b\n\na b c\nb\n")
+    tgt = write(tmp_path / "t", "x y\ny\nx\n\n")
+    model = tmp_path / "model"
+    assert main(["train", "-s", src, "-t", tgt, "-o", str(model)]) == 0
+    capsys.readouterr()
+    assert main(["align", "-s", src, "-t", tgt, "-m", str(model), "--max-sentence-len", "1"]) == 0
+    out, err = capsys.readouterr()
+    assert out == "\n" * 4
+    assert err.splitlines() == ["skipped 2 pair(s) with an empty side", "skipped 2 pair(s) over the length limit"]
+    assert main(["align", "-s", src, "-t", tgt, "-m", str(model)]) == 0
+    out, err = capsys.readouterr()
+    assert out.splitlines()[1:] == ["", "0-0 1-0 2-0", ""]
+    assert err.splitlines() == ["skipped 2 pair(s) with an empty side"]
+
+
 def test_align_dump_matrix(toy, tmp_path, capsys):
     model = toy["dir"] / "model"
     dump = tmp_path / "m.tsv"

@@ -438,15 +438,18 @@ def assert_each_equals_reference(matrices, beam_k):
     ),
     bound=st.sampled_from([GROUP_SPLITS, 32768, 300, 60]),
     slice_size=st.sampled_from([SLICE, 64, 5]),
+    window=st.sampled_from([parser.WINDOW, 100, 1]),
 )
-def test_parse_matrices_equals_reference_per_matrix(specs, bound, slice_size):
+def test_parse_matrices_equals_reference_per_matrix(specs, bound, slice_size, window):
     # Pairs parsed in lockstep must come out exactly as each parsed alone:
     # the same arithmetic and the same tie-breaks, in whatever group. The
     # smaller bounds split the list into several groups and leave some
     # matrices over the bound, in groups of their own; the smaller slices
-    # cut a level's scoring, pool gather and beam cut into several passes.
+    # cut a level's scoring, pool gather and beam cut into several passes,
+    # and the smaller windows expand a level a few pairs at a time.
     matrices = [SoftMatrix(CHUNK_KINDS[kind](np.random.default_rng(seed), n, m)) for kind, n, m, seed in specs]
-    with mock.patch.object(parser, "GROUP_SPLITS", bound), mock.patch.object(parser, "SLICE", slice_size):
+    with mock.patch.object(parser, "GROUP_SPLITS", bound), mock.patch.object(parser, "SLICE", slice_size), \
+            mock.patch.object(parser, "WINDOW", window):
         for beam_k in (1, 3, 10):
             for group in lockstep_groups([(mat.n, mat.m) for mat in matrices], beam_k):
                 assert_each_equals_reference([matrices[k] for k in group], beam_k)
@@ -525,41 +528,83 @@ def test_sliced_scores_equal_one_gather():
     for level in range(4):
         live = search.depth.nonzero()[0]
         pair, top = search.pair[live], search.stack[live, search.depth[live] - 1]
+        size = (top[:, 1] - top[:, 0] - 1).astype(np.int64) * (top[:, 3] - top[:, 2] - 1)
+        search._reserve(2 * int(size.sum()))
         with mock.patch.object(parser, "SLICE", 1 << 30):
-            want = search._scores(pair, top)
+            # Copies: the scores are views of the window buffers, which
+            # are then overwritten with values no slice may leave behind.
+            want = [found.copy() for found in search._scores(pair, top, size)]
         if level == 0:
             assert want[0].size > 2 * 64
         for slice_size in (1, 5, 64):
+            search.scores.fill(np.nan)
+            search.term[:want[1].size] = ~want[1]
             with mock.patch.object(parser, "SLICE", slice_size):
-                got = search._scores(pair, top)
+                got = search._scores(pair, top, size)
             assert all(np.array_equal(a, b) for a, b in zip(got, want))
         search._level(level, live)
 
 
-def test_lockstep_memory_per_pool_entry():
-    # A group of long-corpus shapes: the parse's traced peak stays within
-    # a fixed cost per entry of its largest level's pool. It is about 20
-    # bytes per entry; building the pool's score positions and its cut
-    # mask whole, not a slice at a time, takes it over 40.
-    rng = np.random.default_rng(109)
-    matrices = [random_matrix(rng, *rng.integers(20, 41, size=2)) for _ in range(60)]
-    assert len(lockstep_groups([(mat.n, mat.m) for mat in matrices], 10)) == 1
-    pools = []
-    scores = parser._Lockstep._scores
+def traced_search(matrices, beam_k):
+    """Traced peak of a lockstep search of matrices, its resident bytes,
+    and the windows and levels it expanded.
 
-    def record(self, pair, top):
-        found = scores(self, pair, top)
-        pools.append(2 * int(found[3].sum()))
-        return found
+    Resident is what the search keeps across levels: the integral images,
+    the trail, and two levels' beams of beam_k states per pair, each a
+    stack row plus pair, score and depth.
+    """
+    window = parser._Lockstep._window
+    passes = []
 
-    with mock.patch.object(parser._Lockstep, "_scores", record):
+    def record(self, level, *args):
+        passes.append(level)
+        return window(self, level, *args)
+
+    with mock.patch.object(parser._Lockstep, "_window", record):
         tracemalloc.start()
         try:
-            list(parse_matrices(matrices, 10))
+            search = parser._Lockstep(matrices, beam_k)
+            list(search.run())
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-    assert peak < 32 * max(pools) + (1 << 20)
+    beams = 2 * beam_k * len(matrices) * (search.stack.shape[1] * 16 + 24)
+    resident = search.prefix.nbytes + sum(parent.nbytes + rows.nbytes for parent, rows in search.trail) + beams
+    return peak, resident, len(passes), len(set(passes))
+
+
+def test_lockstep_memory_is_bounded_by_the_window():
+    # A group of long-corpus shapes whose levels pool up to three windows
+    # of candidates. The parse's traced peak is the window buffers (about
+    # 18 bytes per candidate), one slice's temporaries (about 150 bytes per
+    # split) and the resident bytes. Doubling the group doubles every
+    # level's pool, and raises the peak by no more than the added resident
+    # bytes; a peak that followed the pool would rise by 7 MB.
+    rng = np.random.default_rng(109)
+    matrices = [random_matrix(rng, *rng.integers(20, 41, size=2)) for _ in range(60)]
+    assert len(lockstep_groups([(mat.n, mat.m) for mat in matrices], 10)) == 1
+    peak, resident, windows, levels = traced_search(matrices, 10)
+    assert windows > levels
+    assert peak < 32 * parser.WINDOW + 160 * SLICE + resident
+    twice_peak, twice_resident, twice_windows, _ = traced_search(matrices + matrices, 10)
+    assert twice_windows > windows
+    assert twice_peak - peak <= twice_resident - resident
+
+
+@pytest.mark.parametrize("window", [1, 300, parser.WINDOW])
+def test_window_size_cannot_change_results(window):
+    # Tied and random matrices in one group, parsed one pair per window,
+    # a few pairs per window (where the 20 x 18 pair pools more candidates
+    # than the window alone) and all in one window.
+    rng = np.random.default_rng(113)
+    tied = [SoftMatrix(tied_weights(rows)) for rows, _ in TIED_CASES] + [SoftMatrix(LATER_TERMINAL_TIE)]
+    matrices = []
+    for n, m in [(3, 4), (20, 18), (6, 6), (2, 9), (13, 15)]:
+        matrices += [random_matrix(rng, n, m), *tied]
+    assert 2 * 19 * 17 > 300
+    with mock.patch.object(parser, "WINDOW", window):
+        for beam_k in (1, 3, 10):
+            assert_each_equals_reference(matrices, beam_k)
 
 
 def test_lockstep_groups_are_consecutive_runs_within_the_bound():

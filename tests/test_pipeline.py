@@ -12,6 +12,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import oracles
+from hieralign import parser
 from hieralign.alignio import format_alignment
 from hieralign.cli import main as cli_main
 from hieralign.corpus import build_vocabulary, drop_empty, encode_pairs
@@ -344,6 +345,15 @@ SMOKE_OUTPUT_SHA256 = "7529f7fdcfb5c88c53d7ff035e8240ff1750d95a621cd19652edde0cc
 
 def test_smoke_output_is_pinned(smoke_run):
     assert hashlib.sha256(smoke_run["out"].read_bytes()).hexdigest() == SMOKE_OUTPUT_SHA256
+
+
+def test_smoke_output_does_not_depend_on_the_window(smoke_corpus, tmp_path, monkeypatch):
+    # Beam levels expanded one to a few pairs at a time give the pinned output.
+    monkeypatch.setattr(parser, "WINDOW", 300)
+    out = tmp_path / "smoke.align"
+    assert cli_main(["pipeline", "-s", str(smoke_corpus["src"]), "-t", str(smoke_corpus["tgt"]), "-o", str(out),
+                     "--threads", "1"]) == 0
+    assert hashlib.sha256(out.read_bytes()).hexdigest() == SMOKE_OUTPUT_SHA256
 
 
 # sha256 of the lexicon files of the default-settings smoke model, with
