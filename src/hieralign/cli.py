@@ -19,6 +19,7 @@ from .pipeline import (
     TRAINING,
     AlignerConfig,
     align_lines,
+    align_task_lines,
     align_tasks,
     load_model,
     save_model,
@@ -147,7 +148,7 @@ def cmd_align(args):
             for pair in tasks:
                 if pair is not None:
                     dump_matrix(build_soft_matrix(pair, model.t_fwd, model.t_rev, model.config), fh)
-    sys.stdout.writelines(line + "\n" for line in align_lines(bitext, model))
+    sys.stdout.writelines(line + "\n" for line in align_task_lines(tasks, model))
     if args.stats:
         elapsed = time.perf_counter() - started
         rate = len(bitext) / elapsed if elapsed > 0 else float("inf")

@@ -3,8 +3,10 @@
 A model directory holds `ttable.fwd`, `ttable.rev`, `vocab.src`,
 `vocab.tgt` and a `config.txt` snapshot of every setting that produced it.
 Alignment work is cut once, into the parser's lockstep groups, and each
-group is one unit of the worker pool; every line is written at its input
-position, so output is byte-identical for any worker count.
+group is one unit of work for workers.map_chunks, which aligns a share of
+them in this process and the rest in forked children; every line is
+written at its input position, so output is byte-identical for any worker
+count.
 """
 
 from __future__ import annotations
@@ -207,11 +209,16 @@ def _align_chunk(pairs):
 
 def align_lines(bitext, model):
     """Pharaoh lines for a raw bitext, in input order; a skipped pair gives the empty line."""
-    pairs = [pair for pair in align_tasks(bitext, model) if pair is not None]
+    return align_task_lines(align_tasks(bitext, model), model)
+
+
+def align_task_lines(tasks, model):
+    """Pharaoh lines for align_tasks' output, one per task; a placeholder gives the empty line."""
+    pairs = [pair for pair in tasks if pair is not None]
     groups = [[pairs[k] for k in group]
               for group in lockstep_groups([(pair.n, pair.m) for pair in pairs], model.config.beam)]
     payload = (model.t_fwd, model.t_rev, model.config, model.config.beam)
-    lines = [""] * len(bitext)
+    lines = [""] * len(tasks)
     for group_lines, group in zip(workers.map_chunks(_align_chunk, payload, groups, model.config.threads), groups):
         for line, pair in zip(group_lines, group):
             lines[pair.index] = line

@@ -7,7 +7,7 @@ import tracemalloc
 import pytest
 
 import oracles
-from hieralign import phrase
+from hieralign import phrase, pipeline
 from hieralign.alignio import format_alignment
 from hieralign.cli import build_arg_parser, config_from_args, main
 from hieralign.corpus import read_bitext
@@ -153,6 +153,23 @@ def test_align_reports_skipped_pairs(tmp_path, capsys):
     out, err = capsys.readouterr()
     assert out.splitlines()[1:] == ["", "0-0 1-0 2-0", ""]
     assert err.splitlines() == ["skipped 2 pair(s) with an empty side"]
+
+
+@pytest.mark.parametrize("dump", [False, True])
+def test_align_encodes_each_pair_once(toy, capsys, monkeypatch, dump):
+    model = toy["dir"] / "model"
+    assert main(["train", "-s", toy["src"], "-t", toy["tgt"], "-o", str(model)]) == 0
+    capsys.readouterr()
+    assert main(["align", "-s", toy["src"], "-t", toy["tgt"], "-m", str(model), "--max-sentence-len", "2"]) == 0
+    want = capsys.readouterr()
+    assert want.err == "skipped 1 pair(s) over the length limit\n"
+    calls = []
+    encode_pairs = pipeline.encode_pairs
+    monkeypatch.setattr(pipeline, "encode_pairs", lambda *args: calls.append(args) or encode_pairs(*args))
+    options = ["--dump-matrix", str(toy["dir"] / "m.tsv")] if dump else []
+    assert main(["align", "-s", toy["src"], "-t", toy["tgt"], "-m", str(model), "--max-sentence-len", "2", *options]) == 0
+    assert len(calls) == 1
+    assert capsys.readouterr() == want
 
 
 def test_align_dump_matrix(toy, tmp_path, capsys):

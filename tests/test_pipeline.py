@@ -182,6 +182,29 @@ def test_align_lines_equals_per_pair_reference():
         assert align_lines(bitext, dataclasses.replace(model, config=config)) == want
 
 
+def test_align_lines_is_the_same_for_any_worker_count():
+    # Six runs of GROUP_PAIRS pairs, each run's pairs longer than the last's,
+    # so the lockstep groups cost unevenly and each worker count deals them
+    # out differently.
+    rng = random.Random(62)
+    bitext = []
+    for run in range(6):
+        for _ in range(GROUP_PAIRS):
+            n, m = rng.randint(1, 3 + 2 * run), rng.randint(1, 3 + 2 * run)
+            bitext.append(([f"s{rng.randrange(40)}" for _ in range(n)], [f"t{rng.randrange(40)}" for _ in range(m)]))
+    raw = drop_empty(bitext)
+    vsrc, vtgt = build_vocabulary(raw)
+    model = train_model(encode_pairs(raw, vsrc, vtgt), vsrc, vtgt, AlignerConfig(em_iters=2))
+    pairs = [pair for pair in align_tasks(bitext, model) if pair is not None]
+    assert len(parser.lockstep_groups([(pair.n, pair.m) for pair in pairs], model.config.beam)) >= 5
+    outputs = {}
+    for threads in (1, 2, 3):
+        config = dataclasses.replace(model.config, threads=threads)
+        outputs[threads] = align_lines(bitext, dataclasses.replace(model, config=config))
+    assert outputs[1] == outputs[2] == outputs[3]
+    assert sum(line != "" for line in outputs[1]) == len(pairs)
+
+
 def write_model(tmp_path):
     _, model = trained_toy_model()
     save_model(model, tmp_path)
