@@ -18,9 +18,7 @@ from .corpus import DEFAULT_SEPARATOR, CorpusError, encode_corpus, read_bitext, 
 from .pipeline import (
     TRAINING,
     AlignerConfig,
-    align_lines,
-    align_task_lines,
-    align_tasks,
+    align_pairs,
     load_model,
     save_model,
     stderr_log,
@@ -83,17 +81,18 @@ def read_input(args, lowercase):
     return read_bitext(args.source, args.target, lowercase)
 
 
-def _report_skips(empty, long):
-    if empty:
-        stderr_log(f"skipped {empty} pair(s) with an empty side")
-    if long:
-        stderr_log(f"skipped {long} pair(s) over the length limit")
+def _report_skips(stats):
+    if stats.skipped_empty:
+        stderr_log(f"skipped {stats.skipped_empty} pair(s) with an empty side")
+    if stats.skipped_long:
+        stderr_log(f"skipped {stats.skipped_long} pair(s) over the length limit")
 
 
 def _train(bitext, config):
+    """The bitext's encoded pairs and the model trained on them."""
     pairs, vsrc, vtgt, stats = encode_corpus(bitext, config.max_sentence_len)
-    _report_skips(stats.skipped_empty, stats.skipped_long)
-    return train_model(pairs, vsrc, vtgt, config, log=stderr_log)
+    _report_skips(stats)
+    return pairs, train_model(pairs, vsrc, vtgt, config, log=stderr_log)
 
 
 def _check_out_dir(out_dir):
@@ -117,7 +116,7 @@ def _check_out_file(path):
 def cmd_train(args):
     config = config_from_args(args)
     _check_out_dir(args.out_dir)
-    model = _train(read_input(args, config.lowercase), config)
+    _, model = _train(read_input(args, config.lowercase), config)
     save_model(model, args.out_dir)
     stderr_log(f"model written to {args.out_dir}")
     return 0
@@ -137,18 +136,14 @@ def cmd_align(args):
         raise ValueError(f"--lowercase contradicts the model in {args.model}, trained without it")
     model.config = dataclasses.replace(model.config, threads=args.threads, **overrides)
     bitext = read_input(args, model.config.lowercase)
-    tasks = align_tasks(bitext, model)
-    # A placeholder's line has an empty side, or else one over the length limit.
-    skipped = [bitext[k] for k, task in enumerate(tasks) if task is None]
-    empty = sum(not (src and tgt) for src, tgt in skipped)
-    _report_skips(empty, len(skipped) - empty)
+    pairs, _, _, stats = encode_corpus(bitext, model.config.max_sentence_len, (model.vocab_src, model.vocab_tgt))
+    _report_skips(stats)
     started = time.perf_counter()
     if args.dump_matrix:
         with open(args.dump_matrix, "w", encoding="utf-8") as fh:
-            for pair in tasks:
-                if pair is not None:
-                    dump_matrix(build_soft_matrix(pair, model.t_fwd, model.t_rev, model.config), fh)
-    sys.stdout.writelines(line + "\n" for line in align_task_lines(tasks, model))
+            for pair in pairs:
+                dump_matrix(build_soft_matrix(pair, model.t_fwd, model.t_rev, model.config), fh)
+    sys.stdout.writelines(line + "\n" for line in align_pairs(pairs, len(bitext), model))
     if args.stats:
         elapsed = time.perf_counter() - started
         rate = len(bitext) / elapsed if elapsed > 0 else float("inf")
@@ -162,9 +157,9 @@ def cmd_pipeline(args):
     if args.model_dir:
         _check_out_dir(args.model_dir)
     bitext = read_input(args, config.lowercase)
-    model = _train(bitext, config)
+    pairs, model = _train(bitext, config)
     started = time.perf_counter()
-    lines = align_lines(bitext, model)
+    lines = align_pairs(pairs, len(bitext), model)
     with open(args.out, "w", encoding="utf-8") as fh:
         fh.writelines(line + "\n" for line in lines)
     if args.model_dir:
@@ -233,9 +228,9 @@ def cmd_sweep(args):
     bitext = read_input(args, config.lowercase)
     if len(golds) != len(bitext):
         raise CorpusError(f"gold has {len(golds)} lines, corpus has {len(bitext)} lines")
-    model = _train(bitext, config)
+    pairs, model = _train(bitext, config)
     for point in grid:
-        lines = align_lines(bitext, dataclasses.replace(model, config=point))
+        lines = align_pairs(pairs, len(bitext), dataclasses.replace(model, config=point))
         hyps = [parse_alignment_line(line) for line in lines]
         metrics = evaluate.aer(hyps, golds)
         sys.stdout.write(f"{point.sigma_theta:g}\t{point.sigma_delta:g}\t{_fmt_metric(metrics['recall'])}\n")

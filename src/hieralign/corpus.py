@@ -215,15 +215,16 @@ def encode_pairs(raw_pairs, vocab_src, vocab_tgt, max_len=None):
     return pairs
 
 
-def encode_corpus(bitext, max_len=None):
-    """Drop empty-side pairs of a raw bitext, build both vocabularies, encode.
+def encode_corpus(bitext, max_len=None, vocabs=None):
+    """Drop empty-side pairs of a raw bitext and encode the rest with both vocabularies.
 
-    Returns (pairs, source vocabulary, target vocabulary, stats). Ids are
-    assigned in first-occurrence order, so encoding the same bitext twice
-    yields identical results.
+    vocabs, a (source, target) pair of vocabularies such as a model's, is
+    used as given; without it both are built here. Returns (pairs, source
+    vocabulary, target vocabulary, stats). Ids are assigned in first-occurrence order,
+    so encoding the same bitext twice yields identical results.
     """
     raw = drop_empty(bitext)
-    vsrc, vtgt = build_vocabulary(raw)
+    vsrc, vtgt = build_vocabulary(raw) if vocabs is None else vocabs
     pairs = encode_pairs(raw, vsrc, vtgt, max_len=max_len)
     stats = LoadStats(kept=len(pairs), skipped_empty=len(bitext) - len(raw), skipped_long=len(raw) - len(pairs))
     return pairs, vsrc, vtgt, stats

@@ -19,8 +19,10 @@ runs of equal probability texts become Python objects.
 
 The EM functions take a pipeline.AlignerConfig, which checks its settings,
 and read em_iters, vb, alpha, use_null, fallback and vbh from it.
-EM runs on a direction's corpus links, every conditioned word occurrence
-joined to each word of the other side of its pair. VBH reads the Viterbi
+flatten_pairs turns pairs into id arrays, the one place that does, and
+a training run calls it once for both directions and VBH. EM runs on a
+direction's corpus links, every conditioned word occurrence joined to
+each word of the other side of its pair. VBH reads the Viterbi
 link of every occurrence off the same links in a few array passes and
 symmetrizes both directions' Viterbi links, as (pair, j, i) rows, with one
 corpus-wide grow-diag (no final pass).
@@ -75,6 +77,16 @@ def product_cells(n, m):
     j = np.repeat(np.arange(len(width)) - (np.cumsum(n) - n)[pair_of_row], width)
     col = np.repeat((np.cumsum(m) - m)[pair_of_row], width) + i
     return np.repeat(pair_of_row, width), j, i, row, col
+
+
+def flatten_pairs(pairs):
+    """(n, m, source ids, target ids) of a sequence of pairs as int64 arrays:
+    the side lengths, then every pair's ids in turn, as product_cells numbers rows and columns."""
+    n = np.fromiter((pair.n for pair in pairs), np.int64, len(pairs))
+    m = np.fromiter((pair.m for pair in pairs), np.int64, len(pairs))
+    source = np.fromiter(chain.from_iterable(pair.source for pair in pairs), np.int64, int(n.sum()))
+    target = np.fromiter(chain.from_iterable(pair.target for pair in pairs), np.int64, int(m.sum()))
+    return n, m, source, target
 
 
 class PairMap:
@@ -382,33 +394,25 @@ def digamma(x):
     return result if result.ndim else float(result)
 
 
-def oriented(pair, direction):
-    """(conditioned sequence, conditioning sequence) for one pair."""
-    if direction == FORWARD:
-        return pair.source, pair.target
-    return pair.target, pair.source
-
-
 class _Links:
     """Every link of a corpus in one direction, in corpus order.
 
     A link joins one occurrence of a conditioned word to one word of the
     other side of its pair, NULL last when enabled: the product_cells of
-    the pairs, with the conditioned words as rows and NULL as a last
-    column. The links of one occurrence are consecutive. keys are the
-    distinct co-occurring pairs, packed and sorted: the key set of every EM
-    table on this corpus.
+    flatten_pairs' arrays, with the conditioned words as rows and NULL as
+    a last column. The links of one occurrence are consecutive. keys are
+    the distinct co-occurring pairs, packed and sorted: the key set of
+    every EM table on this corpus.
     """
 
-    def __init__(self, pairs, direction, use_null):
-        sides = [oriented(pair, direction) for pair in pairs]
-        null = (NULL_ID,) if use_null else ()
-        n = np.fromiter((len(c) for c, _ in sides), np.int64, len(sides))
-        m = np.fromiter((len(e) + len(null) for _, e in sides), np.int64, len(sides))
-        cond = np.fromiter(chain.from_iterable(c for c, _ in sides), np.int64, int(n.sum()))
-        cing = np.fromiter(chain.from_iterable(e + null for _, e in sides), np.int64, int(m.sum()))
+    def __init__(self, flat, direction, use_null):
+        n, m, source, target = flat
+        n, m, cond, cing = (n, m, source, target) if direction == FORWARD else (m, n, target, source)
+        if use_null:
+            cing = np.insert(cing, np.cumsum(m), NULL_ID)
+            m = m + 1
         _, _, _, self.occ, col = product_cells(n, m)
-        self.null = len(null)
+        self.null = use_null
         self.slots = np.repeat(m, n)
         self.keys, self.key_of_link = np.unique(pack(cond[self.occ], cing[col]), return_inverse=True)
 
@@ -455,7 +459,7 @@ def expected_counts(pairs, table, config, threads=1):
     processes, so it runs in this process and threads is ignored.
     Summation order is fixed by the corpus alone; a pair missing from table raises KeyError.
     """
-    links = _Links(pairs, table.direction, config.use_null)
+    links = _Links(flatten_pairs(pairs), table.direction, config.use_null)
     where = table.probs.find(links.keys)
     if (where < 0).any():
         k = int(np.flatnonzero(where < 0)[0])
@@ -481,18 +485,18 @@ def normalize_vb(counts, alpha, vocab_size):
 
 def uniform_init(pairs, direction, config):
     """Uniform table over co-occurring pairs (plus NULL when enabled)."""
-    links = _Links(pairs, direction, config.use_null)
+    links = _Links(flatten_pairs(pairs), direction, config.use_null)
     group = _conditioning_groups(links.keys)
     probs = 1.0 / np.bincount(group)[group]
     return TTable(direction, PairMap(links.keys, probs), links.cond_vocab_size(), config.fallback)
 
 
-def _trained(pairs, direction, config, log=None):
-    """The corpus links of one direction and the table after config.em_iters
-    E+M rounds from the uniform initialization, on arrays aligned with their keys."""
-    if not pairs:
+def _trained(flat, direction, config, log=None):
+    """The corpus links of one direction of flatten_pairs' arrays and the table after
+    config.em_iters E+M rounds from the uniform initialization, on arrays aligned with their keys."""
+    if not len(flat[0]):
         raise ValueError("cannot train on an empty corpus")
-    links = _Links(pairs, direction, config.use_null)
+    links = _Links(flat, direction, config.use_null)
     group = _conditioning_groups(links.keys)
     vocab_size = links.cond_vocab_size()
     probs = 1.0 / np.bincount(group)[group]
@@ -509,20 +513,22 @@ def train_ibm1(pairs, direction, config, threads=1):
 
     threads is ignored, as in expected_counts.
     """
-    return _trained(pairs, direction, config)[1]
+    return _trained(flatten_pairs(pairs), direction, config)[1]
 
 
 def train_tables(pairs, config, log=None):
     """The forward and reverse tables of train_ibm1, re-estimated by VBH when config.vbh is set.
 
-    Under VBH each direction's Viterbi links are read from the links its
-    EM ran on, which are then dropped: one direction's links are alive at
-    a time, and only the per-word Viterbi arrays cross to the other. log,
-    when given, receives a line per EM iteration and one before VBH.
+    The pairs are flattened once, for both directions and VBH. Under VBH
+    each direction's Viterbi links are read from the links its EM ran on,
+    which are then dropped: one direction's links are alive at a time, and
+    only the per-word Viterbi arrays cross to the other. log, when given,
+    receives a line per EM iteration and one before VBH.
     """
+    flat = flatten_pairs(pairs)
     tables, best = [], []
     for direction in (FORWARD, REVERSE):
-        links, table = _trained(pairs, direction, config, log)
+        links, table = _trained(flat, direction, config, log)
         tables.append(table)
         if config.vbh:
             best.append(links.viterbi(table.probs.data))
@@ -531,12 +537,12 @@ def train_tables(pairs, config, log=None):
         return tuple(tables)
     if log is not None:
         log("vbh re-estimation from symmetrized Viterbi links")
-    return _reestimate(pairs, *tables, *best)
+    return _reestimate(flat, *tables, *best)
 
 
 def corpus_log_likelihood(pairs, table, config):
     """Model 1 log-likelihood of the conditioned side given the other side."""
-    links = _Links(pairs, table.direction, config.use_null)
+    links = _Links(flatten_pairs(pairs), table.direction, config.use_null)
     p = table.probs.get_packed(links.keys, table.fallback)[links.key_of_link]
     rows = np.bincount(links.occ, weights=p, minlength=len(links.slots))
     return float(np.log(rows / links.slots).sum())
@@ -557,20 +563,18 @@ def viterbi_links(pairs, table, use_null):
     conditioning word in its pair, or -1 where NULL is strictly better and
     the word stays unlinked. Ties go to the lowest index.
     """
-    links = _Links(pairs, table.direction, use_null)
+    links = _Links(flatten_pairs(pairs), table.direction, use_null)
     return links.viterbi(table.probs.get_packed(links.keys, table.fallback))
 
 
-def _reestimate(pairs, t_fwd, t_rev, best_fwd, best_rev):
-    n = np.fromiter((pair.n for pair in pairs), np.int64, len(pairs))
-    m = np.fromiter((pair.m for pair in pairs), np.int64, len(pairs))
+def _reestimate(flat, t_fwd, t_rev, best_fwd, best_rev):
+    n, m, source, target = flat
     row0, col0 = np.cumsum(n) - n, np.cumsum(m) - m
     fwd_at, rev_at = np.flatnonzero(best_fwd >= 0), np.flatnonzero(best_rev >= 0)
-    of_row, of_col = np.repeat(np.arange(len(pairs)), n)[fwd_at], np.repeat(np.arange(len(pairs)), m)[rev_at]
+    of_row, of_col = np.repeat(np.arange(len(n)), n)[fwd_at], np.repeat(np.arange(len(n)), m)[rev_at]
     k, j, i = _grow_diag(np.column_stack((of_row, fwd_at - row0[of_row], best_fwd[fwd_at])),
                          np.column_stack((of_col, best_rev[rev_at], rev_at - col0[of_col]))).T
-    src_ids = np.fromiter(chain.from_iterable(pair.source for pair in pairs), np.int64, int(n.sum()))[row0[k] + j]
-    tgt_ids = np.fromiter(chain.from_iterable(pair.target for pair in pairs), np.int64, int(m.sum()))[col0[k] + i]
+    src_ids, tgt_ids = source[row0[k] + j], target[col0[k] + i]
     tables = []
     for t, cond, cing in ((t_fwd, src_ids, tgt_ids), (t_rev, tgt_ids, src_ids)):
         packed, counts = np.unique(pack(cond, cing), return_counts=True)
@@ -590,4 +594,4 @@ def vbh_reestimate(pairs, t_fwd, t_rev, use_null):
     """
     best_fwd = viterbi_links(pairs, t_fwd, use_null)
     best_rev = viterbi_links(pairs, t_rev, use_null)
-    return _reestimate(pairs, t_fwd, t_rev, best_fwd, best_rev)
+    return _reestimate(flatten_pairs(pairs), t_fwd, t_rev, best_fwd, best_rev)

@@ -2,11 +2,13 @@
 
 A model directory holds `ttable.fwd`, `ttable.rev`, `vocab.src`,
 `vocab.tgt` and a `config.txt` snapshot of every setting that produced it.
-Alignment work is cut once, into the parser's lockstep groups, and each
-group is one unit of work for workers.map_chunks, which aligns a share of
-them in this process and the rest in forked children; every line is
-written at its input position, so output is byte-identical for any worker
-count.
+Alignment takes encoded pairs (align_pairs), so that a run which trained
+on them aligns them without encoding again; align_lines first encodes a
+raw bitext with the model's vocabularies. Each call cuts its pairs once,
+into the parser's lockstep groups, and each group is one unit of work
+for workers.map_chunks, which aligns a share of them in this process and
+the rest in forked children; every line is written at its input
+position, so output is byte-identical for any worker count.
 """
 
 from __future__ import annotations
@@ -18,7 +20,7 @@ from dataclasses import dataclass, field, fields
 
 from . import lexicon, workers
 from .alignio import format_alignment
-from .corpus import Vocabulary, drop_empty, encode_pairs, read_text
+from .corpus import Vocabulary, encode_corpus, read_text
 from .parser import leaf_links, lockstep_groups, parse_matrices
 from .softmatrix import build_soft_matrices
 
@@ -192,10 +194,11 @@ def align_tasks(bitext, model):
     """One task per input line: a SentencePair, or None for a placeholder.
 
     Empty-side and over-length pairs keep their line as an empty alignment
-    so output stays line-aligned with the input.
+    so output stays line-aligned with the input. Kept only for
+    perfbench/flow.py, until it aligns through align_pairs.
     """
     tasks = [None] * len(bitext)
-    for pair in encode_pairs(drop_empty(bitext), model.vocab_src, model.vocab_tgt, model.config.max_sentence_len):
+    for pair in encode_corpus(bitext, model.config.max_sentence_len, (model.vocab_src, model.vocab_tgt))[0]:
         tasks[pair.index] = pair
     return tasks
 
@@ -209,16 +212,16 @@ def _align_chunk(pairs):
 
 def align_lines(bitext, model):
     """Pharaoh lines for a raw bitext, in input order; a skipped pair gives the empty line."""
-    return align_task_lines(align_tasks(bitext, model), model)
+    pairs = encode_corpus(bitext, model.config.max_sentence_len, (model.vocab_src, model.vocab_tgt))[0]
+    return align_pairs(pairs, len(bitext), model)
 
 
-def align_task_lines(tasks, model):
-    """Pharaoh lines for align_tasks' output, one per task; a placeholder gives the empty line."""
-    pairs = [pair for pair in tasks if pair is not None]
+def align_pairs(pairs, line_count, model):
+    """Pharaoh lines of line_count input lines: each encoded pair's at its index, the empty line elsewhere."""
     groups = [[pairs[k] for k in group]
               for group in lockstep_groups([(pair.n, pair.m) for pair in pairs], model.config.beam)]
     payload = (model.t_fwd, model.t_rev, model.config, model.config.beam)
-    lines = [""] * len(tasks)
+    lines = [""] * line_count
     for group_lines, group in zip(workers.map_chunks(_align_chunk, payload, groups, model.config.threads), groups):
         for line, pair in zip(group_lines, group):
             lines[pair.index] = line

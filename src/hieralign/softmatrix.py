@@ -3,17 +3,16 @@
 Cell (j, i) combines the symmetric lexical score of the two words with a
 positional distortion factor, then is clamped into [p0^2, 1) so every
 block association downstream stays strictly positive. A batch of
-matrices is laid out by lexicon.product_cells, as EM's corpus links are.
+matrices is laid out by lexicon.product_cells over the arrays of
+lexicon.flatten_pairs, as EM's corpus links are.
 The parser builds the integral images it reads block sums from.
 """
 
 from __future__ import annotations
 
-from itertools import chain
-
 import numpy as np
 
-from .lexicon import product_cells, symmetric_lexical_score
+from .lexicon import flatten_pairs, product_cells, symmetric_lexical_score
 
 # Keeps the upper clamp strictly below 1.
 UPPER_MARGIN = 1e-12
@@ -59,11 +58,8 @@ def build_soft_matrices(pairs, t_fwd, t_rev, config):
     batch, so a matrix does not depend on the pairs built with it. The
     matrices' weights are views into one flat array, in that order.
     """
-    n = np.fromiter((pair.n for pair in pairs), np.int64, len(pairs))
-    m = np.fromiter((pair.m for pair in pairs), np.int64, len(pairs))
+    n, m, source, target = flatten_pairs(pairs)
     pair_of, j, i, row, col = product_cells(n, m)
-    source = np.fromiter(chain.from_iterable(pair.source for pair in pairs), np.int64, n.sum())
-    target = np.fromiter(chain.from_iterable(pair.target for pair in pairs), np.int64, m.sum())
     theta = symmetric_lexical_score(t_fwd, t_rev, source[row], target[col])
     raw = np.exp(theta / config.sigma_theta)
     if config.distortion:

@@ -59,7 +59,7 @@ def _results(children, pid):
         # It died before sending: reap it here, for its exit status.
         status = os.waitpid(pid, 0)[1]
         del children[pid]
-        raise RuntimeError(f"alignment worker {pid} died with exit status {os.waitstatus_to_exitcode(status)}")
+        raise RuntimeError(f"worker process {pid} died with exit status {os.waitstatus_to_exitcode(status)}")
     ok, value = pickle.loads(message)
     if not ok:
         raise value

@@ -11,9 +11,10 @@ one pair or one state at a time with the package's own lexicon lookups,
 blocks and split arithmetic, so that the package's batched output can be
 required to equal them exactly, ties included. viterbi_alignment is the
 per-pair reference for the package's corpus-wide Viterbi links, one
-pair's lookups at a time. em_step, write_alignment_file, pair_map and
-as_dict are test helpers built on the package's public API, and
-reference_ttable_text writes a ttable one row at a time, the byte
+pair's lookups at a time; it orients each pair on its own with oriented,
+where the package flattens the whole corpus once. em_step,
+write_alignment_file, pair_map and as_dict are test helpers built on the
+package's public API, and reference_ttable_text writes a ttable one row at a time, the byte
 reference for TTable.save, and reference_ttable_load reads one with
 str.split, the reference for TTable.load. reference_digamma lifts the whole array at
 every step, the bit-exact reference for the package's in-place digamma.
@@ -38,7 +39,6 @@ from hieralign.lexicon import (
     expected_counts,
     normalize_plain,
     normalize_vb,
-    oriented,
     pack,
     symmetric_lexical_score,
 )
@@ -53,6 +53,13 @@ from hieralign.parser import (
 )
 
 NULL = None  # stands in for the NULL conditioning word
+
+
+def oriented(pair, direction):
+    """(conditioned sequence, conditioning sequence) of one pair, read off its own sides."""
+    if direction == FORWARD:
+        return pair.source, pair.target
+    return pair.target, pair.source
 
 
 def brute_force_ibm1(oriented_pairs, iterations, use_null, vb=False, alpha=0.01):

@@ -7,7 +7,7 @@ import tracemalloc
 import pytest
 
 import oracles
-from hieralign import phrase, pipeline
+from hieralign import corpus, phrase
 from hieralign.alignio import format_alignment
 from hieralign.cli import build_arg_parser, config_from_args, main
 from hieralign.corpus import read_bitext
@@ -155,6 +155,14 @@ def test_align_reports_skipped_pairs(tmp_path, capsys):
     assert err.splitlines() == ["skipped 2 pair(s) with an empty side"]
 
 
+def spy_on_encoding(monkeypatch):
+    """The input line numbers of the pairs encoded from here on, one per SentencePair made."""
+    encoded = []
+    make = corpus.SentencePair
+    monkeypatch.setattr(corpus, "SentencePair", lambda *args: encoded.append(args[2]) or make(*args))
+    return encoded
+
+
 @pytest.mark.parametrize("dump", [False, True])
 def test_align_encodes_each_pair_once(toy, capsys, monkeypatch, dump):
     model = toy["dir"] / "model"
@@ -163,13 +171,33 @@ def test_align_encodes_each_pair_once(toy, capsys, monkeypatch, dump):
     assert main(["align", "-s", toy["src"], "-t", toy["tgt"], "-m", str(model), "--max-sentence-len", "2"]) == 0
     want = capsys.readouterr()
     assert want.err == "skipped 1 pair(s) over the length limit\n"
-    calls = []
-    encode_pairs = pipeline.encode_pairs
-    monkeypatch.setattr(pipeline, "encode_pairs", lambda *args: calls.append(args) or encode_pairs(*args))
+    encoded = spy_on_encoding(monkeypatch)
     options = ["--dump-matrix", str(toy["dir"] / "m.tsv")] if dump else []
     assert main(["align", "-s", toy["src"], "-t", toy["tgt"], "-m", str(model), "--max-sentence-len", "2", *options]) == 0
-    assert len(calls) == 1
+    assert encoded == [0, 1]
     assert capsys.readouterr() == want
+
+
+@pytest.mark.parametrize("command", [["pipeline", "-o", "{dir}/out"],
+                                     ["sweep", "--gold", "{dir}/gold", "--theta-grid", "1,3", "--delta-grid", "5"]],
+                         ids=["pipeline", "sweep"])
+def test_pipeline_and_sweep_encode_their_corpus_once(toy, capsys, monkeypatch, command):
+    # They align the pairs they trained on, at every grid point.
+    write(toy["dir"] / "gold", "0-0 1-1\n0-0\n0-0 1-1 2-2\n")
+    argv = [arg.format(dir=toy["dir"]) for arg in command] + ["-s", toy["src"], "-t", toy["tgt"],
+                                                              "--max-sentence-len", "2"]
+
+    def run():
+        """The data written (sweep's stdout, pipeline's -o file) and the first stderr line."""
+        assert main(argv) == 0
+        out, err = capsys.readouterr()
+        return out + ((toy["dir"] / "out").read_text() if command[0] == "pipeline" else ""), err.splitlines()[0]
+
+    want = run()
+    assert want[1] == "skipped 1 pair(s) over the length limit"
+    encoded = spy_on_encoding(monkeypatch)
+    assert run() == want
+    assert encoded == [0, 1]
 
 
 def test_align_dump_matrix(toy, tmp_path, capsys):
@@ -312,12 +340,30 @@ def test_pipeline_threads_identical_output(toy):
     assert out1.read_bytes() == out2.read_bytes()
 
 
+def skip_lines(err):
+    return [line for line in err.splitlines() if line.startswith("skipped ")]
+
+
 def test_pipeline_model_dir_aligns_as_the_pipeline_did(toy, capsys):
-    out, model = toy["dir"] / "out", toy["dir"] / "model"
-    assert main(["pipeline", "-s", toy["src"], "-t", toy["tgt"], "-o", str(out), "--model-dir", str(model)]) == 0
-    capsys.readouterr()
-    assert main(["align", "-s", toy["src"], "-t", toy["tgt"], "-m", str(model)]) == 0
-    assert capsys.readouterr().out.encode("utf-8") == out.read_bytes()
+    # The toy corpus, then one with an empty-side line and a pair over the
+    # length limit: pipeline aligns the pairs it trained on, as align
+    # encodes them with the model's vocabularies, and as train + align do.
+    src = write(toy["dir"] / "s", "das haus\n\nhaus ist gut\ndas ist\nist\n")
+    tgt = write(toy["dir"] / "t", "the house\nthe\nhouse is good\nthat is\nis\n")
+    for corpus_files, options in (([toy["src"], toy["tgt"]], []), ([src, tgt], ["--max-sentence-len", "2"])):
+        files = ["-s", corpus_files[0], "-t", corpus_files[1]]
+        out, model, trained = toy["dir"] / "out", toy["dir"] / "model", toy["dir"] / "trained"
+        assert main(["pipeline", *files, "-o", str(out), "--model-dir", str(model), *options]) == 0
+        skipped = skip_lines(capsys.readouterr().err)
+        assert len(skipped) == len(options)
+        assert main(["align", *files, "-m", str(model)]) == 0
+        aligned = capsys.readouterr()
+        assert aligned.out.encode("utf-8") == out.read_bytes()
+        assert aligned.err.splitlines() == skipped
+        assert main(["train", *files, "-o", str(trained), *options]) == 0
+        assert skip_lines(capsys.readouterr().err) == skipped
+        assert main(["align", *files, "-m", str(trained)]) == 0
+        assert capsys.readouterr() == aligned
 
 
 def test_joined_bitext_input(tmp_path):
@@ -505,16 +551,36 @@ def test_sweep_does_not_offer_the_settings_its_grid_sets(toy, tmp_path, option):
     assert exc.value.code == 2
 
 
-def test_sweep_cli(toy, tmp_path, capsys):
-    gold = write(tmp_path / "g", "0-0 1-1\n0-0\n0-0 1-1 2-2\n")
-    rc = main(["sweep", "-s", toy["src"], "-t", toy["tgt"], "--gold", gold,
-               "--theta-grid", "1,3", "--delta-grid", "5"])
-    assert rc == 0
-    lines = capsys.readouterr().out.splitlines()
-    assert len(lines) == 2
-    for line in lines:
-        theta, delta, recall = line.split("\t")
-        assert float(recall) >= 0.0
+def test_sweep_cli(tmp_path, capsys):
+    # Each line is the recall eval gives for align at that grid point.
+    # Reversed word order, so that the grid points differ, and an
+    # empty-side line, whose empty alignment eval scores as align wrote it.
+    rng = random.Random(9)
+    src_lines, tgt_lines, gold_lines = [], [], []
+    for k in range(30):
+        words = rng.sample(range(10), rng.randint(1, 5))
+        src_lines.append("" if k == 4 else " ".join(f"s{w}" for w in words))
+        tgt_lines.append(" ".join(f"t{w}" for w in reversed(words)))
+        gold_lines.append(" ".join(f"{j}-{len(words) - 1 - j}" for j in range(len(words))))
+    src = write(tmp_path / "s", "\n".join(src_lines) + "\n")
+    tgt = write(tmp_path / "t", "\n".join(tgt_lines) + "\n")
+    gold = write(tmp_path / "g", "\n".join(gold_lines) + "\n")
+    files = ["-s", src, "-t", tgt]
+    assert main(["sweep", *files, "--gold", gold, "--theta-grid", "1,50", "--delta-grid", "1,5"]) == 0
+    swept = capsys.readouterr().out.splitlines()
+    model, hyp = tmp_path / "model", tmp_path / "hyp"
+    assert main(["train", *files, "-o", str(model)]) == 0
+    want = []
+    for theta in ("1", "50"):
+        for delta in ("1", "5"):
+            capsys.readouterr()
+            assert main(["align", *files, "-m", str(model), "--sigma-theta", theta, "--sigma-delta", delta]) == 0
+            hyp.write_text(capsys.readouterr().out, encoding="utf-8")
+            assert main(["eval", "--gold", gold, "--hyp", str(hyp)]) == 0
+            recall = capsys.readouterr().out.split()[1].removeprefix("recall=")
+            want.append(f"{theta}\t{delta}\t{recall}")
+    assert swept == want
+    assert len({line.split("\t")[2] for line in want}) > 1
 
 
 @pytest.mark.parametrize("gold_text, option, message", [

@@ -1,3 +1,4 @@
+import itertools
 import math
 import os
 import random
@@ -14,6 +15,7 @@ from scipy.special import digamma as scipy_digamma
 
 import oracles
 from conftest import TOKENS
+from hieralign import lexicon
 from hieralign.corpus import (
     NULL_ID,
     NULL_TOKEN,
@@ -34,9 +36,9 @@ from hieralign.lexicon import (
     corpus_log_likelihood,
     digamma,
     expected_counts,
+    flatten_pairs,
     normalize_plain,
     normalize_vb,
-    oriented,
     pack,
     product_cells,
     symmetric_lexical_score,
@@ -132,28 +134,40 @@ def test_digamma_is_bit_exact_against_the_lift_loop():
 
 @pytest.mark.parametrize("use_null", [False, True])
 def test_product_cells_and_links_equal_nested_loops(use_null):
-    # Ragged batches, one-word sides and the empty batch among them; with
-    # NULL, each conditioned word's links end in one more column.
+    # Ragged batches, one-word sides, a batch of one-word pairs and the
+    # empty batch among them, in both directions; with NULL, each
+    # conditioned word's links end in one more column. Each pair is
+    # oriented on its own, by the oracle.
     rng = random.Random(31)
-    for count in [0, 1, *(rng.randint(2, 40) for _ in range(15))]:
-        token_pairs = [([f"s{rng.randrange(12)}" for _ in range(rng.choice([1, rng.randint(1, 9)]))],
-                        [f"t{rng.randrange(12)}" for _ in range(rng.choice([1, rng.randint(1, 9)]))])
-                       for _ in range(count)]
-        pairs = corpus_from_tokens(token_pairs)[0] if count else []
-        n = np.array([pair.n for pair in pairs], dtype=np.int64)
-        m = np.array([pair.m + use_null for pair in pairs], dtype=np.int64)
+    batches = [[], [(["s1"], ["t1"])], [(["s1"], ["t2"]), (["s2"], ["t2"]), (["s2"], ["t1"])]]
+    for count in [1, *(rng.randint(2, 40) for _ in range(15))]:
+        batches.append([([f"s{rng.randrange(12)}" for _ in range(rng.choice([1, rng.randint(1, 9)]))],
+                         [f"t{rng.randrange(12)}" for _ in range(rng.choice([1, rng.randint(1, 9)]))])
+                        for _ in range(count)])
+    for token_pairs, direction in itertools.product(batches, (FORWARD, REVERSE)):
+        pairs = corpus_from_tokens(token_pairs)[0] if token_pairs else []
+        sides = [oracles.oriented(pair, direction) for pair in pairs]
+        n = np.array([len(cond) for cond, _ in sides], dtype=np.int64)
+        m = np.array([len(cing) + use_null for _, cing in sides], dtype=np.int64)
         want, row0, col0 = [], 0, 0
         for k, (a, b) in enumerate(zip(n.tolist(), m.tolist())):
             want += [(k, j, i, row0 + j, col0 + i) for j in range(a) for i in range(b)]
             row0, col0 = row0 + a, col0 + b
         assert list(zip(*(column.tolist() for column in product_cells(n, m)))) == want
+        flat = flatten_pairs(pairs)
+        assert [array.dtype for array in flat] == [np.int64] * 4
+        assert [array.tolist() for array in flat] == [[pair.n for pair in pairs], [pair.m for pair in pairs],
+                                                      [f for pair in pairs for f in pair.source],
+                                                      [e for pair in pairs for e in pair.target]]
         if not pairs:
             continue
-        links = _Links(pairs, FORWARD, use_null)
+        links = _Links(flat, direction, use_null)
         null = (NULL_ID,) if use_null else ()
-        want_keys = [int(pack(pair.source[j], (pair.target + null)[i]))
-                     for pair in pairs for j in range(pair.n) for i in range(pair.m + use_null)]
+        occurrences = [(cond[j], cing + null) for cond, cing in sides for j in range(len(cond))]
+        want_keys = [int(pack(word, other)) for word, others in occurrences for other in others]
         assert links.keys[links.key_of_link].tolist() == want_keys
+        assert links.occ.tolist() == [k for k, (_, others) in enumerate(occurrences) for _ in others]
+        assert links.slots.tolist() == [len(others) for _, others in occurrences]
 
 
 # --- EM training ---
@@ -251,7 +265,7 @@ def test_array_em_matches_dict_reference(smoke_corpus, direction, vb):
     pairs, _, _, _ = load_parallel_corpus(smoke_corpus["src"], smoke_corpus["tgt"])
     config = AlignerConfig(vb=vb)
     table = uniform_init(pairs, direction, config)
-    sides = [oriented(pair, direction) for pair in pairs]
+    sides = [oracles.oriented(pair, direction) for pair in pairs]
     ref = oracles.as_dict(table.probs)
     # Same table in, same summation order: the first E-step is bit-identical.
     assert oracles.as_dict(expected_counts(pairs, table, config)) == oracles.dict_expected_counts(sides, ref, True)
@@ -460,7 +474,7 @@ def random_viterbi_case(rng, direction, kind, use_null):
     if kind == "trained":
         config = AlignerConfig(em_iters=2, use_null=use_null)
         return pairs, train_ibm1(pairs, direction, config)
-    keys = sorted({(f, e) for pair in pairs for cond, cing in [oriented(pair, direction)]
+    keys = sorted({(f, e) for pair in pairs for cond, cing in [oracles.oriented(pair, direction)]
                    for f in cond for e in cing + (NULL_ID,)})
     probs = {key: float(rng.choice(LEVELS)) for key in keys}
     if kind == "uniform":
@@ -552,6 +566,18 @@ def test_vbh_tables_equal_per_pair_composition(monkeypatch, seed, use_null):
     assert oracles.as_dict(model.t_fwd.probs) == want_fwd and oracles.as_dict(model.t_rev.probs) == want_rev
     new_fwd, new_rev = vbh_reestimate(pairs, t_fwd, t_rev, use_null)
     assert new_fwd.probs == model.t_fwd.probs and new_rev.probs == model.t_rev.probs
+
+
+@pytest.mark.parametrize("vbh", [False, True])
+def test_training_flattens_its_pairs_once(monkeypatch, vbh):
+    # Both directions' links and VBH's re-estimation read the same arrays.
+    pairs, vsrc, vtgt = corpus_from_tokens(TOY)
+    want = train_model(pairs, vsrc, vtgt, AlignerConfig(vbh=vbh))
+    calls = []
+    monkeypatch.setattr(lexicon, "flatten_pairs", lambda pairs: calls.append(pairs) or flatten_pairs(pairs))
+    model = train_model(pairs, vsrc, vtgt, AlignerConfig(vbh=vbh))
+    assert calls == [pairs]
+    assert model.t_fwd.probs == want.t_fwd.probs and model.t_rev.probs == want.t_rev.probs
 
 
 def test_vbh_training_peak_memory_stays_within_em_training(monkeypatch):
