@@ -178,8 +178,11 @@ def read_bitext_joined(path, separator=DEFAULT_SEPARATOR, lowercase=False):
             raise CorpusError(f"{path}:{lineno}: missing separator {separator!r}")
         if len(hits) > 1:
             raise CorpusError(f"{path}:{lineno}: duplicated separator {separator!r}")
-        src, tgt = tokens[:hits[0]], tokens[hits[0] + 1:]
-        out.append((_tokenize(" ".join(src), lowercase), _tokenize(" ".join(tgt), lowercase)))
+        if lowercase:
+            # The tokens _tokenize gives each side: str.lower makes no whitespace,
+            # and its final-sigma rule stops at a space.
+            tokens = [token.lower() for token in tokens]
+        out.append((tokens[:hits[0]], tokens[hits[0] + 1:]))
     return out
 
 

@@ -62,19 +62,18 @@ def _metrics(a_p, a_s, a, s):
     return {"precision": precision, "recall": recall, "aer": aer_value}
 
 
-def aer(hyps, golds):
-    """Corpus-level metrics; aer is None when there are no links at all."""
+def _line_counts(hyps, golds):
+    """sentence_counts of each line; a line-count mismatch raises ValueError."""
     if len(hyps) != len(golds):
         raise ValueError(f"hypothesis has {len(hyps)} sentences, gold has {len(golds)}")
-    tot = [0, 0, 0, 0]
-    for hyp, gold in zip(hyps, golds):
-        for k, v in enumerate(sentence_counts(hyp, gold)):
-            tot[k] += v
-    return _metrics(*tot)
+    return [sentence_counts(h, g) for h, g in zip(hyps, golds)]
+
+
+def aer(hyps, golds):
+    """Corpus-level metrics; aer is None when there are no links at all."""
+    return _metrics(*map(sum, zip((0, 0, 0, 0), *_line_counts(hyps, golds))))
 
 
 def per_sentence(hyps, golds):
     """Per-line metric dicts, same definitions applied to each sentence."""
-    if len(hyps) != len(golds):
-        raise ValueError(f"hypothesis has {len(hyps)} sentences, gold has {len(golds)}")
-    return [_metrics(*sentence_counts(h, g)) for h, g in zip(hyps, golds)]
+    return [_metrics(*counts) for counts in _line_counts(hyps, golds)]

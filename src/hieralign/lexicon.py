@@ -266,25 +266,22 @@ def _token_ids(path, body, words, start, end, ids):
     return found
 
 
-def _is_probability(text):
-    """Whether text reads as a number in (0, 1]."""
+def _float_or_nan(text):
+    """float(text), or NaN where text reads as no number."""
     try:
-        return 0.0 < float(text) <= 1.0
+        return float(text)
     except ValueError:
-        return False
+        return np.nan
 
 
 def _probabilities(path, body, words, start, end):
     """The float of each field, each run of equal neighbouring fields converted once."""
     runs = _runs(words, start, end - start)
     texts = _texts(body, start[runs], end[runs])
-    try:
-        values = np.fromiter(map(float, texts), np.float64, len(texts))
-        valid = ((values > 0.0) & (values <= 1.0)).all()
-    except ValueError:
-        valid = False
-    if not valid:
-        k = next(k for k, text in enumerate(texts) if not _is_probability(text))
+    values = np.fromiter(map(_float_or_nan, texts), np.float64, len(texts))
+    bad = np.flatnonzero(~((values > 0.0) & (values <= 1.0)))
+    if bad.size:
+        k = int(bad[0])
         raise ValueError(f"{path}:{runs[k] + 2}: probability {texts[k]!r} is not a number in (0, 1]")
     return np.repeat(values, np.diff(runs, append=len(start)))
 
@@ -578,8 +575,8 @@ def _reestimate(flat, t_fwd, t_rev, best_fwd, best_rev):
     tables = []
     for t, cond, cing in ((t_fwd, src_ids, tgt_ids), (t_rev, tgt_ids, src_ids)):
         packed, counts = np.unique(pack(cond, cing), return_counts=True)
-        probs = normalize_plain(PairMap(packed, counts.astype(np.float64)))
-        tables.append(TTable(t.direction, probs, t.cond_vocab_size, t.fallback))
+        probs = _normalized(counts.astype(np.float64), _conditioning_groups(packed))
+        tables.append(TTable(t.direction, PairMap(packed, probs), t.cond_vocab_size, t.fallback))
     return tuple(tables)
 
 

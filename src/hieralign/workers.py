@@ -7,8 +7,9 @@ process k mod P, the parent being process 0: the parent runs its own
 share while the children run theirs. Each child sends its results, or
 the exception it raised, as one pickle over a pipe and leaves with
 os._exit; one that dies without sending makes the parent raise
-RuntimeError. Where os.fork does not exist, every chunk runs in this
-process.
+ChildProcessError. One path serves every worker count: with one process,
+as always where os.fork does not exist, nothing is forked and the parent's
+share is every chunk.
 Alignment maps over the parser's lockstep groups. chunked cuts a list
 into chunks of CHUNK_SIZE items; the package does not call it, only
 perfbench's traced alignment flow does.
@@ -59,7 +60,7 @@ def _results(children, pid):
         # It died before sending: reap it here, for its exit status.
         status = os.waitpid(pid, 0)[1]
         del children[pid]
-        raise RuntimeError(f"worker process {pid} died with exit status {os.waitstatus_to_exitcode(status)}")
+        raise ChildProcessError(f"worker process {pid} died with exit status {os.waitstatus_to_exitcode(status)}")
     ok, value = pickle.loads(message)
     if not ok:
         raise value
@@ -67,22 +68,18 @@ def _results(children, pid):
 
 
 def map_chunks(func, shared, chunks, threads=1):
-    """Yield func(chunk) for every chunk, in order.
+    """Yield func(chunk) for every chunk, in order, once every result is in.
 
     `shared` is installed in this process and read through payload(); the
-    children forked here inherit it. No more processes run than there are
-    chunks, one of them this process. No child outlives the call, and the
-    payload is released when it ends.
+    children forked here inherit it. At most threads - 1 children are
+    forked, and fewer than there are chunks. No child outlives the call,
+    and the payload is released when it ends.
     """
     global _payload
-    processes = min(threads, len(chunks)) if hasattr(os, "fork") else 1
+    processes = max(1, min(threads, len(chunks))) if hasattr(os, "fork") else 1
     _payload = shared
-    children = {}  # pid -> read end of its pipe, in share order, until reaped
+    children = {}  # pid -> read end of its pipe, in fork order, until reaped
     try:
-        if processes <= 1:
-            for chunk in chunks:
-                yield func(chunk)
-            return
         for k in range(1, processes):
             read, writer = os.pipe()
             reader = os.fdopen(read, "rb")
@@ -91,13 +88,10 @@ def map_chunks(func, shared, chunks, threads=1):
                 _child(func, chunks[k::processes], writer)
             os.close(writer)
             children[pid] = reader
-        pids = list(children)
-        shares = [[func(chunk) for chunk in chunks[::processes]]] + [None] * len(pids)
+        shares = [[func(chunk) for chunk in chunks[::processes]]]
+        shares += [_results(children, pid) for pid in list(children)]
         for k in range(len(chunks)):
-            owner = k % processes
-            if shares[owner] is None:
-                shares[owner] = _results(children, pids[owner - 1])
-            yield shares[owner][k // processes]
+            yield shares[k % processes][k // processes]
     finally:
         _payload = None
         for pid, reader in children.items():

@@ -2,12 +2,13 @@ import inspect
 import io
 import os
 import random
+import signal
 import tracemalloc
 
 import pytest
 
 import oracles
-from hieralign import corpus, phrase
+from hieralign import corpus, phrase, pipeline
 from hieralign.alignio import format_alignment
 from hieralign.cli import build_arg_parser, config_from_args, main
 from hieralign.corpus import read_bitext
@@ -220,8 +221,9 @@ def test_align_dump_matrix(toy, tmp_path, capsys):
     assert capsys.readouterr().out == dumped
 
 
-def test_align_dump_matrix_over_many_chunks(tmp_path, capsys):
-    # More pairs than two lockstep groups hold, with empty-side lines among them.
+def many_chunks_corpus(tmp_path):
+    """(source lines, target lines, source path, target path): more pairs than
+    two lockstep groups hold, with empty-side lines among them."""
     rng = random.Random(5)
     src_lines, tgt_lines = [], []
     for k in range(2 * GROUP_PAIRS + 40):
@@ -230,6 +232,11 @@ def test_align_dump_matrix_over_many_chunks(tmp_path, capsys):
         tgt_lines.append(" ".join(f"v{w[1:]}" for w in reversed(words)))
     src = write(tmp_path / "c.src", "\n".join(src_lines) + "\n")
     tgt = write(tmp_path / "c.tgt", "\n".join(tgt_lines) + "\n")
+    return src_lines, tgt_lines, src, tgt
+
+
+def test_align_dump_matrix_over_many_chunks(tmp_path, capsys):
+    src_lines, tgt_lines, src, tgt = many_chunks_corpus(tmp_path)
     model, dump = tmp_path / "model", tmp_path / "m.tsv"
     assert main(["train", "-s", src, "-t", tgt, "-o", str(model)]) == 0
     assert main(["align", "-s", src, "-t", tgt, "-m", str(model), "--threads", "1"]) == 0
@@ -248,6 +255,31 @@ def test_align_dump_matrix_over_many_chunks(tmp_path, capsys):
     for block, (n, m) in zip(blocks, shapes):
         rows = [row.split("\t") for row in block.splitlines()]
         assert [(int(j), int(i)) for j, i, _ in rows] == [(j, i) for j in range(n) for i in range(m)]
+
+
+@pytest.mark.parametrize("command", ["align", "pipeline", "sweep"])
+def test_a_dead_alignment_worker_fails_with_an_error_line(tmp_path, capsys, monkeypatch, command):
+    src_lines, _, src, tgt = many_chunks_corpus(tmp_path)
+    files = ["-s", src, "-t", tgt]
+    model = tmp_path / "model"
+    assert main(["train", *files, "-o", str(model)]) == 0
+    gold = write(tmp_path / "gold", "\n" * len(src_lines))
+    parent = os.getpid()
+
+    def killed_in_child(pairs):
+        if os.getpid() != parent:
+            os.kill(os.getpid(), signal.SIGKILL)
+        return [""] * len(pairs)
+
+    monkeypatch.setattr(pipeline, "_align_chunk", killed_in_child)
+    capsys.readouterr()
+    args = {"align": ["-m", str(model)], "pipeline": ["-o", str(tmp_path / "out")],
+            "sweep": ["--gold", gold, "--theta-grid", "1", "--delta-grid", "1"]}[command]
+    assert main([command, *files, *args, "--threads", "2"]) == 1
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err.splitlines()[-1].startswith("error: worker process ")
+    assert err.splitlines()[-1].endswith(" died with exit status -9")
 
 
 def test_align_rejects_training_options(toy, capsys):

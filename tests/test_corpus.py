@@ -76,6 +76,20 @@ def test_joined_lowercase_finds_a_cased_separator_among_raw_tokens(tmp_path):
         read_bitext_joined(path, "<sep>", lowercase=True)
 
 
+def test_joined_lowercase_reads_as_the_two_file_corpus(tmp_path):
+    # A final sigma, a dotted capital I (two characters once lowercased) and
+    # Unicode spaces between tokens: lowercasing each token of a joined line
+    # gives the tokens of lowercasing each side's whole line.
+    src_lines = ["ΟΔΟΣ\xa0ΟΔΟΣ ΣΑ", "İSTANBUL\u3000İ", "Σ ΟΔΟΣ"]
+    tgt_lines = ["ΟΔΟΣ\u3000ΑΣ", "Σ\xa0İ", "ΑΣ\xa0Σ\u3000x"]
+    src = write(tmp_path / "s", "".join(line + "\n" for line in src_lines))
+    tgt = write(tmp_path / "t", "".join(line + "\n" for line in tgt_lines))
+    joined = write(tmp_path / "j", "".join(f"{s} ||| {t}\n" for s, t in zip(src_lines, tgt_lines)))
+    bitext = read_bitext(src, tgt, lowercase=True)
+    assert read_bitext_joined(joined, lowercase=True) == bitext
+    assert bitext[0][0] == ["οδος", "οδος", "σα"]
+
+
 def test_joined_duplicate_separator(tmp_path):
     path = write(tmp_path / "j", "a ||| x ||| y\n")
     with pytest.raises(CorpusError, match=re.escape(f"{path}:1: duplicated separator '|||'")):

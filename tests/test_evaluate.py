@@ -65,14 +65,36 @@ def test_aer_possible_only_link():
 
 
 def test_aer_undefined_when_no_links():
-    metrics = aer([set()], [GoldAlignment()])
-    assert metrics["aer"] is None
-    assert metrics["precision"] == 0.0 and metrics["recall"] == 0.0
+    # One line without links, and no lines at all.
+    for hyps, golds in (([set()], [GoldAlignment()]), ([], [])):
+        assert aer(hyps, golds) == {"precision": 0.0, "recall": 0.0, "aer": None}
+    assert per_sentence([], []) == []
 
 
 def test_length_mismatch_rejected():
-    with pytest.raises(ValueError):
-        aer([set()], [])
+    for metric in (aer, per_sentence):
+        with pytest.raises(ValueError, match="^hypothesis has 1 sentences, gold has 0$"):
+            metric([set()], [])
+
+
+def test_corpus_counts_are_the_sums_of_the_line_counts():
+    rng = random.Random(29)
+    cells = [(j, i) for j in range(4) for i in range(4)]
+    for _ in range(50):
+        hyps, golds = [], []
+        for _ in range(rng.randint(1, 6)):
+            sure = set(rng.sample(cells, rng.randint(0, 4)))
+            golds.append(GoldAlignment(sure=sure, possible=set(rng.sample(cells, rng.randint(0, 4)))))
+            hyps.append(set(rng.sample(cells, rng.randint(0, 5))))
+        a_p = sum(len(h & g.possible) for h, g in zip(hyps, golds))
+        a_s = sum(len(h & g.sure) for h, g in zip(hyps, golds))
+        a = sum(map(len, hyps))
+        s = sum(len(g.sure) for g in golds)
+        assert aer(hyps, golds) == {
+            "precision": a_p / a if a else 0.0,
+            "recall": a_s / s if s else 0.0,
+            "aer": 1.0 - (a_s + a_p) / (a + s) if a + s else None,
+        }
 
 
 def test_aer_bounds_and_zero_condition():

@@ -42,6 +42,14 @@ def test_forks_one_child_fewer_than_processes(monkeypatch):
     forks.clear()
     assert list(workers.map_chunks(sum, None, chunks[:1], threads=8)) == [0]
     assert forks == []
+    # No chunks: nothing runs and nothing is forked, whatever the thread count.
+    for threads in (1, 3):
+        assert list(workers.map_chunks(sum, None, [], threads=threads)) == []
+    assert forks == []
+    # One thread: every chunk runs in this process.
+    pids = list(workers.map_chunks(lambda chunk: os.getpid(), None, chunks, threads=1))
+    assert pids == [os.getpid()] * len(chunks)
+    assert forks == []
     assert_no_child_left()
 
 
@@ -80,7 +88,7 @@ def kill_in_child(parent, chunk):
 @pytest.mark.parametrize("func, error, message", [
     (raise_in_child, ValueError, r"^chunk \[1\] is bad$"),
     (raise_in_parent, ValueError, r"^chunk \[0\] is bad$"),
-    (functools.partial(kill_in_child, os.getpid()), RuntimeError, "died with exit status -9"),
+    (functools.partial(kill_in_child, os.getpid()), ChildProcessError, "died with exit status -9"),
 ], ids=["child-raises", "parent-raises", "child-killed"])
 def test_a_failing_chunk_fails_the_map_and_leaves_no_child(func, error, message):
     chunks = workers.chunked(list(range(6)), size=1)
